@@ -134,34 +134,6 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     return _result(data, (a,), lambda g, m=mask: (g * np.where(m, 1.0, slope),))
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    with np.errstate(over="ignore"):
-        data = np.exp(a.data)
-    return _result(data, (a,), lambda g, d=data: (g * d,))
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(a.data)
-    return _result(data, (a,), lambda g, a=a: (g / a.data,))
-
-
-def row_softmax(a) -> Tensor:
-    """Softmax per row, stabilized by row-max subtraction."""
-    a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g, y=y):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _result(y, (a,), backward)
-
-
 def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
     ts = [_as_tensor(t) for t in tensors]
     rows = {t.shape[0] for t in ts}
@@ -177,7 +149,7 @@ def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
     return _result(data, tuple(ts), backward)
 
 
-def l2_normalize_rows(a, eps_free: bool = True) -> Tensor:
+def l2_normalize_rows(a) -> Tensor:
     """Rows scaled to unit l2 norm; zero rows stay zero with zero gradient."""
     a = _as_tensor(a)
     norms = np.linalg.norm(a.data, axis=1, keepdims=True)
@@ -198,77 +170,95 @@ def sum_all(a) -> Tensor:
     return _result(data, (a,), lambda g, a=a: (np.full(a.shape, g[0, 0]),))
 
 
-class IndexGroups:
-    """Per-row neighbor index sets, flattened for vectorized pooling.
+class Edges:
+    """Directed edges src -> dst sorted by dst: a graph in CSR layout.
 
-    Built once per graph; row i of a pooled output aggregates the source
-    rows listed in groups[i]. Empty groups are allowed.
+    Edge-wise ops take one row per edge, in this order, and reduce the rows
+    that share a destination into that node's output row.
     """
 
-    def __init__(self, groups: Sequence[np.ndarray]):
-        self.n_rows = len(groups)
-        sizes = np.array([len(g) for g in groups], dtype=np.int64)
-        self.sizes = sizes
-        self.flat = (
-            np.concatenate([np.asarray(g, dtype=np.int64) for g in groups if len(g)])
-            if sizes.sum()
-            else np.zeros(0, dtype=np.int64)
-        )
-        self.nonempty = np.flatnonzero(sizes)
-        starts_all = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        self.starts = starts_all[self.nonempty]
-
-    @classmethod
-    def from_adjacency(cls, adj: np.ndarray) -> "IndexGroups":
-        return cls([np.flatnonzero(adj[i]) for i in range(adj.shape[0])])
+    def __init__(self, src, dst, n_nodes: int):
+        self.src = np.asarray(src, dtype=np.int64)
+        self.dst = np.asarray(dst, dtype=np.int64)
+        if np.any(np.diff(self.dst) < 0):
+            raise AutodiffError("edges must be sorted by destination")
+        self.n_nodes = n_nodes
+        self.starts = np.flatnonzero(np.diff(self.dst, prepend=-1))  # first edge per group
+        self.groups = self.dst[self.starts]                           # node of each group
 
 
-def row_sum_pool(a, groups: IndexGroups) -> Tensor:
-    """Row i of the output is the sum of a's rows in groups[i]."""
+def _edge_rows(a, edges: Edges) -> Tensor:
     a = _as_tensor(a)
-    data = np.zeros((groups.n_rows, a.shape[1]))
-    if len(groups.flat):
-        gathered = a.data[groups.flat]
-        data[groups.nonempty] = np.add.reduceat(gathered, groups.starts, axis=0)
+    if a.shape[0] != len(edges.dst):
+        raise AutodiffError(f"{a.shape[0]} rows for {len(edges.dst)} edges")
+    return a
 
-    def backward(g, a=a, groups=groups):
-        ga = np.zeros(a.shape)
-        if len(groups.flat):
-            expanded = np.repeat(g, groups.sizes, axis=0)
-            np.add.at(ga, groups.flat, expanded)
+
+def _reduce(ufunc, x: np.ndarray, edges: Edges) -> np.ndarray:
+    """ufunc over the edge rows into each node; 0 for nodes with none."""
+    out = np.zeros((edges.n_nodes, x.shape[1]), dtype=x.dtype)
+    out[edges.groups] = ufunc.reduceat(x, edges.starts, axis=0)
+    return out
+
+
+def gather_rows(a, index, weight=None) -> Tensor:
+    """Row k of the output is row index[k] of a, times weight[k] if given.
+
+    weight is a constant (len(index), 1) array; only a gets a gradient.
+    """
+    a = _as_tensor(a)
+    index = np.asarray(index, dtype=np.int64)
+    data = a.data[index]
+    if weight is not None:
+        data *= weight
+
+    def backward(g, n=a.shape[0], index=index, weight=weight):
+        # scatter-add as a grouped sum over output rows sorted by source row;
+        # faster than np.add.at and summed in the same order every run
+        order = np.argsort(index, kind="stable")
+        g = g[order]
+        if weight is not None:
+            g *= weight[order]
+        return (_reduce(np.add, g, Edges(order, index[order], n)),)
+
+    return _result(data, (a,), backward)
+
+
+def row_sum_pool(a, edges: Edges) -> Tensor:
+    """Row i of the output is the sum of the edge rows into node i."""
+    a = _edge_rows(a, edges)
+    return _result(_reduce(np.add, a.data, edges), (a,), lambda g, d=edges.dst: (g[d],))
+
+
+def row_max_pool(a, edges: Edges) -> Tensor:
+    """Row i is the elementwise max over the edge rows into node i; none -> 0.
+
+    Gradient routes to the contributing edge with the lowest index, so
+    tie-breaking is deterministic.
+    """
+    a = _edge_rows(a, edges)
+    data = _reduce(np.maximum, a.data, edges)
+    cand = np.where(a.data == data[edges.dst], np.arange(a.shape[0])[:, None], a.shape[0])
+    winners = np.minimum.reduceat(cand, edges.starts, axis=0)  # (groups, cols) edge index
+
+    def backward(g, shape=a.shape, winners=winners, groups=edges.groups):
+        ga = np.zeros(shape)
+        ga[winners, np.arange(shape[1])] = g[groups]
         return (ga,)
 
     return _result(data, (a,), backward)
 
 
-def row_max_pool(a, groups: IndexGroups) -> Tensor:
-    """Row i is the elementwise max over a's rows in groups[i]; empty -> 0.
+def row_softmax(a, edges: Edges) -> Tensor:
+    """Softmax per column over the edge rows into each node, max-stabilized."""
+    a = _edge_rows(a, edges)
+    e = np.exp(a.data - _reduce(np.maximum, a.data, edges)[edges.dst])
+    y = e / _reduce(np.add, e, edges)[edges.dst]
 
-    Gradient routes to the contributing entry with the lowest flat index,
-    so tie-breaking is deterministic.
-    """
-    a = _as_tensor(a)
-    data = np.zeros((groups.n_rows, a.shape[1]))
-    winners = None
-    if len(groups.flat):
-        gathered = a.data[groups.flat]
-        pooled = np.maximum.reduceat(gathered, groups.starts, axis=0)
-        data[groups.nonempty] = pooled
-        pooled_back = np.repeat(pooled, groups.sizes[groups.nonempty], axis=0)
-        is_max = gathered == pooled_back
-        cand = np.where(is_max, np.arange(len(gathered))[:, None], len(gathered))
-        winners = np.minimum.reduceat(cand, groups.starts, axis=0)
+    def backward(g, y=y, edges=edges):
+        return (y * (g - _reduce(np.add, g * y, edges)[edges.dst]),)
 
-    def backward(g, a=a, groups=groups, winners=winners):
-        ga = np.zeros(a.shape)
-        if winners is not None:
-            rows = groups.flat[winners]          # (G, d) source row per entry
-            gg = g[groups.nonempty]
-            cols = np.broadcast_to(np.arange(a.shape[1]), rows.shape)
-            np.add.at(ga, (rows.ravel(), cols.ravel()), gg.ravel())
-        return (ga,)
-
-    return _result(data, (a,), backward)
+    return _result(y, (a,), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, mask=None) -> Tensor:

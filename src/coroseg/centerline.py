@@ -23,11 +23,8 @@ CLASSES_13 = [
 #: Ablation class set: the two rare left posterior classes removed.
 CLASSES_11 = [c for c in CLASSES_13 if c not in ("L-PLB", "L-PDA")]
 
-DEFAULT_VOXEL_SPACING_MM = 0.5
-#: Resample spacing: 10 voxels at the default voxel spacing.
-DEFAULT_RESAMPLE_SPACING_MM = 10 * DEFAULT_VOXEL_SPACING_MM
-#: Merge tolerance: 3 voxels, below the resample spacing so merging
-#: cannot collapse distinct junctions.
+#: Merge tolerance: 3 voxels at a 0.5 mm voxel spacing, below the 10-voxel
+#: resample spacing so merging cannot collapse distinct junctions.
 DEFAULT_MERGE_TOL_MM = 1.5
 
 
@@ -71,8 +68,8 @@ class SubjectRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "centerlines", tuple(self.centerlines))
-        if self.voxel_spacing_mm <= 0:
-            raise CenterlineError("voxel_spacing_mm must be positive")
+        if not (np.isfinite(self.voxel_spacing_mm) and self.voxel_spacing_mm > 0):
+            raise CenterlineError("voxel_spacing_mm must be finite and positive")
         sides = {cl.side for cl in self.centerlines}
         if LEFT not in sides or RIGHT not in sides:
             raise CenterlineError("subject needs at least one left and one right branch")
@@ -104,25 +101,34 @@ def parse_subject(raw: bytes | str) -> SubjectRecord:
         branches = doc["branches"]
     except KeyError as exc:
         raise CenterlineError(f"missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CenterlineError("voxel_spacing_mm must be a number") from exc
     if not isinstance(branches, list) or not branches:
         raise CenterlineError("branches must be a non-empty list")
     centerlines = []
     for i, b in enumerate(branches):
+        if not isinstance(b, dict):
+            raise CenterlineError(f"branch {i}: must be an object")
         if "points" not in b:
             raise CenterlineError(f"branch {i}: missing points array")
-        pts = np.asarray(b["points"], dtype=np.float64)
-        if pts.size and pts.ndim == 1:
-            raise CenterlineError(f"branch {i}: centerline too short")
+        try:
+            pts = np.asarray(b["points"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise CenterlineError(f"branch {i}: points must be an array of numbers") from exc
         if pts.ndim != 2 or len(pts) < 2:
             raise CenterlineError(f"branch {i}: centerline too short")
-        centerlines.append(
-            Centerline(
-                branch_id=str(b.get("id", f"b{i}")),
-                side=str(b.get("side", "")),
-                points=pts,
-                label=b.get("label"),
-            )
+        cl = Centerline(
+            branch_id=str(b.get("id", f"b{i}")),
+            side=str(b.get("side", "")),
+            points=pts,
+            label=b.get("label"),
         )
+        # below 1e150 per coordinate no step or sum of steps can overflow
+        if np.abs(cl.points).max() > 1e150:
+            with np.errstate(over="ignore"):
+                if not np.isfinite(arc_lengths(cl.points)[-1]):
+                    raise CenterlineError(f"branch {cl.branch_id!r}: arc length overflows")
+        centerlines.append(cl)
     return SubjectRecord(subject_id, voxel, centerlines)
 
 
@@ -193,19 +199,21 @@ def merge_branch_origins(
 ) -> SubjectRecord:
     """Snap branch start points onto the nearest point of another branch.
 
-    A start within tol_mm of a point on some other branch is set bit-exactly
-    to that nearest point. Ties break to the lower branch index, then the
-    lower point index. Only start points ever move.
+    A start within tol_mm of a point on some other branch of the same side
+    is set bit-exactly to that nearest point; the left and right trees never
+    join. Ties break to the lower branch index, then the lower point index.
+    Only start points ever move.
     """
     if tol_mm <= 0:
         raise CenterlineError("merge tolerance must be positive")
+    sides = [cl.side for cl in subject.centerlines]
     points = [cl.points.copy() for cl in subject.centerlines]
     for i in range(len(points)):
         start = points[i][0]
         best_d = np.inf
         best = None
         for j in range(len(points)):
-            if j == i:
+            if j == i or sides[j] != sides[i]:
                 continue
             d = np.linalg.norm(points[j] - start, axis=1)
             k = int(np.argmin(d))

@@ -212,11 +212,6 @@ def spherical_encode(q: np.ndarray) -> np.ndarray:
     return np.array([r, cos_az, sin_az, cos_el, sin_el])
 
 
-def to_local_spherical(p: np.ndarray, frame: ReferenceFrame) -> np.ndarray:
-    """Spherical encoding of a world point in the normalized local frame."""
-    return spherical_encode(frame.to_local(p))
-
-
 def node_embedding(seg: Segment, frame: ReferenceFrame) -> np.ndarray:
     """48-dim embedding: 6 geometric features x (3 Cartesian + 5 spherical).
 

@@ -2,7 +2,8 @@
 
 All four variants share one architecture: two graph layers with a ReLU
 between them, then a fully-connected head producing per-node class logits.
-Graphs are small (tens of nodes), so everything runs on dense matrices.
+Graph layers pass messages along edge lists: rows are gathered per edge,
+then summed, max-pooled or softmax-weighted per destination node.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import IndexGroups, Tensor
+from .autodiff import Edges, Tensor
 
 VARIANTS = ("gcn", "gat", "gin", "sage")
 
@@ -49,33 +50,39 @@ class ModelConfig:
 
 @dataclass
 class GraphStructure:
-    """Per-graph constants shared by all layers: derived from the adjacency."""
+    """Per-graph edge lists shared by all layers, grouped by destination node."""
 
-    adjacency: np.ndarray        # (N, N) 0/1, zero diagonal
-    gcn_norm: np.ndarray         # D^-1/2 (A+I) D^-1/2
-    attention_bias: np.ndarray   # 0 on A+I entries, large negative elsewhere
-    neighbors: IndexGroups       # neighbor index sets, self excluded
+    neighbors: Edges         # j -> i for each edge of the graph, self excluded
+    with_loops: Edges        # the same edges plus i -> i
+    gcn_weight: np.ndarray   # (len(with_loops.dst), 1): 1 / sqrt(deg_i deg_j), loop counted
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> "GraphStructure":
-        adj = np.asarray(adj, dtype=np.float64)
-        n = adj.shape[0]
-        a_hat = adj + np.eye(n)
-        d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-        gcn_norm = a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
-        attention_bias = np.where(a_hat > 0, 0.0, -1e30)
-        return cls(adj, gcn_norm, attention_bias, IndexGroups.from_adjacency(adj))
+        """From an (N, N) 0/1 symmetric adjacency with zero diagonal."""
+        n = len(adj)
+        dst, src = np.nonzero(adj)
+        nodes = np.arange(n)
+        loop_src, loop_dst = np.concatenate([src, nodes]), np.concatenate([dst, nodes])
+        order = np.lexsort((loop_src, loop_dst))   # by destination, then source
+        loop_src, loop_dst = loop_src[order], loop_dst[order]
+        d_inv_sqrt = 1.0 / np.sqrt(np.bincount(dst, minlength=n) + 1.0)
+        weight = d_inv_sqrt[loop_dst] * d_inv_sqrt[loop_src]
+        return cls(Edges(src, dst, n), Edges(loop_src, loop_dst, n), weight[:, None])
 
     @classmethod
     def block_diagonal(cls, structures: list["GraphStructure"]) -> "GraphStructure":
-        sizes = [s.adjacency.shape[0] for s in structures]
-        n = sum(sizes)
-        adj = np.zeros((n, n))
-        off = 0
-        for s, sz in zip(structures, sizes):
-            adj[off : off + sz, off : off + sz] = s.adjacency
-            off += sz
-        return cls.from_adjacency(adj)
+        """Disjoint union: each graph's node indices shifted past the previous graphs'."""
+        offsets = np.cumsum([0] + [s.neighbors.n_nodes for s in structures])
+
+        def union(edges: list[Edges]) -> Edges:
+            src, dst = zip(*[(e.src + o, e.dst + o) for e, o in zip(edges, offsets)])
+            return Edges(np.concatenate(src), np.concatenate(dst), int(offsets[-1]))
+
+        return cls(
+            union([s.neighbors for s in structures]),
+            union([s.with_loops for s in structures]),
+            np.concatenate([s.gcn_weight for s in structures]),
+        )
 
 
 @dataclass
@@ -130,17 +137,19 @@ def init_model(cfg: ModelConfig) -> TrainedModel:
 
 def gcn_layer(h: Tensor, gs: GraphStructure, w: Tensor, b: Tensor) -> Tensor:
     """Symmetric-normalized propagation: D^-1/2 (A+I) D^-1/2 H W + b."""
-    return ad.add(ad.matmul(Tensor(gs.gcn_norm), ad.matmul(h, w)), b)
+    messages = ad.gather_rows(ad.matmul(h, w), gs.with_loops.src, gs.gcn_weight)
+    return ad.add(ad.row_sum_pool(messages, gs.with_loops), b)
 
 
 def gat_head(h: Tensor, gs: GraphStructure, w, a_src, a_dst, slope: float) -> Tensor:
     """One attention head: softmax over N(i) u {i} of leaky-relu logits."""
+    edges = gs.with_loops
     hw = ad.matmul(h, w)
-    f_src = ad.matmul(hw, a_src)                      # (N, 1)
-    f_dst = ad.matmul(hw, a_dst)
-    logits = ad.leaky_relu(ad.add(f_src, ad.transpose(f_dst)), slope)
-    alpha = ad.row_softmax(ad.add(logits, Tensor(gs.attention_bias)))
-    return ad.matmul(alpha, hw)
+    hw_src = ad.gather_rows(hw, edges.src)                        # (E, d) per edge j -> i
+    # the logit of edge j -> i is a_src . hw_i + a_dst . hw_j
+    f_src = ad.gather_rows(ad.matmul(hw, a_src), edges.dst)
+    alpha = ad.row_softmax(ad.leaky_relu(ad.add(f_src, ad.matmul(hw_src, a_dst)), slope), edges)
+    return ad.row_sum_pool(ad.mul(hw_src, alpha), edges)
 
 
 def gat_layer(h, gs, params, layer: int, cfg: ModelConfig) -> Tensor:
@@ -162,7 +171,7 @@ def gin_layer(h: Tensor, gs: GraphStructure, params, layer: int) -> Tensor:
     """MLP((1 + eps) h + sum of neighbor rows), eps learnable."""
     eps = params[f"eps{layer}"]
     scaled = ad.mul(h, ad.add(eps, Tensor([[1.0]])))
-    agg = ad.add(scaled, ad.row_sum_pool(h, gs.neighbors))
+    agg = ad.add(scaled, ad.row_sum_pool(ad.gather_rows(h, gs.neighbors.src), gs.neighbors))
     hidden = ad.relu(ad.add(ad.matmul(agg, params[f"mlp{layer}_w1"]), params[f"mlp{layer}_b1"]))
     return ad.add(ad.matmul(hidden, params[f"mlp{layer}_w2"]), params[f"mlp{layer}_b2"])
 
@@ -173,16 +182,12 @@ def sage_layer(h: Tensor, gs: GraphStructure, params, layer: int) -> Tensor:
     Empty neighborhoods aggregate to the zero vector.
     """
     pooled_src = ad.relu(ad.add(ad.matmul(h, params[f"pool{layer}"]), params[f"pool{layer}_b"]))
-    agg = ad.row_max_pool(pooled_src, gs.neighbors)
+    agg = ad.row_max_pool(ad.gather_rows(pooled_src, gs.neighbors.src), gs.neighbors)
     out = ad.add(
         ad.matmul(ad.concat_cols([h, agg]), params[f"out{layer}"]),
         params[f"out{layer}_b"],
     )
-    return l2_rows(out)
-
-
-def l2_rows(t: Tensor) -> Tensor:
-    return ad.l2_normalize_rows(t)
+    return ad.l2_normalize_rows(out)
 
 
 def model_forward(model: TrainedModel, features, gs: GraphStructure) -> Tensor:

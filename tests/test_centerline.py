@@ -10,8 +10,11 @@ from coroseg.centerline import (
     merge_branch_origins,
     parse_subject,
     resample_centerline,
+    resample_subject,
     serialize_subject,
 )
+from coroseg.graph import build_segment_graph
+from coroseg.synth import GenParams, generate_subject
 from conftest import random_tree_subject, straight_line
 
 MINIMAL = {
@@ -181,13 +184,18 @@ def test_resampled_points_lie_on_input_curve(rng):
             assert _point_to_polyline_distance(p, pts) < 1e-9
 
 
+#: A right tree far from every left branch used below.
+FAR_RIGHT = Centerline("r", "right", straight_line((100, 0, 0), (1, 0, 0), 3))
+
+
 def test_merge_attached_child_unchanged():
     subject = SubjectRecord(
         "s",
         0.5,
         [
             Centerline("a", "left", straight_line((0, 0, 0), (0, 0, 1), 5)),
-            Centerline("b", "right", straight_line((0, 0, 10), (1, 0, 0), 4)),
+            Centerline("b", "left", straight_line((0, 0, 10), (1, 0, 0), 4)),
+            FAR_RIGHT,
         ],
     )
     merged = merge_branch_origins(subject, 1.0)
@@ -199,13 +207,34 @@ def test_merge_snaps_nearby_start():
     child = straight_line((0.3, 0, 10), (1, 0, 0), 4)
     subject = SubjectRecord(
         "s", 0.5,
-        [Centerline("a", "left", parent), Centerline("b", "right", child)],
+        [Centerline("a", "left", parent), Centerline("b", "left", child), FAR_RIGHT],
     )
     merged = merge_branch_origins(subject, 1.0)
     assert np.array_equal(merged.centerlines[1].points[0], parent[2])
     # only the start point moved
     assert np.array_equal(merged.centerlines[1].points[1:], child[1:])
     assert np.array_equal(merged.centerlines[0].points, parent)
+
+
+def test_merge_never_joins_sides():
+    left = straight_line((0, 0, 0), (0, 0, 1), 5)
+    right = straight_line((0.3, 0, 10), (1, 0, 0), 4)
+    subject = SubjectRecord(
+        "s", 0.5, [Centerline("a", "left", left), Centerline("b", "right", right)]
+    )
+    merged = merge_branch_origins(subject, 1.0)
+    assert np.array_equal(merged.centerlines[1].points, right)
+
+
+def test_merge_keeps_synthetic_right_root_off_left_tree():
+    # this subject's RCA root starts 1.44 mm from LCX vertex 7; snapping it
+    # there joined the trees into 19 nodes and 27 edges
+    rec = generate_subject(GenParams(n_subjects=60, seed=8), [8, 2])
+    merged = merge_branch_origins(resample_subject(rec))
+    rca = [cl.label for cl in rec.centerlines].index("RCA")
+    assert np.array_equal(merged.centerlines[rca].points[0], rec.centerlines[rca].points[0])
+    sg = build_segment_graph(merged)
+    assert (sg.n_nodes, int(sg.adjacency.sum()) // 2) == (18, 24)
 
 
 def test_merge_random_jittered_trees(rng):

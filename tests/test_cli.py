@@ -139,6 +139,44 @@ def test_validation_error_exit_code(tmp_path):
     assert run_cli("build", str(bad), "--out", str(tmp_path), "--run-name", "y") == 1
 
 
+GOOD_SUBJECT = {
+    "subject_id": "s1",
+    "voxel_spacing_mm": 0.5,
+    "branches": [
+        {"id": "a", "side": "left", "points": [[0, 0, 0], [0, 0, 5]]},
+        {"id": "b", "side": "right", "points": [[10, 0, 0], [10, 0, 5]]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("branches", [5, GOOD_SUBJECT["branches"][1]], "branch 0: must be an object"),
+        ("voxel_spacing_mm", float("inf"), "voxel_spacing_mm must be finite and positive"),
+        ("voxel_spacing_mm", float("nan"), "voxel_spacing_mm must be finite and positive"),
+        ("voxel_spacing_mm", [0.5], "voxel_spacing_mm must be a number"),
+        (
+            "branches",
+            [{"id": "a", "side": "left", "points": [[-1.7e308, 0, 0], [1.7e308, 0, 0]]},
+             GOOD_SUBJECT["branches"][1]],
+            "branch 'a': arc length overflows",
+        ),
+        (
+            "branches",
+            [{"id": "a", "side": "left", "points": [[0, 0, {}], [0, 0, 5]]},
+             GOOD_SUBJECT["branches"][1]],
+            "branch 0: points must be an array of numbers",
+        ),
+    ],
+)
+def test_build_bad_subject_one_line_error(tmp_path, capsys, field, value, message):
+    subject = tmp_path / "bad.json"
+    subject.write_text(json.dumps({**GOOD_SUBJECT, field: value}))
+    assert run_cli("build", str(subject), "--out", str(tmp_path), "--run-name", "x") == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("cv")  # missing required --corpus

@@ -39,7 +39,7 @@ def test_config_validation(kwargs, message):
         ModelConfig(**kwargs)
 
 
-def test_gcn_norm_hand_case_path_graph():
+def test_gcn_layer_hand_case_path_graph():
     gs = GraphStructure.from_adjacency(PATH3)
     # degrees with self-loop: 2, 3, 2
     expected = np.array(
@@ -49,19 +49,23 @@ def test_gcn_norm_hand_case_path_graph():
             [0, 1 / np.sqrt(6), 1 / 2],
         ]
     )
-    assert np.allclose(gs.gcn_norm, expected, atol=1e-12)
-    assert np.array_equal(gs.attention_bias == 0, (PATH3 + np.eye(3)) > 0)
-    assert np.all(gs.attention_bias[(PATH3 + np.eye(3)) == 0] == -1e30)
+    out = gcn_layer(Tensor(np.eye(3)), gs, Tensor(np.eye(3)), Tensor(np.zeros((1, 3)))).data
+    assert np.allclose(out, expected, atol=1e-12)
 
 
-def test_block_diagonal_structure():
-    a = GraphStructure.from_adjacency(PATH3)
-    b = GraphStructure.from_adjacency(np.array([[0.0, 1], [1, 0]]))
-    merged = GraphStructure.block_diagonal([a, b])
-    assert merged.adjacency.shape == (5, 5)
-    assert np.array_equal(merged.adjacency[:3, :3], PATH3)
-    assert not merged.adjacency[:3, 3:].any()
-    assert np.allclose(merged.gcn_norm[:3, :3], a.gcn_norm)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_block_diagonal_batch_matches_per_graph_forward(variant, rng):
+    cfg = ModelConfig(variant, in_dim=48, hidden_dim=8, num_classes=13, seed=5)
+    model = init_model(cfg)
+    with_isolated = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    adjs = [PATH3, _random_adjacency(rng, 6), with_isolated, np.zeros((1, 1))]
+    feats = [rng.normal(size=(len(a), 48)) for a in adjs]
+    structures = [GraphStructure.from_adjacency(a) for a in adjs]
+    batched = model_forward(
+        model, np.vstack(feats), GraphStructure.block_diagonal(structures)
+    ).data
+    single = [model_forward(model, f, gs).data for f, gs in zip(feats, structures)]
+    assert np.allclose(batched, np.vstack(single), rtol=0, atol=1e-12)
 
 
 def test_gcn_layer_vs_node_loop_oracle(rng):
