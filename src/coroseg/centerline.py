@@ -117,6 +117,8 @@ def parse_subject(raw: bytes | str) -> SubjectRecord:
             raise CenterlineError(f"branch {i}: points must be an array of numbers") from exc
         if pts.ndim != 2 or len(pts) < 2:
             raise CenterlineError(f"branch {i}: centerline too short")
+        if b.get("label") is not None and b["label"] not in CLASSES_13:
+            raise CenterlineError(f"branch {i}: unknown label {b['label']!r}")
         cl = Centerline(
             branch_id=str(b.get("id", f"b{i}")),
             side=str(b.get("side", "")),
@@ -172,16 +174,12 @@ def resample_centerline(cl: Centerline, spacing_mm: float) -> Centerline:
     # Strictly-interior targets; relative epsilon keeps the final gap from
     # degenerating to fp noise when total is an exact multiple of spacing.
     n_interior = int(np.floor((total - 1e-9 * spacing_mm) / spacing_mm))
-    out = [pts[0]]
-    for k in range(1, n_interior + 1):
-        t = k * spacing_mm
-        j = int(np.searchsorted(cum, t, side="right")) - 1
-        j = min(j, len(pts) - 2)
-        seg_len = cum[j + 1] - cum[j]
-        alpha = 0.0 if seg_len == 0 else (t - cum[j]) / seg_len
-        out.append(pts[j] + alpha * (pts[j + 1] - pts[j]))
-    out.append(pts[-1])
-    return replace(cl, points=np.asarray(out))
+    t = np.arange(1, n_interior + 1) * spacing_mm
+    j = np.minimum(np.searchsorted(cum, t, side="right") - 1, len(pts) - 2)
+    seg_len = cum[j + 1] - cum[j]
+    alpha = np.divide(t - cum[j], seg_len, out=np.zeros_like(t), where=seg_len > 0)
+    interior = pts[j] + alpha[:, None] * (pts[j + 1] - pts[j])
+    return replace(cl, points=np.vstack([pts[0], interior, pts[-1]]))
 
 
 def resample_subject(subject: SubjectRecord, spacing_mm: float | None = None) -> SubjectRecord:
@@ -206,25 +204,21 @@ def merge_branch_origins(
     """
     if tol_mm <= 0:
         raise CenterlineError("merge tolerance must be positive")
-    sides = [cl.side for cl in subject.centerlines]
-    points = [cl.points.copy() for cl in subject.centerlines]
-    for i in range(len(points)):
-        start = points[i][0]
-        best_d = np.inf
-        best = None
-        for j in range(len(points)):
-            if j == i or sides[j] != sides[i]:
-                continue
-            d = np.linalg.norm(points[j] - start, axis=1)
-            k = int(np.argmin(d))
-            if d[k] < best_d:
-                best_d = d[k]
-                best = (j, k)
-        if best is not None and best_d <= tol_mm:
-            j, k = best
-            points[i][0] = points[j][k]
+    cls = subject.centerlines
+    lengths = [len(cl.points) for cl in cls]
+    starts = np.cumsum([0] + lengths[:-1])
+    points = np.concatenate([cl.points for cl in cls])  # branch order
+    owner = np.repeat(np.arange(len(cls)), lengths)
+    side = np.array([cl.side for cl in cls])[owner]
+    for i, first in enumerate(starts):
+        d = np.linalg.norm(points - points[first], axis=1)
+        d[(owner == i) | (side != side[first])] = np.inf
+        # the first minimum is on the lowest branch, then the lowest point
+        k = int(np.argmin(d))
+        if d[k] <= tol_mm:
+            points[first] = points[k]  # later starts see this move
     centerlines = tuple(
-        replace(cl, points=p) for cl, p in zip(subject.centerlines, points)
+        replace(cl, points=p) for cl, p in zip(cls, np.split(points, starts[1:]))
     )
     return replace(subject, centerlines=centerlines)
 

@@ -4,6 +4,9 @@ Every command writes its outputs under a run directory along with a
 manifest (command, config snapshot, seeds, input hashes, artifact list),
 written last so its presence marks a completed run. Reruns from the same
 configuration produce byte-identical metrics files.
+
+Each ``cmd_*`` function takes the parsed arguments and its run directory and
+returns what the manifest records: ``(config, inputs, artifacts)``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .centerline import (
     serialize_subject,
 )
 from .graph import GraphBuildError, build_segment_graph, segment_graph_to_json
-from .models import ModelConfig, load_model, save_model
+from .models import VARIANTS, ModelConfig, load_model, save_model
 from .synth import GenParams, generate_corpus
 from .training import (
     MetricsReport,
@@ -40,32 +43,28 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_CHECK = 3
 
-ALL_MODELS = ["gcn", "gat", "gin", "sage"]
-
 
 class CheckFailure(RuntimeError):
     pass
+
+
+class UsageError(Exception):
+    """A bad --config file: exit 2, like a bad flag."""
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _run_dir(args) -> Path:
-    base = Path(args.out)
-    if getattr(args, "run_name", None):
-        run = base / args.run_name
-    else:
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        run = base / f"run-{stamp}-s{args.seed}"
+def _execute(args) -> int:
+    """Run one command in its run directory, then write the manifest."""
+    started = time.time()
+    name = args.run_name or f"run-{time.strftime('%Y%m%d-%H%M%S')}-s{args.seed}"
+    run = Path(args.out) / name
     run.mkdir(parents=True, exist_ok=True)
-    return run
-
-
-def _write_manifest(run: Path, command: str, config: dict, inputs: list[Path],
-                    artifacts: list[Path], started: float):
+    config, inputs, artifacts = args.func(args, run)
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "seed": config.get("seed"),
         "input_hashes": {str(p): _sha256(p) for p in inputs},
@@ -73,6 +72,11 @@ def _write_manifest(run: Path, command: str, config: dict, inputs: list[Path],
         "duration_s": time.time() - started,
     }
     (run / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    return 0
+
+
+def _settings(args, *keys) -> dict:
+    return {key: getattr(args, key) for key in ("seed", *keys)}
 
 
 def _load_corpus(corpus_dir: str):
@@ -93,9 +97,7 @@ def _build_dataset(records):
     ]
 
 
-def cmd_generate(args) -> int:
-    started = time.time()
-    run = _run_dir(args)
+def cmd_generate(args, run: Path):
     if args.preset == "low-noise":
         params = GenParams.low_noise(n_subjects=args.subjects, seed=args.seed)
     else:
@@ -111,16 +113,12 @@ def cmd_generate(args) -> int:
     census_path = run / "corpus_manifest.json"
     census_path.write_text(json.dumps(census, indent=1, sort_keys=True))
     artifacts.append(census_path)
-    _write_manifest(run, "generate", {"seed": args.seed, "subjects": args.subjects,
-                                      "preset": args.preset}, [], artifacts, started)
     print(f"wrote {len(records)} subjects to {subj_dir}")
     print(f"avg branches {census['avg_branches']:.2f}, avg segments {census['avg_segments']:.2f}")
-    return 0
+    return _settings(args, "subjects", "preset"), [], artifacts
 
 
-def cmd_build(args) -> int:
-    started = time.time()
-    run = _run_dir(args)
+def cmd_build(args, run: Path):
     inputs = [Path(f) for f in args.subjects]
     artifacts = []
     for f in inputs:
@@ -129,9 +127,8 @@ def cmd_build(args) -> int:
         p = run / f"{rec.subject_id}.graph.json"
         p.write_text(segment_graph_to_json(sg))
         artifacts.append(p)
-    _write_manifest(run, "build", {"seed": None}, inputs, artifacts, started)
     print(f"wrote {len(artifacts)} segment graphs to {run}")
-    return 0
+    return {"seed": None}, inputs, artifacts
 
 
 def _train_config(args, class_mode: int) -> TrainConfig:
@@ -141,9 +138,7 @@ def _train_config(args, class_mode: int) -> TrainConfig:
     )
 
 
-def cmd_train(args) -> int:
-    started = time.time()
-    run = _run_dir(args)
+def cmd_train(args, run: Path):
     records, files = _load_corpus(args.corpus)
     dataset = select_classes(_build_dataset(records), args.classes)
     model_cfg = ModelConfig(variant=args.model, num_classes=args.classes, seed=args.seed)
@@ -153,24 +148,19 @@ def cmd_train(args) -> int:
     save_model(model, ckpt)
     trace_path = run / f"{args.model}_{args.classes}.loss_trace.json"
     trace_path.write_text(json.dumps(trace))
-    _write_manifest(
-        run, "train",
-        {"seed": args.seed, "model": args.model, "classes": args.classes,
-         "epochs": args.epochs, "batch": args.batch, "lr": args.lr},
-        files, [ckpt, trace_path], started,
-    )
     print(f"checkpoint: {ckpt}")
-    return 0
+    return (_settings(args, "model", "classes", "epochs", "batch", "lr"),
+            files, [ckpt, trace_path])
 
 
-def cmd_eval(args) -> int:
-    started = time.time()
-    run = _run_dir(args)
+def cmd_eval(args, run: Path):
     records, files = _load_corpus(args.corpus)
     model = load_model(args.checkpoint)
     cfg = TrainConfig(class_mode=model.config.num_classes, seed=args.seed)
     dataset = select_classes(_build_dataset(records), cfg.class_mode)
     preds, labels = predict(model, dataset, cfg.classes)
+    if not len(labels):
+        raise TrainingError("no labeled nodes to evaluate")
     metrics = {
         "model": model.config.variant,
         "classes": cfg.class_mode,
@@ -179,10 +169,8 @@ def cmd_eval(args) -> int:
     }
     out = run / "metrics.json"
     out.write_text(json.dumps(metrics, indent=1, sort_keys=True))
-    _write_manifest(run, "eval", {"seed": args.seed, "checkpoint": args.checkpoint},
-                    files + [Path(args.checkpoint)], [out], started)
     print(json.dumps(metrics, indent=1, sort_keys=True))
-    return 0
+    return _settings(args, "checkpoint"), files + [Path(args.checkpoint)], [out]
 
 
 def _write_csv(path: Path, classes, matrix):
@@ -212,13 +200,11 @@ def _audit_report(report: MetricsReport, dataset_ids: list[str], class_mode: int
                 raise CheckFailure("11-class dataset still contains removed classes")
 
 
-def cmd_cv(args) -> int:
-    started = time.time()
-    run = _run_dir(args)
+def cmd_cv(args, run: Path):
     records, files = _load_corpus(args.corpus)
     dataset13 = _build_dataset(records)
     modes = [11, 13] if args.classes == "both" else [int(args.classes)]
-    variants = ALL_MODELS if args.model == "all" else [args.model]
+    variants = VARIANTS if args.model == "all" else [args.model]
     rows = []
     reports = {}
     artifacts = []
@@ -245,15 +231,9 @@ def cmd_cv(args) -> int:
     report_txt = run / "report.txt"
     report_txt.write_text(table + "\n")
     artifacts += [report_json, report_txt]
-    _write_manifest(
-        run, "cv",
-        {"seed": args.seed, "model": args.model, "classes": args.classes,
-         "epochs": args.epochs, "batch": args.batch, "lr": args.lr,
-         "folds": args.folds},
-        files, artifacts, started,
-    )
     print(table)
-    return 0
+    return (_settings(args, "model", "classes", "epochs", "batch", "lr", "folds"),
+            files, artifacts)
 
 
 DEFAULTS = {
@@ -263,11 +243,26 @@ DEFAULTS = {
 }
 
 
+def _read_config(path: str) -> dict:
+    """A --config file: a JSON object whose values have their DEFAULTS type."""
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"--config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise UsageError(f"--config {path}: must be a JSON object")
+    for key, value in cfg.items():
+        if key not in DEFAULTS:
+            raise UsageError(f"--config {path}: unknown key {key!r}")
+        kind = type(DEFAULTS[key])
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise UsageError(f"--config {path}: {key} must be {kind.__name__}, not {value!r}")
+    return cfg
+
+
 def _resolve(args):
     """Precedence: explicit flags > config file > built-in defaults."""
-    file_cfg = {}
-    if getattr(args, "config", None):
-        file_cfg = json.loads(Path(args.config).read_text())
+    file_cfg = _read_config(args.config) if getattr(args, "config", None) else {}
     for key, default in DEFAULTS.items():
         if getattr(args, key, None) is None and hasattr(args, key):
             setattr(args, key, file_cfg.get(key, default))
@@ -305,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train one model on a corpus")
     t.add_argument("--corpus", required=True)
-    t.add_argument("--model", choices=ALL_MODELS)
+    t.add_argument("--model", choices=VARIANTS)
     t.add_argument("--classes", type=int, choices=[11, 13])
     common(t, model_flags=True)
     t.set_defaults(func=cmd_train)
@@ -318,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("cv", help="cross-validated model comparison report")
     c.add_argument("--corpus", required=True)
-    c.add_argument("--model", choices=ALL_MODELS + ["all"])
+    c.add_argument("--model", choices=[*VARIANTS, "all"])
     c.add_argument("--classes", choices=["11", "13", "both"], default=None)
     c.add_argument("--check", action="store_true",
                    help="audit acceptance invariants; exit 3 on violation")
@@ -332,12 +327,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "cv" and args.classes is None:
         args.classes = "13"
-    _resolve(args)
     try:
-        return args.func(args)
+        _resolve(args)
+        return _execute(args)
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (CenterlineError, GraphBuildError, TrainingError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -32,11 +32,11 @@ class ReferenceFrame:
     scale_mm: float     # bounding-box diagonal of all points, local axes
 
     def to_local(self, p: np.ndarray) -> np.ndarray:
-        """Map world coordinates into the normalized local frame."""
-        return (self.basis @ (np.asarray(p) - self.origin).T).T / self.scale_mm
+        """Map world coordinates (..., 3) into the normalized local frame."""
+        return self.vector_to_local(np.asarray(p) - self.origin)
 
     def vector_to_local(self, v: np.ndarray) -> np.ndarray:
-        return (self.basis @ np.asarray(v).T).T / self.scale_mm
+        return np.asarray(v) @ self.basis.T / self.scale_mm
 
 
 @dataclass(frozen=True)
@@ -145,14 +145,18 @@ def split_into_segments(subject: SubjectRecord) -> SkeletonGraph:
 
 
 def line_graph_adjacency(skel: SkeletonGraph) -> np.ndarray:
-    """Undirected adjacency over segments: edge iff two segments share a junction."""
-    n = len(skel.segments)
-    ends = [{s.start_junction, s.end_junction} for s in skel.segments]
-    adj = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if ends[i] & ends[j]:
-                adj[i, j] = adj[j, i] = 1.0
+    """Undirected adjacency over segments: edge iff two segments share a junction.
+
+    With M the segment x junction incidence matrix, A = (M M^T > 0) minus
+    the diagonal.
+    """
+    column = {j: k for k, j in enumerate(skel.junctions)}
+    rows = np.arange(len(skel.segments))
+    incidence = np.zeros((len(rows), len(column)))
+    for end in ("start_junction", "end_junction"):
+        incidence[rows, [column[getattr(s, end)] for s in skel.segments]] = 1.0
+    adj = (incidence @ incidence.T > 0).astype(np.float64)
+    np.fill_diagonal(adj, 0.0)
     return adj
 
 
@@ -192,48 +196,43 @@ def build_reference_frame(subject: SubjectRecord) -> ReferenceFrame:
 
 
 def spherical_encode(q: np.ndarray) -> np.ndarray:
-    """(r, cos az, sin az, cos el, sin el) for a local vector q.
+    """(r, cos az, sin az, cos el, sin el) for local vectors q of shape (..., 3).
 
     Azimuth in the x-y plane, elevation measured from the +z axis. The
     zero vector encodes as (0, 1, 0, 1, 0) so every output is well defined.
     """
-    r = float(np.linalg.norm(q))
-    if r == 0.0:
-        return np.array([0.0, 1.0, 0.0, 1.0, 0.0])
-    rho = float(np.hypot(q[0], q[1]))
-    if rho < 1e-9 * r:
-        # numerically on the z-axis: azimuth is undefined and q[0] / rho
-        # would amplify rounding noise, breaking pose invariance
-        cos_az, sin_az = 1.0, 0.0
-    else:
-        cos_az, sin_az = q[0] / rho, q[1] / rho
-    cos_el = q[2] / r
-    sin_el = rho / r
-    return np.array([r, cos_az, sin_az, cos_el, sin_el])
+    q = np.asarray(q, dtype=np.float64)
+    r = np.linalg.norm(q, axis=-1)
+    rho = np.hypot(q[..., 0], q[..., 1])
+    # numerically on the z-axis the azimuth is undefined and q[0] / rho
+    # would amplify rounding noise, breaking pose invariance
+    has_az = (r > 0) & (rho >= 1e-9 * r)
+    rho_div = np.where(has_az, rho, 1.0)
+    r_div = np.where(r > 0, r, 1.0)
+    return np.stack([
+        r,
+        np.where(has_az, q[..., 0] / rho_div, 1.0),
+        np.where(has_az, q[..., 1] / rho_div, 0.0),
+        np.where(r > 0, q[..., 2] / r_div, 1.0),
+        rho / r_div,
+    ], axis=-1)
 
 
-def node_embedding(seg: Segment, frame: ReferenceFrame) -> np.ndarray:
-    """48-dim embedding: 6 geometric features x (3 Cartesian + 5 spherical).
+def node_embedding(segments: tuple[Segment, ...], frame: ReferenceFrame) -> np.ndarray:
+    """(S, 48) embeddings: 6 geometric features x (3 Cartesian + 5 spherical).
 
     Features: first point, midpoint (middle resampled index), last point,
     tangent first->second, vector first->midpoint, vector midpoint->last.
     """
-    pts = seg.points
-    mid = pts[(len(pts) - 1) // 2]
-    anchors = [pts[0], mid, pts[-1]]
-    vectors = [pts[1] - pts[0], mid - pts[0], pts[-1] - mid]
-    out = []
-    for p in anchors:
-        q = frame.to_local(p)
-        out.append(q)
-        out.append(spherical_encode(q))
-    for v in vectors:
-        q = frame.vector_to_local(v)
-        out.append(q)
-        out.append(spherical_encode(q))
-    emb = np.concatenate(out)
-    assert emb.shape == (EMBED_DIM,)
-    return emb
+    picks = np.array([
+        [p[0], p[1], p[(len(p) - 1) // 2], p[-1]] for p in (s.points for s in segments)
+    ])
+    first, second, mid, last = picks.transpose(1, 0, 2)
+    q = np.concatenate([
+        frame.to_local(np.stack([first, mid, last], axis=1)),
+        frame.vector_to_local(np.stack([second - first, mid - first, last - mid], axis=1)),
+    ], axis=1)
+    return np.concatenate([q, spherical_encode(q)], axis=-1).reshape(len(picks), EMBED_DIM)
 
 
 def build_segment_graph(subject: SubjectRecord) -> SegmentGraph:
@@ -244,10 +243,9 @@ def build_segment_graph(subject: SubjectRecord) -> SegmentGraph:
     skel = split_into_segments(subject)
     frame = build_reference_frame(subject)
     adj = line_graph_adjacency(skel)
-    feats = np.vstack([node_embedding(s, frame) for s in skel.segments])
     return SegmentGraph(
         node_ids=tuple(s.segment_id for s in skel.segments),
-        features=feats,
+        features=node_embedding(skel.segments, frame),
         adjacency=adj,
         labels=tuple(s.label for s in skel.segments),
     )
@@ -261,10 +259,5 @@ def segment_graph_to_json(sg: SegmentGraph) -> str:
         if sg.labels[i]:
             node["label"] = sg.labels[i]
         nodes.append(node)
-    edges = [
-        [i, j]
-        for i in range(sg.n_nodes)
-        for j in range(i + 1, sg.n_nodes)
-        if sg.adjacency[i, j]
-    ]
+    edges = np.argwhere(np.triu(sg.adjacency, 1)).tolist()
     return json.dumps({"nodes": nodes, "edges": edges}, indent=1)

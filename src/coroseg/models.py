@@ -9,7 +9,7 @@ then summed, max-pooled or softmax-weighted per destination node.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,9 @@ from .autodiff import Edges, Tensor
 VARIANTS = ("gcn", "gat", "gin", "sage")
 
 CHECKPOINT_VERSION = 1
+
+#: Accepted value types per ModelConfig annotation; bool is never a number.
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}
 
 
 class ModelError(ValueError):
@@ -38,10 +41,14 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ModelError(f"config field {f.name!r} must be {f.type}, not {value!r}")
         if self.variant not in VARIANTS:
             raise ModelError(f"unknown variant {self.variant!r}")
-        if self.in_dim <= 0 or self.hidden_dim <= 0:
-            raise ModelError("dims must be positive")
+        if min(self.in_dim, self.hidden_dim, self.gat_heads) <= 0:
+            raise ModelError("dims and gat_heads must be positive")
         if self.num_classes not in (11, 13):
             raise ModelError("num_classes must be 11 or 13")
         if self.variant == "gat" and self.hidden_dim % self.gat_heads:
@@ -224,16 +231,35 @@ def save_model(model: TrainedModel, path: str | Path):
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    doc = json.loads(Path(path).read_text())
+    """Read a checkpoint; every malformed or incomplete one raises ModelError."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ModelError(f"malformed checkpoint: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ModelError("checkpoint must be a JSON object")
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ModelError(f"unsupported checkpoint version {doc.get('format_version')}")
-    cfg = ModelConfig(**doc["config"])
-    model = init_model(cfg)
-    for name, w in doc["weights"].items():
+    config, weights = doc.get("config"), doc.get("weights")
+    if not isinstance(config, dict) or not isinstance(weights, dict):
+        raise ModelError("checkpoint needs a 'config' object and a 'weights' object")
+    try:
+        model = init_model(ModelConfig(**config))
+    except TypeError as exc:
+        raise ModelError(f"bad checkpoint config: {exc}") from exc
+    missing = sorted(set(model.params) - set(weights))
+    if missing:
+        raise ModelError(f"missing weights {missing}")
+    for name, w in weights.items():
         if name not in model.params:
             raise ModelError(f"unexpected weight {name!r}")
-        arr = np.asarray(w["values"], dtype=np.float64).reshape(w["shape"])
+        try:
+            arr = np.asarray(w["values"], dtype=np.float64).reshape(w["shape"])
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ModelError(f"weight {name!r} needs numeric 'values' and a 'shape'") from exc
         if arr.shape != model.params[name].shape:
             raise ModelError(f"shape mismatch for weight {name!r}")
+        if not np.all(np.isfinite(arr)):
+            raise ModelError(f"non-finite values in weight {name!r}")
         model.params[name].data[:] = arr
     return model

@@ -152,6 +152,8 @@ def train(
 
 def predict(model: TrainedModel, dataset, classes: list[str]):
     """Pooled (preds, labels) over labeled nodes of every subject."""
+    if not dataset:
+        raise TrainingError("empty dataset")
     preds, labels = [], []
     for s in _prepare(dataset, classes):
         logits = model_forward(model, s.features, s.structure).data

@@ -85,6 +85,47 @@ def line_graph_oracle(skel: SkeletonGraph) -> np.ndarray:
     return adj
 
 
+def resample_oracle(cl: Centerline, spacing_mm: float) -> np.ndarray:
+    """Per-point loop: one searchsorted and one interpolation per target."""
+    pts = cl.points
+    steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(steps)])
+    total = cum[-1]
+    n_interior = int(np.floor((total - 1e-9 * spacing_mm) / spacing_mm))
+    out = [pts[0]]
+    for k in range(1, n_interior + 1):
+        t = k * spacing_mm
+        j = int(np.searchsorted(cum, t, side="right")) - 1
+        j = min(j, len(pts) - 2)
+        seg_len = cum[j + 1] - cum[j]
+        alpha = 0.0 if seg_len == 0 else (t - cum[j]) / seg_len
+        out.append(pts[j] + alpha * (pts[j + 1] - pts[j]))
+    out.append(pts[-1])
+    return np.asarray(out)
+
+
+def merge_oracle(subject: SubjectRecord, tol_mm: float) -> list[np.ndarray]:
+    """Per-branch loop: each start in turn, nearest point over same-side branches."""
+    sides = [cl.side for cl in subject.centerlines]
+    points = [cl.points.copy() for cl in subject.centerlines]
+    for i in range(len(points)):
+        start = points[i][0]
+        best_d = np.inf
+        best = None
+        for j in range(len(points)):
+            if j == i or sides[j] != sides[i]:
+                continue
+            d = np.linalg.norm(points[j] - start, axis=1)
+            k = int(np.argmin(d))
+            if d[k] < best_d:
+                best_d = d[k]
+                best = (j, k)
+        if best is not None and best_d <= tol_mm:
+            j, k = best
+            points[i][0] = points[j][k]
+    return points
+
+
 def chain_subject() -> SubjectRecord:
     """Two chains whose line graph has no symmetric node pairs.
 

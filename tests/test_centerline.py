@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from coroseg.centerline import (
     serialize_subject,
 )
 from coroseg.graph import build_segment_graph
-from coroseg.synth import GenParams, generate_subject
-from conftest import random_tree_subject, straight_line
+from coroseg.synth import GenParams, generate_corpus, generate_subject
+from conftest import merge_oracle, random_tree_subject, resample_oracle, straight_line
 
 MINIMAL = {
     "subject_id": "s1",
@@ -32,6 +33,22 @@ def test_parse_minimal():
     assert len(rec.centerlines) == 2
     assert rec.centerlines[0].side == "left"
     assert rec.voxel_spacing_mm == 0.5
+
+
+@pytest.mark.parametrize("label", ["XYZ", 7, "", ["LM"]])
+def test_parse_rejects_unknown_label(label):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["branches"][1]["label"] = label
+    with pytest.raises(CenterlineError, match="branch 1: unknown label"):
+        parse_subject(json.dumps(doc))
+
+
+def test_parse_accepts_known_or_null_label():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["branches"][0]["label"] = "L-PDA"
+    doc["branches"][1]["label"] = None
+    rec = parse_subject(json.dumps(doc))
+    assert [cl.label for cl in rec.centerlines] == ["L-PDA", None]
 
 
 def test_parse_one_point_branch():
@@ -260,3 +277,54 @@ def test_merge_random_jittered_trees(rng):
             assert any(
                 bid != cl.branch_id and pt == start for bid, pt in all_points
             ), f"unattached child {cl.branch_id}"
+
+
+def _oracle_subjects(rng) -> list[SubjectRecord]:
+    """Random trees, and synthetic subjects raw and densified to 0.5 mm."""
+    records, _ = generate_corpus(GenParams(n_subjects=8, seed=3))
+    dense = [
+        replace(rec, centerlines=tuple(
+            replace(cl, points=resample_oracle(cl, 0.5)) for cl in rec.centerlines
+        ))
+        for rec in records
+    ]
+    return [random_tree_subject(rng, max_branches=14) for _ in range(30)] + records + dense
+
+
+def test_resample_bit_identical_to_loop_oracle(rng):
+    for subject in _oracle_subjects(rng):
+        for cl in subject.centerlines:
+            for spacing in (0.5, 5.0, 7.3):
+                out = resample_centerline(cl, spacing).points
+                assert np.array_equal(out, resample_oracle(cl, spacing))
+
+
+def test_merge_bit_identical_to_loop_oracle(rng):
+    for subject in _oracle_subjects(rng):
+        # every start moved by up to 0.5 mm per axis, so merges happen and
+        # later starts can land on earlier moved ones
+        jittered = replace(subject, centerlines=tuple(
+            replace(cl, points=np.vstack([cl.points[:1] + rng.uniform(-0.5, 0.5, 3),
+                                          cl.points[1:]]))
+            for cl in subject.centerlines
+        ))
+        for tol in (0.5, 1.5, 4.0):
+            merged = merge_branch_origins(jittered, tol)
+            expected = merge_oracle(jittered, tol)
+            assert all(np.array_equal(cl.points, e)
+                       for cl, e in zip(merged.centerlines, expected))
+
+
+def test_merge_tie_breaks_to_lower_branch_then_lower_point():
+    b = Centerline("b", "left", straight_line((2, 0, 0), (0, 0, 1), 5))
+    a = Centerline("a", "left", straight_line((0, 0, 0), (0, 0, 1), 5))
+    # 1 mm from b[1] and a[1]; 2.5 mm from both neighbours along each line
+    c = Centerline("c", "left", straight_line((1, 0, 5), (1, 0, 0), 3))
+    subject = SubjectRecord("s", 0.5, [b, a, c, FAR_RIGHT])
+    merged = merge_branch_origins(subject, 1.5)
+    assert np.array_equal(merged.centerlines[2].points[0], b.points[1])
+    assert np.array_equal(merged.centerlines[2].points[0], merge_oracle(subject, 1.5)[2][0])
+    # within one branch: equidistant from a[1] and a[2], b out of reach
+    d = Centerline("d", "left", straight_line((-0.5, 0, 7.5), (-1, 0, 0), 3))
+    merged = merge_branch_origins(SubjectRecord("s", 0.5, [b, a, d, FAR_RIGHT]), 2.6)
+    assert np.array_equal(merged.centerlines[2].points[0], a.points[1])

@@ -4,6 +4,7 @@ import pytest
 
 from coroseg.cli import main
 from coroseg.graph import EMBED_DIM
+from coroseg.models import ModelConfig, init_model, save_model
 
 
 def run_cli(*argv):
@@ -168,6 +169,16 @@ GOOD_SUBJECT = {
              GOOD_SUBJECT["branches"][1]],
             "branch 0: points must be an array of numbers",
         ),
+        (
+            "branches",
+            [{**GOOD_SUBJECT["branches"][0], "label": "XYZ"}, GOOD_SUBJECT["branches"][1]],
+            "branch 0: unknown label 'XYZ'",
+        ),
+        (
+            "branches",
+            [GOOD_SUBJECT["branches"][0], {**GOOD_SUBJECT["branches"][1], "label": 7}],
+            "branch 1: unknown label 7",
+        ),
     ],
 )
 def test_build_bad_subject_one_line_error(tmp_path, capsys, field, value, message):
@@ -200,3 +211,67 @@ def test_check_failure_exit_code(corpus, tmp_path, monkeypatch):
         "--out", str(tmp_path), "--run-name", "cf",
     )
     assert code == 3
+
+
+def _one_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: {**d, "config": {**d["config"], "depth": 3}}, "unexpected keyword argument 'depth'"),
+        (lambda d: {k: v for k, v in d.items() if k != "config"}, "needs a 'config' object"),
+        (lambda d: [d], "checkpoint must be a JSON object"),
+        (lambda d: {**d, "weights": {k: v for k, v in d["weights"].items() if k != "w2"}},
+         "missing weights ['w2']"),
+        (lambda d: {**d, "config": {**d["config"], "leaky_slope": "0.2"}},
+         "config field 'leaky_slope' must be float"),
+    ],
+)
+def test_eval_bad_checkpoint_one_line_error(corpus, tmp_path, capsys, edit, message):
+    ckpt = tmp_path / "gcn.checkpoint.json"
+    save_model(init_model(ModelConfig("gcn")), ckpt)
+    ckpt.write_text(json.dumps(edit(json.loads(ckpt.read_text()))))
+    code = run_cli("eval", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                   "--out", str(tmp_path), "--run-name", "e")
+    assert code == 1
+    assert message in _one_error_line(capsys)
+
+
+def test_eval_unlabeled_corpus_names_the_cause(corpus, tmp_path, capsys):
+    subjects = tmp_path / "unlabeled"
+    subjects.mkdir()
+    for f in sorted((corpus / "subjects").glob("*.json"))[:2]:
+        doc = json.loads(f.read_text())
+        for b in doc["branches"]:
+            b.pop("label", None)
+        (subjects / f.name).write_text(json.dumps(doc))
+    ckpt = tmp_path / "gcn.checkpoint.json"
+    save_model(init_model(ModelConfig("gcn")), ckpt)
+    code = run_cli("eval", "--checkpoint", str(ckpt), "--corpus", str(subjects),
+                   "--out", str(tmp_path), "--run-name", "e")
+    assert code == 1
+    assert _one_error_line(capsys) == "error: no labeled nodes to evaluate"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"epochs": "5"}', "epochs must be int, not '5'"),
+        ('{"lr": true}', "lr must be float, not True"),
+        ('{"epoch": 5}', "unknown key 'epoch'"),
+        ("[5]", "must be a JSON object"),
+        ("{not json", "Expecting property name"),
+    ],
+)
+def test_bad_config_file_exits_2_with_one_line(corpus, tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code = run_cli("train", "--corpus", str(corpus), "--model", "gcn", "--classes", "13",
+                   "--config", str(cfg), "--out", str(tmp_path), "--run-name", "c")
+    assert code == 2
+    assert message in _one_error_line(capsys)
+    assert not (tmp_path / "c").exists()

@@ -121,11 +121,31 @@ def test_reference_frame_degenerate_control():
         build_reference_frame(subject)
 
 
+HAND_VALUES = [
+    ([1.0, 0, 0], [1, 1, 0, 0, 1]),
+    ([0, 0, 2.0], [2, 1, 0, 1, 0]),
+    ([0, 0, -2.0], [2, 1, 0, -1, 0]),
+    ([1e-12, 0, 2.0], [2, 1, 0, 1, 5e-13]),  # rho below 1e-9 r: no azimuth
+    ([0, 0, 0], [0, 1, 0, 1, 0]),
+]
+
+
 def test_spherical_encode_hand_values():
-    assert np.allclose(spherical_encode(np.array([1.0, 0, 0])), [1, 1, 0, 0, 1])
-    assert np.allclose(spherical_encode(np.array([0, 0, 2.0])), [2, 1, 0, 1, 0])
-    assert np.allclose(spherical_encode(np.array([0, 0, -2.0])), [2, 1, 0, -1, 0])
+    for q, expected in HAND_VALUES:
+        assert np.allclose(spherical_encode(np.array(q)), expected, rtol=0, atol=1e-15)
     assert np.array_equal(spherical_encode(np.zeros(3)), [0, 1, 0, 1, 0])
+
+
+def test_spherical_encode_batched_hand_values():
+    qs = np.array([q for q, _ in HAND_VALUES])
+    out = spherical_encode(qs)
+    assert out.shape == (len(HAND_VALUES), 5)
+    assert np.allclose(out, [e for _, e in HAND_VALUES], rtol=0, atol=1e-15)
+    assert np.array_equal(out[-1], [0, 1, 0, 1, 0])
+    # any leading shape: (2, 5, 3) -> (2, 5, 5), rows as in the flat batch
+    stacked = spherical_encode(np.stack([qs, -qs]))
+    assert stacked.shape == (2, len(HAND_VALUES), 5)
+    assert np.array_equal(stacked[0], out)
 
 
 def test_spherical_encode_reconstructs_vector(rng):
@@ -141,18 +161,25 @@ def test_spherical_encode_reconstructs_vector(rng):
 def test_node_embedding_layout():
     subject = two_branch_subject()
     frame = build_reference_frame(subject)
-    seg = split_into_segments(subject).segments[2]  # B#0, 4 points
-    emb = node_embedding(seg, frame)
-    assert emb.shape == (EMBED_DIM,)
-    pts = seg.points
-    mid = pts[(len(pts) - 1) // 2]
-    assert np.array_equal(emb[0:3], frame.to_local(pts[0]))
-    assert np.array_equal(emb[3:8], spherical_encode(frame.to_local(pts[0])))
-    assert np.array_equal(emb[8:11], frame.to_local(mid))
-    assert np.array_equal(emb[16:19], frame.to_local(pts[-1]))
-    assert np.array_equal(emb[24:27], frame.vector_to_local(pts[1] - pts[0]))
-    assert np.array_equal(emb[32:35], frame.vector_to_local(mid - pts[0]))
-    assert np.array_equal(emb[40:43], frame.vector_to_local(pts[-1] - mid))
+    segments = split_into_segments(subject).segments
+    emb = node_embedding(segments, frame)
+    assert emb.shape == (len(segments), EMBED_DIM)
+
+    # one batched product per subject rounds differently from one per point
+    def close(a, b):
+        return np.allclose(a, b, rtol=0, atol=16 * np.finfo(np.float64).eps)
+
+    for seg, row in zip(segments, emb):
+        pts = seg.points
+        mid = pts[(len(pts) - 1) // 2]
+        assert close(row[0:3], frame.to_local(pts[0]))
+        assert close(row[3:8], spherical_encode(frame.to_local(pts[0])))
+        assert close(row[8:11], frame.to_local(mid))
+        assert close(row[16:19], frame.to_local(pts[-1]))
+        assert close(row[24:27], frame.vector_to_local(pts[1] - pts[0]))
+        assert close(row[32:35], frame.vector_to_local(mid - pts[0]))
+        assert close(row[40:43], frame.vector_to_local(pts[-1] - mid))
+        assert close(row[43:48], spherical_encode(frame.vector_to_local(pts[-1] - mid)))
 
 
 def test_embeddings_invariant_to_rigid_motion(rng):

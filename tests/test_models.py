@@ -247,3 +247,11 @@ def test_checkpoint_version_and_weight_guards(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelError, match="unexpected weight"):
         load_model(path)
+    del doc["weights"]["bogus"]
+    for values, message in (("x", "needs numeric 'values'"), ([float("nan")] * 8, "non-finite")):
+        path.write_text(json.dumps({**doc, "weights": {
+            **doc["weights"], "b1": {"shape": [1, 8], "values": values}}}))
+        with pytest.raises(ModelError, match=message):
+            load_model(path)
+    with pytest.raises(ModelError, match="must be positive"):
+        ModelConfig("gat", gat_heads=0)

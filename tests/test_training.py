@@ -206,6 +206,8 @@ def test_predict_pools_labeled_nodes():
     n_labeled = sum(sum(1 for lb in g.labels if lb) for _, g in dataset)
     assert preds.shape == labels.shape == (n_labeled,)
     assert np.all((preds >= 0) & (preds < 13))
+    with pytest.raises(TrainingError, match="empty dataset"):
+        predict(model, [], CLASSES_13)
 
 
 def test_run_cv_bookkeeping():
