@@ -164,12 +164,6 @@ def l2_normalize_rows(a) -> Tensor:
     return _result(y, (a,), backward)
 
 
-def sum_all(a) -> Tensor:
-    a = _as_tensor(a)
-    data = np.array([[a.data.sum()]])
-    return _result(data, (a,), lambda g, a=a: (np.full(a.shape, g[0, 0]),))
-
-
 class Edges:
     """Directed edges src -> dst sorted by dst: a graph in CSR layout.
 

@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("cv", help="cross-validated model comparison report")
     c.add_argument("--corpus", required=True)
     c.add_argument("--model", choices=[*VARIANTS, "all"])
-    c.add_argument("--classes", choices=["11", "13", "both"], default=None)
+    c.add_argument("--classes", choices=["11", "13", "both"])
     c.add_argument("--check", action="store_true",
                    help="audit acceptance invariants; exit 3 on violation")
     common(c, model_flags=True)
@@ -325,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "cv" and args.classes is None:
-        args.classes = "13"
     try:
         _resolve(args)
         return _execute(args)

@@ -3,7 +3,8 @@
 All four variants share one architecture: two graph layers with a ReLU
 between them, then a fully-connected head producing per-node class logits.
 Graph layers pass messages along edge lists: rows are gathered per edge,
-then summed, max-pooled or softmax-weighted per destination node.
+then summed, max-pooled or softmax-weighted per destination node. Each
+variant is one pair: ``_<variant>_params`` and ``<variant>_layer`` for layer k.
 """
 
 from __future__ import annotations
@@ -107,45 +108,47 @@ def _zeros(rows: int, cols: int) -> Tensor:
     return Tensor(np.zeros((rows, cols)), requires_grad=True)
 
 
+def _variant(name: str):
+    """(params, layer) of a variant, looked up per call so rebound layer names are used."""
+    return {"gcn": (_gcn_params, gcn_layer), "gat": (_gat_params, gat_layer),
+            "gin": (_gin_params, gin_layer), "sage": (_sage_params, sage_layer)}[name]
+
+
 def init_model(cfg: ModelConfig) -> TrainedModel:
     rng = np.random.default_rng(cfg.seed)
-    d_in, d_h, d_out = cfg.in_dim, cfg.hidden_dim, cfg.num_classes
-    p: dict[str, Tensor] = {}
-    if cfg.variant == "gcn":
-        p["w1"], p["b1"] = _glorot(rng, d_in, d_h), _zeros(1, d_h)
-        p["w2"], p["b2"] = _glorot(rng, d_h, d_h), _zeros(1, d_h)
-    elif cfg.variant == "gat":
-        per_head = d_h // cfg.gat_heads
-        for h in range(cfg.gat_heads):
-            p[f"w1_h{h}"] = _glorot(rng, d_in, per_head)
-            p[f"a1_src_h{h}"] = _glorot(rng, per_head, 1)
-            p[f"a1_dst_h{h}"] = _glorot(rng, per_head, 1)
-        p["b1"] = _zeros(1, d_h)
-        p["w2"] = _glorot(rng, d_h, d_h)
-        p["a2_src"] = _glorot(rng, d_h, 1)
-        p["a2_dst"] = _glorot(rng, d_h, 1)
-        p["b2"] = _zeros(1, d_h)
-    elif cfg.variant == "gin":
-        p["eps1"] = Tensor(np.full((1, 1), cfg.gin_eps_init), requires_grad=True)
-        p["eps2"] = Tensor(np.full((1, 1), cfg.gin_eps_init), requires_grad=True)
-        p["mlp1_w1"], p["mlp1_b1"] = _glorot(rng, d_in, d_h), _zeros(1, d_h)
-        p["mlp1_w2"], p["mlp1_b2"] = _glorot(rng, d_h, d_h), _zeros(1, d_h)
-        p["mlp2_w1"], p["mlp2_b1"] = _glorot(rng, d_h, d_h), _zeros(1, d_h)
-        p["mlp2_w2"], p["mlp2_b2"] = _glorot(rng, d_h, d_h), _zeros(1, d_h)
-    elif cfg.variant == "sage":
-        p["pool1"], p["pool1_b"] = _glorot(rng, d_in, d_h), _zeros(1, d_h)
-        p["out1"], p["out1_b"] = _glorot(rng, d_in + d_h, d_h), _zeros(1, d_h)
-        p["pool2"], p["pool2_b"] = _glorot(rng, d_h, d_h), _zeros(1, d_h)
-        p["out2"], p["out2_b"] = _glorot(rng, d_h + d_h, d_h), _zeros(1, d_h)
-    p["fc_w"] = _glorot(rng, d_h, d_out)
-    p["fc_b"] = _zeros(1, d_out)
+    params, _ = _variant(cfg.variant)
+    d_h = cfg.hidden_dim
+    p = {**params(rng, cfg, cfg.in_dim, d_h, 1), **params(rng, cfg, d_h, d_h, 2)}
+    p["fc_w"] = _glorot(rng, d_h, cfg.num_classes)
+    p["fc_b"] = _zeros(1, cfg.num_classes)
     return TrainedModel(cfg, p)
 
 
-def gcn_layer(h: Tensor, gs: GraphStructure, w: Tensor, b: Tensor) -> Tensor:
+def _gcn_params(rng, cfg, d_in, d_out, k):
+    return {f"w{k}": _glorot(rng, d_in, d_out), f"b{k}": _zeros(1, d_out)}
+
+
+def gcn_layer(h: Tensor, gs: GraphStructure, params, k: int, cfg: ModelConfig) -> Tensor:
     """Symmetric-normalized propagation: D^-1/2 (A+I) D^-1/2 H W + b."""
-    messages = ad.gather_rows(ad.matmul(h, w), gs.with_loops.src, gs.gcn_weight)
-    return ad.add(ad.row_sum_pool(messages, gs.with_loops), b)
+    messages = ad.gather_rows(ad.matmul(h, params[f"w{k}"]), gs.with_loops.src, gs.gcn_weight)
+    return ad.add(ad.row_sum_pool(messages, gs.with_loops), params[f"b{k}"])
+
+
+def _gat_suffixes(cfg: ModelConfig, k: int) -> list[str]:
+    """Head name suffixes: gat_heads heads in layer 1, one unnamed head in layer 2."""
+    return [f"_h{m}" for m in range(cfg.gat_heads)] if k == 1 else [""]
+
+
+def _gat_params(rng, cfg, d_in, d_out, k):
+    suffixes = _gat_suffixes(cfg, k)
+    per_head = d_out // len(suffixes)
+    p = {}
+    for s in suffixes:
+        p[f"w{k}{s}"] = _glorot(rng, d_in, per_head)
+        p[f"a{k}_src{s}"] = _glorot(rng, per_head, 1)
+        p[f"a{k}_dst{s}"] = _glorot(rng, per_head, 1)
+    p[f"b{k}"] = _zeros(1, d_out)
+    return p
 
 
 def gat_head(h: Tensor, gs: GraphStructure, w, a_src, a_dst, slope: float) -> Tensor:
@@ -159,41 +162,47 @@ def gat_head(h: Tensor, gs: GraphStructure, w, a_src, a_dst, slope: float) -> Te
     return ad.row_sum_pool(ad.mul(hw_src, alpha), edges)
 
 
-def gat_layer(h, gs, params, layer: int, cfg: ModelConfig) -> Tensor:
-    if layer == 1:
-        heads = [
-            gat_head(
-                h, gs,
-                params[f"w1_h{k}"], params[f"a1_src_h{k}"], params[f"a1_dst_h{k}"],
-                cfg.leaky_slope,
-            )
-            for k in range(cfg.gat_heads)
-        ]
-        return ad.add(ad.concat_cols(heads), params["b1"])
-    out = gat_head(h, gs, params["w2"], params["a2_src"], params["a2_dst"], cfg.leaky_slope)
-    return ad.add(out, params["b2"])
+def gat_layer(h: Tensor, gs: GraphStructure, params, k: int, cfg: ModelConfig) -> Tensor:
+    """Attention heads side by side (concatenated when more than one), plus a bias."""
+    heads = [
+        gat_head(h, gs, params[f"w{k}{s}"], params[f"a{k}_src{s}"], params[f"a{k}_dst{s}"],
+                 cfg.leaky_slope)
+        for s in _gat_suffixes(cfg, k)
+    ]
+    return ad.add(ad.concat_cols(heads) if len(heads) > 1 else heads[0], params[f"b{k}"])
 
 
-def gin_layer(h: Tensor, gs: GraphStructure, params, layer: int) -> Tensor:
+def _gin_params(rng, cfg, d_in, d_out, k):
+    return {
+        f"eps{k}": Tensor(np.full((1, 1), cfg.gin_eps_init), requires_grad=True),
+        f"mlp{k}_w1": _glorot(rng, d_in, d_out), f"mlp{k}_b1": _zeros(1, d_out),
+        f"mlp{k}_w2": _glorot(rng, d_out, d_out), f"mlp{k}_b2": _zeros(1, d_out),
+    }
+
+
+def gin_layer(h: Tensor, gs: GraphStructure, params, k: int, cfg: ModelConfig) -> Tensor:
     """MLP((1 + eps) h + sum of neighbor rows), eps learnable."""
-    eps = params[f"eps{layer}"]
-    scaled = ad.mul(h, ad.add(eps, Tensor([[1.0]])))
+    scaled = ad.mul(h, ad.add(params[f"eps{k}"], Tensor([[1.0]])))
     agg = ad.add(scaled, ad.row_sum_pool(ad.gather_rows(h, gs.neighbors.src), gs.neighbors))
-    hidden = ad.relu(ad.add(ad.matmul(agg, params[f"mlp{layer}_w1"]), params[f"mlp{layer}_b1"]))
-    return ad.add(ad.matmul(hidden, params[f"mlp{layer}_w2"]), params[f"mlp{layer}_b2"])
+    hidden = ad.relu(ad.add(ad.matmul(agg, params[f"mlp{k}_w1"]), params[f"mlp{k}_b1"]))
+    return ad.add(ad.matmul(hidden, params[f"mlp{k}_w2"]), params[f"mlp{k}_b2"])
 
 
-def sage_layer(h: Tensor, gs: GraphStructure, params, layer: int) -> Tensor:
+def _sage_params(rng, cfg, d_in, d_out, k):
+    return {
+        f"pool{k}": _glorot(rng, d_in, d_out), f"pool{k}_b": _zeros(1, d_out),
+        f"out{k}": _glorot(rng, d_in + d_out, d_out), f"out{k}_b": _zeros(1, d_out),
+    }
+
+
+def sage_layer(h: Tensor, gs: GraphStructure, params, k: int, cfg: ModelConfig) -> Tensor:
     """Max-pool aggregation over neighbors, concat with self, l2-normalized.
 
     Empty neighborhoods aggregate to the zero vector.
     """
-    pooled_src = ad.relu(ad.add(ad.matmul(h, params[f"pool{layer}"]), params[f"pool{layer}_b"]))
+    pooled_src = ad.relu(ad.add(ad.matmul(h, params[f"pool{k}"]), params[f"pool{k}_b"]))
     agg = ad.row_max_pool(ad.gather_rows(pooled_src, gs.neighbors.src), gs.neighbors)
-    out = ad.add(
-        ad.matmul(ad.concat_cols([h, agg]), params[f"out{layer}"]),
-        params[f"out{layer}_b"],
-    )
+    out = ad.add(ad.matmul(ad.concat_cols([h, agg]), params[f"out{k}"]), params[f"out{k}_b"])
     return ad.l2_normalize_rows(out)
 
 
@@ -203,18 +212,9 @@ def model_forward(model: TrainedModel, features, gs: GraphStructure) -> Tensor:
     h = features if isinstance(features, Tensor) else Tensor(features)
     if h.shape[1] != cfg.in_dim:
         raise ModelError(f"feature dim {h.shape[1]} != config in_dim {cfg.in_dim}")
-
-    def layer(x, idx):
-        if cfg.variant == "gcn":
-            return gcn_layer(x, gs, p[f"w{idx}"], p[f"b{idx}"])
-        if cfg.variant == "gat":
-            return gat_layer(x, gs, p, idx, cfg)
-        if cfg.variant == "gin":
-            return gin_layer(x, gs, p, idx)
-        return sage_layer(x, gs, p, idx)
-
-    h = ad.relu(layer(h, 1))
-    h = layer(h, 2)
+    _, layer = _variant(cfg.variant)
+    h = ad.relu(layer(h, gs, p, 1, cfg))
+    h = layer(h, gs, p, 2, cfg)
     return ad.add(ad.matmul(h, p["fc_w"]), p["fc_b"])
 
 

@@ -41,7 +41,8 @@ class BranchTemplate:
 
 #: Canonical layout. Coordinates are in the subject's own frame: the LM
 #: start is the origin and its initial direction the z-axis, so class
-#: geometry maps directly onto the learned embeddings.
+#: geometry maps directly onto the learned embeddings. Subjects are built in
+#: this order, parents before their children.
 TEMPLATES: dict[str, BranchTemplate] = {
     "LM": BranchTemplate(LEFT, None, (0, 0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 14.0, 0.15),
     "LAD": BranchTemplate(LEFT, "LM", (0.80, 0.95), None, (0.15, 0.85, 0.45), 95.0, 0.9),
@@ -75,13 +76,6 @@ DEFAULT_COUNT_PROBS: dict[str, tuple[float, ...]] = {
     "R-PLB": (0.18, 0.45, 0.37),
     "R-PDA": (0.33, 0.62, 0.05),
 }
-
-#: Build order: parents before their children.
-BUILD_ORDER = [
-    "LM", "LAD", "LCX", "R", "S", "OM", "D", "L-PLB", "L-PDA",
-    "RCA", "AM", "R-PLB", "R-PDA",
-]
-
 
 @dataclass(frozen=True)
 class GenParams:
@@ -202,8 +196,7 @@ def generate_subject(params: GenParams, subject_seed) -> SubjectRecord:
     used_vertices: dict[str, set[int]] = {}
     order: dict[str, list[Centerline]] = {LEFT: [], RIGHT: []}
 
-    for cls in BUILD_ORDER:
-        tpl = TEMPLATES[cls]
+    for cls, tpl in TEMPLATES.items():
         probs = np.asarray(params.count_probs[cls])
         count = int(rng.choice(len(probs), p=probs / probs.sum()))
         instances = []
@@ -267,8 +260,8 @@ def generate_corpus(params: GenParams) -> tuple[list[SubjectRecord], dict]:
     records = [
         generate_subject(params, [params.seed, i]) for i in range(params.n_subjects)
     ]
-    per_class_branches: dict[str, int] = {c: 0 for c in BUILD_ORDER}
-    per_class_segments: dict[str, int] = {c: 0 for c in BUILD_ORDER}
+    per_class_branches: dict[str, int] = {c: 0 for c in TEMPLATES}
+    per_class_segments: dict[str, int] = {c: 0 for c in TEMPLATES}
     subjects = []
     for rec in records:
         skel = split_into_segments(prepare_subject(rec))

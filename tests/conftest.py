@@ -126,6 +126,50 @@ def merge_oracle(subject: SubjectRecord, tol_mm: float) -> list[np.ndarray]:
     return points
 
 
+def init_model_oracle(cfg) -> dict[str, np.ndarray]:
+    """One if-branch per variant: every parameter drawn in one place, layer by layer."""
+
+    def _glorot(rng, fan_in, fan_out):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+    def _zeros(rows, cols):
+        return np.zeros((rows, cols))
+
+    rng = np.random.default_rng(cfg.seed)
+    d_in, d_h, d_out = cfg.in_dim, cfg.hidden_dim, cfg.num_classes
+    p: dict[str, np.ndarray] = {}
+    if cfg.variant == "gcn":
+        p["w1"], p["b1"] = _glorot(rng, d_in, d_h), _zeros(1, d_h)
+        p["w2"], p["b2"] = _glorot(rng, d_h, d_h), _zeros(1, d_h)
+    elif cfg.variant == "gat":
+        per_head = d_h // cfg.gat_heads
+        for h in range(cfg.gat_heads):
+            p[f"w1_h{h}"] = _glorot(rng, d_in, per_head)
+            p[f"a1_src_h{h}"] = _glorot(rng, per_head, 1)
+            p[f"a1_dst_h{h}"] = _glorot(rng, per_head, 1)
+        p["b1"] = _zeros(1, d_h)
+        p["w2"] = _glorot(rng, d_h, d_h)
+        p["a2_src"] = _glorot(rng, d_h, 1)
+        p["a2_dst"] = _glorot(rng, d_h, 1)
+        p["b2"] = _zeros(1, d_h)
+    elif cfg.variant == "gin":
+        p["eps1"] = np.full((1, 1), cfg.gin_eps_init)
+        p["eps2"] = np.full((1, 1), cfg.gin_eps_init)
+        p["mlp1_w1"], p["mlp1_b1"] = _glorot(rng, d_in, d_h), _zeros(1, d_h)
+        p["mlp1_w2"], p["mlp1_b2"] = _glorot(rng, d_h, d_h), _zeros(1, d_h)
+        p["mlp2_w1"], p["mlp2_b1"] = _glorot(rng, d_h, d_h), _zeros(1, d_h)
+        p["mlp2_w2"], p["mlp2_b2"] = _glorot(rng, d_h, d_h), _zeros(1, d_h)
+    elif cfg.variant == "sage":
+        p["pool1"], p["pool1_b"] = _glorot(rng, d_in, d_h), _zeros(1, d_h)
+        p["out1"], p["out1_b"] = _glorot(rng, d_in + d_h, d_h), _zeros(1, d_h)
+        p["pool2"], p["pool2_b"] = _glorot(rng, d_h, d_h), _zeros(1, d_h)
+        p["out2"], p["out2_b"] = _glorot(rng, d_h + d_h, d_h), _zeros(1, d_h)
+    p["fc_w"] = _glorot(rng, d_h, d_out)
+    p["fc_b"] = _zeros(1, d_out)
+    return p
+
+
 def chain_subject() -> SubjectRecord:
     """Two chains whose line graph has no symmetric node pairs.
 

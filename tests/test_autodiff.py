@@ -13,6 +13,14 @@ from coroseg.autodiff import (
 )
 
 
+def sum_all(a) -> Tensor:
+    """Sum of every entry as a 1x1 tensor: turns any tensor into a scalar loss."""
+    a = ad._as_tensor(a)
+    return ad._result(
+        np.array([[a.data.sum()]]), (a,), lambda g, a=a: (np.full(a.shape, g[0, 0]),)
+    )
+
+
 def fd_gradient(f, x, h=1e-6):
     """Central finite differences of scalar f with respect to array x."""
     g = np.zeros_like(x)
@@ -64,7 +72,7 @@ def test_tensor_basics():
 
 def test_matmul_gradients(rng):
     check_gradients(
-        lambda a, b: ad.sum_all(ad.matmul(a, b)),
+        lambda a, b: sum_all(ad.matmul(a, b)),
         [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))],
     )
     with pytest.raises(AutodiffError, match="matmul"):
@@ -73,11 +81,11 @@ def test_matmul_gradients(rng):
 
 def test_add_mul_broadcast_gradients(rng):
     check_gradients(
-        lambda a, b: ad.sum_all(ad.mul(ad.add(a, b), ad.add(a, b))),
+        lambda a, b: sum_all(ad.mul(ad.add(a, b), ad.add(a, b))),
         [rng.normal(size=(4, 3)), rng.normal(size=(1, 3))],
     )
     check_gradients(
-        lambda a, s: ad.sum_all(ad.mul(a, s)),
+        lambda a, s: sum_all(ad.mul(a, s)),
         [rng.normal(size=(4, 3)), rng.normal(size=(1, 1))],
     )
 
@@ -85,16 +93,16 @@ def test_add_mul_broadcast_gradients(rng):
 def test_bias_row_gradient_is_column_sum(rng):
     a = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
-    backward(ad.sum_all(ad.add(a, b)))
+    backward(sum_all(ad.add(a, b)))
     assert np.array_equal(b.grad, np.full((1, 3), 5.0))
 
 
 def test_unary_op_gradients(rng):
     x = rng.normal(size=(3, 4))
-    check_gradients(lambda a: ad.sum_all(ad.transpose(a)), [x.copy()])
-    check_gradients(lambda a: ad.sum_all(ad.mul(ad.relu(a), a)), [x.copy()])
-    check_gradients(lambda a: ad.sum_all(ad.mul(ad.leaky_relu(a, 0.2), a)), [x.copy()])
-    check_gradients(lambda a: ad.sum_all(ad.l2_normalize_rows(a)), [x.copy() + 2.0])
+    check_gradients(lambda a: sum_all(ad.transpose(a)), [x.copy()])
+    check_gradients(lambda a: sum_all(ad.mul(ad.relu(a), a)), [x.copy()])
+    check_gradients(lambda a: sum_all(ad.mul(ad.leaky_relu(a, 0.2), a)), [x.copy()])
+    check_gradients(lambda a: sum_all(ad.l2_normalize_rows(a)), [x.copy() + 2.0])
 
 
 def test_row_softmax_gradient(rng):
@@ -102,7 +110,7 @@ def test_row_softmax_gradient(rng):
     edges = Edges([0, 1, 2, 0, 1], [0, 0, 0, 2, 2], 3)
     w = rng.normal(size=(5, 4))
     check_gradients(
-        lambda a, w_: ad.sum_all(ad.mul(ad.row_softmax(a, edges), w_)),
+        lambda a, w_: sum_all(ad.mul(ad.row_softmax(a, edges), w_)),
         [rng.normal(size=(5, 4)), w],
     )
     y = ad.row_softmax(Tensor(rng.normal(size=(5, 4)) * 30), edges).data
@@ -124,7 +132,7 @@ def test_row_softmax_vs_loop_oracle(rng):
 
 def test_concat_cols_gradient(rng):
     check_gradients(
-        lambda a, b: ad.sum_all(ad.mul(ad.concat_cols([a, b]), ad.concat_cols([a, b]))),
+        lambda a, b: sum_all(ad.mul(ad.concat_cols([a, b]), ad.concat_cols([a, b]))),
         [rng.normal(size=(3, 2)), rng.normal(size=(3, 4))],
     )
     with pytest.raises(AutodiffError, match="row mismatch"):
@@ -133,7 +141,7 @@ def test_concat_cols_gradient(rng):
 
 def test_relu_subgradient_at_zero_is_zero():
     x = Tensor(np.array([[0.0, -1.0, 2.0]]), requires_grad=True)
-    backward(ad.sum_all(ad.relu(x)))
+    backward(sum_all(ad.relu(x)))
     assert np.array_equal(x.grad, [[0.0, 0.0, 1.0]])
 
 
@@ -142,7 +150,7 @@ def test_l2_normalize_zero_row():
     y = ad.l2_normalize_rows(x)
     assert np.array_equal(y.data[0], [0.0, 0.0])
     assert np.allclose(y.data[1], [0.6, 0.8])
-    backward(ad.sum_all(y))
+    backward(sum_all(y))
     assert np.array_equal(x.grad[0], [0.0, 0.0])
 
 
@@ -159,7 +167,7 @@ def test_backward_guards(rng):
     x = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
     with pytest.raises(AutodiffError, match="1x1"):
         backward(ad.relu(x))
-    loss = ad.sum_all(x)
+    loss = sum_all(x)
     backward(loss)
     with pytest.raises(AutodiffError, match="already run"):
         backward(loss)
@@ -167,7 +175,7 @@ def test_backward_guards(rng):
 
 def test_gradient_accumulates_over_reuse(rng):
     x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    backward(ad.sum_all(ad.add(x, x)))
+    backward(sum_all(ad.add(x, x)))
     assert np.array_equal(x.grad, np.full((2, 3), 2.0))
 
 
@@ -213,16 +221,16 @@ def test_pool_gradients(rng):
     edges = edges_of(random_adjacency(rng, 6, 0.5))
     w = rng.normal(size=(6, 4))
     check_gradients(
-        lambda a: ad.sum_all(ad.mul(ad.row_sum_pool(ad.gather_rows(a, edges.src), edges), w)),
+        lambda a: sum_all(ad.mul(ad.row_sum_pool(ad.gather_rows(a, edges.src), edges), w)),
         [rng.normal(size=(6, 4))],
     )
     check_gradients(
-        lambda a: ad.sum_all(ad.mul(ad.row_max_pool(ad.gather_rows(a, edges.src), edges), w)),
+        lambda a: sum_all(ad.mul(ad.row_max_pool(ad.gather_rows(a, edges.src), edges), w)),
         [rng.normal(size=(6, 4))],
     )
     weight = rng.uniform(0.1, 1.0, size=(len(edges.src), 1))
     check_gradients(
-        lambda a: ad.sum_all(
+        lambda a: sum_all(
             ad.mul(ad.row_sum_pool(ad.gather_rows(a, edges.src, weight), edges), w)
         ),
         [rng.normal(size=(6, 4))],
@@ -233,11 +241,11 @@ def test_max_pool_tie_routes_to_lowest_index():
     # rows 1 and 2 tie; the gradient must go entirely to row 1
     x = Tensor(np.array([[9.0], [5.0], [5.0]]), requires_grad=True)
     edges = Edges([1, 2], [0, 0], 3)
-    backward(ad.sum_all(ad.row_max_pool(ad.gather_rows(x, edges.src), edges)))
+    backward(sum_all(ad.row_max_pool(ad.gather_rows(x, edges.src), edges)))
     assert np.array_equal(x.grad, [[0.0], [1.0], [0.0]])
     # the same on edge rows: of two tied edges into node 0, the first wins
     e = Tensor(np.array([[5.0, 1.0], [5.0, 2.0]]), requires_grad=True)
-    backward(ad.sum_all(ad.row_max_pool(e, Edges([0, 1], [0, 0], 1))))
+    backward(sum_all(ad.row_max_pool(e, Edges([0, 1], [0, 0], 1))))
     assert np.array_equal(e.grad, [[1.0, 0.0], [0.0, 1.0]])
 
 
@@ -304,8 +312,8 @@ def _random_expression(rng, leaves):
             pool.append(ad.mul(ad.leaky_relu(a, 0.2), b))
     total = pool[len(leaves)]
     for t in pool[len(leaves) + 1 :]:
-        total = ad.add(ad.sum_all(total), ad.sum_all(t))
-    return ad.sum_all(total)
+        total = ad.add(sum_all(total), sum_all(t))
+    return sum_all(total)
 
 
 def test_500_random_compositions_vs_finite_differences(rng):

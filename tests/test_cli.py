@@ -127,6 +127,24 @@ def test_config_file_and_flag_precedence(corpus, tmp_path):
     assert manifest["config"]["seed"] == 4
 
 
+def test_cv_classes_from_config_file_and_flag(corpus, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"classes": 11}))
+    for name, flags in (("file", []), ("flag", ["--classes", "13"])):
+        code = run_cli(
+            "cv", "--corpus", str(corpus), "--model", "gcn", "--epochs", "1", "--folds", "2",
+            "--config", str(cfg), *flags, "--out", str(tmp_path), "--run-name", name,
+        )
+        assert code == 0
+    # the config file beats the built-in 13 classes; the flag beats the file
+    assert set(json.loads((tmp_path / "file" / "report.json").read_text())["details"]) == {
+        "gcn_11"}
+    assert set(json.loads((tmp_path / "flag" / "report.json").read_text())["details"]) == {
+        "gcn_13"}
+    assert json.loads((tmp_path / "file" / "manifest.json").read_text())["config"][
+        "classes"] == 11
+
+
 def test_validation_error_exit_code(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

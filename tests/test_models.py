@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from conftest import init_model_oracle
 
+from coroseg import models
 from coroseg.autodiff import Tensor, backward, softmax_cross_entropy
 from coroseg.models import (
     VARIANTS,
@@ -49,7 +51,9 @@ def test_gcn_layer_hand_case_path_graph():
             [0, 1 / np.sqrt(6), 1 / 2],
         ]
     )
-    out = gcn_layer(Tensor(np.eye(3)), gs, Tensor(np.eye(3)), Tensor(np.zeros((1, 3)))).data
+    params = {"w1": Tensor(np.eye(3)), "b1": Tensor(np.zeros((1, 3)))}
+    cfg = ModelConfig("gcn", in_dim=3, hidden_dim=3)
+    out = gcn_layer(Tensor(np.eye(3)), gs, params, 1, cfg).data
     assert np.allclose(out, expected, atol=1e-12)
 
 
@@ -68,6 +72,36 @@ def test_block_diagonal_batch_matches_per_graph_forward(variant, rng):
     assert np.allclose(batched, np.vstack(single), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_init_model_matches_if_chain_oracle(variant):
+    for seed in range(5):
+        for heads in (1, 2, 4):
+            cfg = ModelConfig(variant, gat_heads=heads, seed=seed)
+            params = init_model(cfg).params
+            expected = init_model_oracle(cfg)
+            assert set(params) == set(expected)
+            for name, value in expected.items():
+                assert params[name].shape == value.shape, name
+                assert np.array_equal(params[name].data, value), name
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_model_forward_looks_up_layer_per_call(variant, monkeypatch, rng):
+    """A layer rebound on the module, as the benchmark tracer does, is the one called."""
+    calls = []
+    layer = getattr(models, f"{variant}_layer")
+
+    def counting(*args):
+        calls.append(args[3])
+        return layer(*args)
+
+    monkeypatch.setattr(models, f"{variant}_layer", counting)
+    model = init_model(ModelConfig(variant, in_dim=48, hidden_dim=8, seed=1))
+    gs = GraphStructure.from_adjacency(_random_adjacency(rng, 5))
+    model_forward(model, rng.normal(size=(5, 48)), gs)
+    assert calls == [1, 2]
+
+
 def test_gcn_layer_vs_node_loop_oracle(rng):
     n, d_in, d_out = 7, 5, 4
     adj = _random_adjacency(rng, n)
@@ -75,7 +109,8 @@ def test_gcn_layer_vs_node_loop_oracle(rng):
     h = rng.normal(size=(n, d_in))
     w = rng.normal(size=(d_in, d_out))
     b = rng.normal(size=(1, d_out))
-    out = gcn_layer(Tensor(h), gs, Tensor(w), Tensor(b)).data
+    cfg = ModelConfig("gcn", in_dim=d_in, hidden_dim=d_out)
+    out = gcn_layer(Tensor(h), gs, {"w1": Tensor(w), "b1": Tensor(b)}, 1, cfg).data
     deg = adj.sum(axis=1) + 1
     for i in range(n):
         acc = np.zeros(d_out)
@@ -114,7 +149,7 @@ def test_gin_layer_vs_node_loop_oracle(rng):
     adj = _random_adjacency(rng, n)
     gs = GraphStructure.from_adjacency(adj)
     h = rng.normal(size=(n, 5))
-    out = gin_layer(Tensor(h), gs, model.params, 1).data
+    out = gin_layer(Tensor(h), gs, model.params, 1, cfg).data
     eps = p["eps1"][0, 0]
     for i in range(n):
         agg = (1 + eps) * h[i] + h[np.flatnonzero(adj[i])].sum(axis=0)
@@ -130,7 +165,7 @@ def test_sage_layer_vs_node_loop_oracle(rng):
     adj = _random_adjacency(rng, n)
     gs = GraphStructure.from_adjacency(adj)
     h = rng.normal(size=(n, 5))
-    out = sage_layer(Tensor(h), gs, model.params, 1).data
+    out = sage_layer(Tensor(h), gs, model.params, 1, cfg).data
     pooled_src = np.maximum(h @ p["pool1"] + p["pool1_b"][0], 0)
     for i in range(n):
         nbrs = np.flatnonzero(adj[i])

@@ -5,7 +5,6 @@ import numpy as np
 from coroseg.centerline import CLASSES_13, prepare_subject
 from coroseg.graph import build_segment_graph, split_into_segments
 from coroseg.synth import (
-    BUILD_ORDER,
     DEFAULT_COUNT_PROBS,
     TEMPLATES,
     GenParams,
@@ -18,12 +17,13 @@ SMALL = GenParams(n_subjects=20, seed=7)
 
 
 def test_templates_cover_all_classes():
-    assert set(TEMPLATES) == set(CLASSES_13) == set(BUILD_ORDER)
+    assert set(TEMPLATES) == set(CLASSES_13)
     assert set(DEFAULT_COUNT_PROBS) == set(CLASSES_13)
+    order = list(TEMPLATES)
     for cls, tpl in TEMPLATES.items():
         if tpl.parent is not None:
-            # parents are built before their children
-            assert BUILD_ORDER.index(tpl.parent) < BUILD_ORDER.index(cls)
+            # subjects are built in TEMPLATES order: parents before their children
+            assert order.index(tpl.parent) < order.index(cls)
 
 
 def test_generate_subject_deterministic():
@@ -86,7 +86,7 @@ def test_subjects_survive_full_pipeline():
 def test_manifest_recount_oracle():
     records, manifest = generate_corpus(SMALL)
     assert manifest["n_subjects"] == len(records) == 20
-    branches = {c: 0 for c in BUILD_ORDER}
+    branches = {c: 0 for c in TEMPLATES}
     for rec in records:
         for cl in rec.centerlines:
             branches[cl.label] += 1
