@@ -120,15 +120,16 @@ def cmd_generate(args, run: Path):
 
 def cmd_build(args, run: Path):
     inputs = [Path(f) for f in args.subjects]
-    artifacts = []
+    artifacts = {}
     for f in inputs:
         rec = parse_subject(f.read_bytes())
+        if rec.subject_id in artifacts:
+            raise CenterlineError(f"{f}: duplicate subject_id {rec.subject_id!r}")
         sg = build_segment_graph(prepare_subject(rec))
-        p = run / f"{rec.subject_id}.graph.json"
+        p = artifacts[rec.subject_id] = run / f"{rec.subject_id}.graph.json"
         p.write_text(segment_graph_to_json(sg))
-        artifacts.append(p)
     print(f"wrote {len(artifacts)} segment graphs to {run}")
-    return {"seed": None}, inputs, artifacts
+    return {"seed": None}, inputs, list(artifacts.values())
 
 
 def _train_config(args, class_mode: int) -> TrainConfig:
@@ -203,7 +204,7 @@ def _audit_report(report: MetricsReport, dataset_ids: list[str], class_mode: int
 def cmd_cv(args, run: Path):
     records, files = _load_corpus(args.corpus)
     dataset13 = _build_dataset(records)
-    modes = [11, 13] if args.classes == "both" else [int(args.classes)]
+    modes = [11, 13] if args.classes == "both" else [args.classes]
     variants = VARIANTS if args.model == "all" else [args.model]
     rows = []
     reports = {}
@@ -269,6 +270,11 @@ def _resolve(args):
     return args
 
 
+def _class_mode(text: str):
+    """`cv --classes`: 11 or 13 as an int, like a config file's, or "both"."""
+    return text if text == "both" else int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coroseg",
@@ -314,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("cv", help="cross-validated model comparison report")
     c.add_argument("--corpus", required=True)
     c.add_argument("--model", choices=[*VARIANTS, "all"])
-    c.add_argument("--classes", choices=["11", "13", "both"])
+    c.add_argument("--classes", type=_class_mode, choices=[11, 13, "both"])
     c.add_argument("--check", action="store_true",
                    help="audit acceptance invariants; exit 3 on violation")
     common(c, model_flags=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centerline import LEFT, SubjectRecord
+from .centerline import LEFT, RIGHT, SubjectRecord
 
 EMBED_DIM = 48
 
@@ -46,14 +46,14 @@ class Segment:
     segment_id: str
     parent_branch_id: str
     points: np.ndarray
-    start_junction: str
-    end_junction: str
+    start_junction: int
+    end_junction: int
     label: str | None = None
 
 
 @dataclass(frozen=True)
 class SkeletonGraph:
-    junctions: dict[str, np.ndarray]
+    junctions: dict[int, np.ndarray]  # junction id -> point
     segments: tuple[Segment, ...]
 
 
@@ -76,72 +76,71 @@ class SegmentGraph:
         return np.array([lut.get(lb, -1) if lb else -1 for lb in self.labels])
 
 
-def _point_key(p: np.ndarray) -> tuple[float, float, float]:
-    return (float(p[0]), float(p[1]), float(p[2]))
-
-
 def split_into_segments(subject: SubjectRecord) -> SkeletonGraph:
-    """Cut branches at bifurcations. Requires a resampled + merged subject.
+    """Cut branches at junctions. Requires a resampled + merged subject.
 
-    A junction sits at every branch endpoint and at every point where a
-    child branch start coincides (bit-exactly, post-merge) with a point of
-    another branch. Each side must resolve to a single rooted tree.
+    Two points are one point when their coordinates are equal (bit-exactly,
+    post-merge; -0.0 equals 0.0). A junction sits at every branch endpoint,
+    and every branch is cut where it passes one. That finds each attachment:
+    a child attaches where its start lies on another branch, and its start
+    is an endpoint. Each side must have a single root (a branch whose start
+    lies on no other branch), and its segments must form one tree.
     """
     cls = subject.centerlines
-    keys = [[_point_key(p) for p in cl.points] for cl in cls]
-    point_sets = [set(k) for k in keys]
+    points = np.concatenate([cl.points for cl in cls])
+    sizes = np.array([len(cl.points) for cl in cls])
+    owner = np.repeat(np.arange(len(cls)), sizes)
+    ends = np.cumsum(sizes) - 1
+    starts = ends - sizes + 1
+    # one id per distinct point; + 0.0 turns -0.0 into 0.0 before bytes compare
+    raw = (points + 0.0).view("V24").ravel()
+    _, first, key = np.unique(raw, return_index=True, return_inverse=True)
 
-    # A branch whose start lies on no other branch is a root: one per side.
-    for side in ("left", "right"):
-        roots = [
-            cl.branch_id
-            for i, cl in enumerate(cls)
-            if cl.side == side
-            and not any(
-                keys[i][0] in point_sets[j] for j in range(len(cls)) if j != i
-            )
-        ]
+    # distinct (point id, branch) pairs, counted per point id
+    pairs = np.sort(key * len(cls) + owner)
+    n_owners = np.bincount(pairs[np.diff(pairs, prepend=-1) > 0] // len(cls))
+    is_root = n_owners[key[starts]] == 1
+    is_junction = np.zeros(len(first), dtype=bool)
+    is_junction[key[starts]] = is_junction[key[ends]] = True
+    cuts = np.flatnonzero(is_junction[key])
+    same = owner[cuts[:-1]] == owner[cuts[1:]]
+    span = np.stack([cuts[:-1][same], cuts[1:][same]], axis=1)  # (S, 2) point indices
+    seg_owner = owner[span[:, 0]]
+    junction = (np.cumsum(is_junction) - 1)[key[span]]  # (S, 2) junction ids
+
+    ids = np.arange(is_junction.sum())
+    oriented = (junction[:, :1] == ids) * 1.0 - (junction[:, 1:] == ids)  # (S, J) incidence
+    on_right = np.array([cl.side == RIGHT for cl in cls])[seg_owner]
+    for on, side in ((~on_right, LEFT), (on_right, RIGHT)):
+        roots = [cl.branch_id for cl, r in zip(cls, is_root) if r and cl.side == side]
         if len(roots) > 1:
             raise GraphBuildError(
                 f"dangling branch: {side} side has unattached branches {roots[1:]}"
             )
-
-    junction_keys = set()
-    for i in range(len(cls)):
-        junction_keys.add(keys[i][0])
-        junction_keys.add(keys[i][-1])
-        # child starts landing on this branch
-        for j in range(len(cls)):
-            if j != i and keys[j][0] in point_sets[i]:
-                junction_keys.add(keys[j][0])
-
-    junction_id: dict[tuple, str] = {}
-    junctions: dict[str, np.ndarray] = {}
-
-    def jid(key: tuple, p: np.ndarray) -> str:
-        if key not in junction_id:
-            junction_id[key] = f"j{len(junction_id):03d}"
-            junctions[junction_id[key]] = np.array(p)
-        return junction_id[key]
-
-    segments = []
-    for i, cl in enumerate(cls):
-        cut = [0]
-        cut += [k for k in range(1, len(cl.points) - 1) if keys[i][k] in junction_keys]
-        cut.append(len(cl.points) - 1)
-        for piece, (a, b) in enumerate(zip(cut[:-1], cut[1:])):
-            pts = cl.points[a : b + 1]
-            segments.append(
-                Segment(
-                    segment_id=f"{cl.branch_id}#{piece}",
-                    parent_branch_id=cl.branch_id,
-                    points=pts,
-                    start_junction=jid(keys[i][a], pts[0]),
-                    end_junction=jid(keys[i][b], pts[-1]),
-                    label=cl.label,
-                )
+        # matrix-tree theorem: with one segment fewer than junctions, dropping
+        # one junction column leaves det +-1 on a tree and 0 otherwise
+        cols = np.flatnonzero(np.bincount(junction[on].ravel(), minlength=len(ids)))
+        if len(cols) != on.sum() + 1 or abs(np.linalg.det(oriented[on][:, cols[1:]])) < 0.5:
+            raise GraphBuildError(
+                f"not a tree: {side} side has {on.sum()} segments on {len(cols)} junctions"
             )
-    return SkeletonGraph(junctions=junctions, segments=tuple(segments))
+
+    piece = np.arange(len(span)) - np.searchsorted(seg_owner, seg_owner)
+    segments = tuple(
+        Segment(
+            segment_id=f"{cls[o].branch_id}#{k}",
+            parent_branch_id=cls[o].branch_id,
+            points=points[i : j + 1],
+            start_junction=js,
+            end_junction=je,
+            label=cls[o].label,
+        )
+        for o, k, (i, j), (js, je) in zip(
+            seg_owner.tolist(), piece.tolist(), span.tolist(), junction.tolist()
+        )
+    )
+    junctions = {k: points[first[q]] for k, q in enumerate(np.flatnonzero(is_junction))}
+    return SkeletonGraph(junctions=junctions, segments=segments)
 
 
 def line_graph_adjacency(skel: SkeletonGraph) -> np.ndarray:
@@ -150,11 +149,10 @@ def line_graph_adjacency(skel: SkeletonGraph) -> np.ndarray:
     With M the segment x junction incidence matrix, A = (M M^T > 0) minus
     the diagonal.
     """
-    column = {j: k for k, j in enumerate(skel.junctions)}
     rows = np.arange(len(skel.segments))
-    incidence = np.zeros((len(rows), len(column)))
+    incidence = np.zeros((len(rows), len(skel.junctions)))
     for end in ("start_junction", "end_junction"):
-        incidence[rows, [column[getattr(s, end)] for s in skel.segments]] = 1.0
+        incidence[rows, [getattr(s, end) for s in skel.segments]] = 1.0
     adj = (incidence @ incidence.T > 0).astype(np.float64)
     np.fill_diagonal(adj, 0.0)
     return adj
@@ -252,12 +250,12 @@ def build_segment_graph(subject: SubjectRecord) -> SegmentGraph:
 
 
 def segment_graph_to_json(sg: SegmentGraph) -> str:
-    """Export as {nodes: [{id, features, label?}], edges: [[i, j], ...]}."""
+    """Export as {nodes: [{id, features, label?}], edges: [[i, j], ...]}, one node per line."""
     nodes = []
     for i, nid in enumerate(sg.node_ids):
         node = {"id": nid, "features": sg.features[i].tolist()}
         if sg.labels[i]:
             node["label"] = sg.labels[i]
-        nodes.append(node)
-    edges = np.argwhere(np.triu(sg.adjacency, 1)).tolist()
-    return json.dumps({"nodes": nodes, "edges": edges}, indent=1)
+        nodes.append(json.dumps(node))
+    edges = json.dumps(np.argwhere(np.triu(sg.adjacency, 1)).tolist())
+    return '{"nodes": [\n' + ",\n".join(nodes) + '\n],\n"edges": ' + edges + "}\n"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coroseg.centerline import LEFT, RIGHT, Centerline, SubjectRecord
-from coroseg.graph import SkeletonGraph
+from coroseg.graph import GraphBuildError, Segment, SkeletonGraph
 
 
 def straight_line(start, direction, n_points, step=5.0) -> np.ndarray:
@@ -62,7 +62,11 @@ def segment_count_oracle(subject: SubjectRecord) -> int:
 
 
 def junction_oracle(subject: SubjectRecord) -> set[tuple]:
-    """Expected junction coordinates: endpoints plus attachment points."""
+    """Expected junction coordinates: every branch's first and last point.
+
+    Attachment points need no collecting of their own: a child attaches
+    where its start lies on another branch, and that start is an endpoint.
+    """
     out = set()
     for cl in subject.centerlines:
         out.add(tuple(cl.points[0]))
@@ -124,6 +128,73 @@ def merge_oracle(subject: SubjectRecord, tol_mm: float) -> list[np.ndarray]:
             j, k = best
             points[i][0] = points[j][k]
     return points
+
+
+def _point_key(p: np.ndarray) -> tuple[float, float, float]:
+    return (float(p[0]), float(p[1]), float(p[2]))
+
+
+def split_oracle(subject: SubjectRecord) -> SkeletonGraph:
+    """Float-tuple point keys, a pairwise attachment scan and "j%03d" junction ids.
+
+    Cuts where a branch passes a branch endpoint or another branch's start.
+    Each side must have a single root.
+    """
+    cls = subject.centerlines
+    keys = [[_point_key(p) for p in cl.points] for cl in cls]
+    point_sets = [set(k) for k in keys]
+
+    # A branch whose start lies on no other branch is a root: one per side.
+    for side in ("left", "right"):
+        roots = [
+            cl.branch_id
+            for i, cl in enumerate(cls)
+            if cl.side == side
+            and not any(
+                keys[i][0] in point_sets[j] for j in range(len(cls)) if j != i
+            )
+        ]
+        if len(roots) > 1:
+            raise GraphBuildError(
+                f"dangling branch: {side} side has unattached branches {roots[1:]}"
+            )
+
+    junction_keys = set()
+    for i in range(len(cls)):
+        junction_keys.add(keys[i][0])
+        junction_keys.add(keys[i][-1])
+        # child starts landing on this branch
+        for j in range(len(cls)):
+            if j != i and keys[j][0] in point_sets[i]:
+                junction_keys.add(keys[j][0])
+
+    junction_id: dict[tuple, str] = {}
+    junctions: dict[str, np.ndarray] = {}
+
+    def jid(key: tuple, p: np.ndarray) -> str:
+        if key not in junction_id:
+            junction_id[key] = f"j{len(junction_id):03d}"
+            junctions[junction_id[key]] = np.array(p)
+        return junction_id[key]
+
+    segments = []
+    for i, cl in enumerate(cls):
+        cut = [0]
+        cut += [k for k in range(1, len(cl.points) - 1) if keys[i][k] in junction_keys]
+        cut.append(len(cl.points) - 1)
+        for piece, (a, b) in enumerate(zip(cut[:-1], cut[1:])):
+            pts = cl.points[a : b + 1]
+            segments.append(
+                Segment(
+                    segment_id=f"{cl.branch_id}#{piece}",
+                    parent_branch_id=cl.branch_id,
+                    points=pts,
+                    start_junction=jid(keys[i][a], pts[0]),
+                    end_junction=jid(keys[i][b], pts[-1]),
+                    label=cl.label,
+                )
+            )
+    return SkeletonGraph(junctions=junctions, segments=tuple(segments))
 
 
 def init_model_oracle(cfg) -> dict[str, np.ndarray]:

@@ -145,6 +145,30 @@ def test_cv_classes_from_config_file_and_flag(corpus, tmp_path):
         "classes"] == 11
 
 
+def test_cv_manifest_records_classes_as_int(corpus, tmp_path):
+    for name, flags in (("default", []), ("flag", ["--classes", "13"])):
+        code = run_cli(
+            "cv", "--corpus", str(corpus), "--model", "gcn", "--epochs", "1", "--folds", "2",
+            *flags, "--out", str(tmp_path), "--run-name", name,
+        )
+        assert code == 0
+    configs = [json.loads((tmp_path / name / "manifest.json").read_text())["config"]
+               for name in ("default", "flag")]
+    assert configs[0] == configs[1]
+    assert configs[0]["classes"] == 13
+
+
+def test_build_rejects_duplicate_subject_ids(corpus, tmp_path, capsys):
+    subject = sorted((corpus / "subjects").glob("*.json"))[0]
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(subject.read_bytes())
+    code = run_cli("build", str(subject), str(copy), "--out", str(tmp_path), "--run-name", "d")
+    assert code == 1
+    sid = json.loads(subject.read_text())["subject_id"]
+    assert _one_error_line(capsys) == f"error: {copy}: duplicate subject_id {sid!r}"
+    assert not (tmp_path / "d" / "manifest.json").exists()
+
+
 def test_validation_error_exit_code(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -196,6 +220,13 @@ GOOD_SUBJECT = {
             "branches",
             [GOOD_SUBJECT["branches"][0], {**GOOD_SUBJECT["branches"][1], "label": 7}],
             "branch 1: unknown label 7",
+        ),
+        (
+            "branches",
+            [{"id": "A", "side": "left", "points": [[0, 0, 0], [0, 0, 5], [0, 0, 10]]},
+             {"id": "B", "side": "left", "points": [[0, 0, 5], [5, 0, 5], [0, 0, 0]]},
+             GOOD_SUBJECT["branches"][1]],
+            "not a tree: left side has 3 segments on 3 junctions",
         ),
     ],
 )

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,12 +16,15 @@ from coroseg.graph import (
     spherical_encode,
     split_into_segments,
 )
+from coroseg.synth import GenParams, generate_corpus
 from conftest import (
     junction_oracle,
     line_graph_oracle,
     random_rigid_motion,
     random_tree_subject,
+    resample_oracle,
     segment_count_oracle,
+    split_oracle,
     straight_line,
     transform_subject,
     two_branch_subject,
@@ -60,6 +64,81 @@ def test_split_rejects_dangling_branch():
     )
     with pytest.raises(GraphBuildError, match="dangling"):
         split_into_segments(subject)
+
+
+def _assert_same_split(subject):
+    new, old = split_into_segments(subject), split_oracle(subject)
+    assert [s.segment_id for s in new.segments] == [s.segment_id for s in old.segments]
+    assert [s.label for s in new.segments] == [s.label for s in old.segments]
+    for s, o in zip(new.segments, old.segments):
+        assert np.array_equal(s.points, o.points)
+        assert tuple(new.junctions[s.start_junction]) == tuple(old.junctions[o.start_junction])
+        assert tuple(new.junctions[s.end_junction]) == tuple(old.junctions[o.end_junction])
+    assert len(new.junctions) == len(old.junctions)
+    assert {tuple(p) for p in new.junctions.values()} == {
+        tuple(p) for p in old.junctions.values()}
+    assert np.array_equal(line_graph_adjacency(new), line_graph_oracle(old))
+
+
+def test_split_matches_loop_oracle(rng):
+    records, _ = generate_corpus(GenParams(n_subjects=8, seed=3))
+    dense = [
+        replace(rec, centerlines=tuple(
+            replace(cl, points=resample_oracle(cl, 0.5)) for cl in rec.centerlines
+        ))
+        for rec in records
+    ]
+    trees = [random_tree_subject(rng, max_branches=14) for _ in range(30)]
+    for subject in trees + [prepare_subject(rec) for rec in records + dense]:
+        _assert_same_split(subject)
+
+
+def test_split_treats_negative_zero_as_zero():
+    a = straight_line((0, 0, -5), (0, 0, 1), 3)  # a[1] is (0.0, 0.0, 0.0)
+    b = straight_line((0, 0, 0), (1, 0, 0), 3)
+    b[0] = [-0.0, 0.0, -0.0]
+    r = straight_line((50, 0, 0), (0, 1, 0), 3)
+    subject = SubjectRecord("negzero", 0.5, [
+        Centerline("A", "left", a), Centerline("B", "left", b), Centerline("R", "right", r),
+    ])
+    skel = split_into_segments(subject)
+    assert [s.segment_id for s in skel.segments] == ["A#0", "A#1", "B#0", "R#0"]
+    assert skel.segments[0].end_junction == skel.segments[2].start_junction
+    _assert_same_split(subject)
+
+
+TRIANGLE = [
+    Centerline("A", "left", [[0, 0, 0], [0, 0, 5], [0, 0, 10]]),
+    Centerline("B", "left", [[0, 0, 5], [5, 0, 5], [0, 0, 0]]),
+]
+RIGHT_TREE = Centerline("R", "right", straight_line((50, 0, 0), (0, 1, 0), 4))
+
+
+@pytest.mark.parametrize(
+    "branches, message",
+    [
+        # each start lies on the other branch: three segments, three junctions
+        (TRIANGLE, "not a tree: left side has 3 segments on 3 junctions"),
+        # the same cycle beside a separate branch: counts fit, connectivity fails
+        (TRIANGLE + [Centerline("F", "left", [[99, 99, 0], [99, 99, 5]])],
+         "not a tree: left side has 4 segments on 5 junctions"),
+    ],
+)
+def test_split_rejects_side_that_is_not_one_tree(branches, message):
+    subject = SubjectRecord("s", 0.5, [*branches, RIGHT_TREE])
+    with pytest.raises(GraphBuildError, match=message):
+        split_into_segments(subject)
+
+
+def test_split_two_branches_sharing_an_ostium():
+    lad = straight_line((0, 0, 0), (0, 0, 1), 4)
+    lcx = straight_line((0, 0, 0), (1, 0, 0), 4)
+    subject = SubjectRecord("ostium", 0.5, [
+        Centerline("LAD", "left", lad), Centerline("LCX", "left", lcx), RIGHT_TREE,
+    ])
+    skel = split_into_segments(subject)
+    assert [s.segment_id for s in skel.segments] == ["LAD#0", "LCX#0", "R#0"]
+    assert np.array_equal(line_graph_adjacency(skel), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
 
 
 def test_line_graph_vs_pairwise_oracle(rng):
@@ -233,3 +312,14 @@ def test_segment_graph_json_schema():
     for i, j in doc["edges"]:
         rebuilt[i, j] = rebuilt[j, i] = 1.0
     assert np.array_equal(rebuilt, sg.adjacency)
+
+
+def test_segment_graph_json_one_node_per_line():
+    sg = build_segment_graph(two_branch_subject())
+    text = segment_graph_to_json(sg)
+    doc = json.loads(text)
+    lines = text.splitlines()
+    assert lines[0] == '{"nodes": ['
+    assert [json.loads(line.rstrip(",")) for line in lines[1 : 1 + sg.n_nodes]] == doc["nodes"]
+    assert lines[1 + sg.n_nodes :] == ["],", '"edges": ' + json.dumps(doc["edges"]) + "}"]
+    assert [n["features"] for n in doc["nodes"]] == sg.features.tolist()
