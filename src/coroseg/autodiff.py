@@ -8,7 +8,7 @@ so runs are bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,7 +57,7 @@ def _tracked(*tensors: Tensor) -> bool:
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise AutodiffError("non-finite result")
     out = Tensor(data)
     if _tracked(*parents):
@@ -124,7 +124,8 @@ def transpose(a) -> Tensor:
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0
-    return _result(np.where(mask, a.data, 0.0), (a,), lambda g, m=mask: (g * m,))
+    # maximum gives +0.0 for -0.0 too, as a masked select would, and is faster
+    return _result(np.maximum(a.data, 0.0), (a,), lambda g, m=mask: (g * m,))
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
@@ -165,20 +166,62 @@ def l2_normalize_rows(a) -> Tensor:
 
 
 class Edges:
-    """Directed edges src -> dst sorted by dst: a graph in CSR layout.
+    """Directed edges src -> dst sorted by dst, with a padded slot table per end.
 
-    Edge-wise ops take one row per edge, in this order, and reduce the rows
-    that share a destination into that node's output row.
+    Edge-wise ops take one row per edge, in this order. ``by_dst`` is a
+    (width, n) table whose column i lists the edges into node i in ascending
+    order, and ``by_src`` lists the edges out of each node the same way; an
+    edge's row in a table is its slot (``dst_slot``, ``src_slot``). Empty
+    slots hold -1, which picks the fill row a reduction appends after the E
+    edge rows.
     """
 
-    def __init__(self, src, dst, n_nodes: int):
+    def __init__(self, src, dst, n_nodes: int, slots=None):
         self.src = np.asarray(src, dtype=np.int64)
         self.dst = np.asarray(dst, dtype=np.int64)
         if np.any(np.diff(self.dst) < 0):
             raise AutodiffError("edges must be sorted by destination")
         self.n_nodes = n_nodes
-        self.starts = np.flatnonzero(np.diff(self.dst, prepend=-1))  # first edge per group
-        self.groups = self.dst[self.starts]                           # node of each group
+        self.dst_slot, self.src_slot = slots or (_slots(self.dst), _slots(self.src))
+        self.by_dst = _table(self.dst_slot, self.dst, n_nodes)
+        self.by_src = _table(self.src_slot, self.src, n_nodes)
+
+    @classmethod
+    def disjoint_union(cls, parts: list["Edges"]) -> "Edges":
+        """Each part's nodes and edges shifted past the previous parts'.
+
+        Slots stay as they are, so nothing is sorted again: the union's tables
+        are the parts' tables side by side, padded to the widest.
+        """
+        if any(p.by_src.shape[1] != p.n_nodes for p in parts):
+            raise AutodiffError("cannot stack edges whose sources lie past n_nodes")
+        sizes = [p.n_nodes for p in parts]
+        shift = np.repeat(np.cumsum([0] + sizes[:-1]), [len(p.dst) for p in parts])
+
+        def joined(name: str) -> np.ndarray:
+            return np.concatenate([getattr(p, name) for p in parts])
+
+        return cls(joined("src") + shift, joined("dst") + shift, sum(sizes),
+                   (joined("dst_slot"), joined("src_slot")))
+
+
+def _slots(end: np.ndarray) -> np.ndarray:
+    """Each edge's rank among the edges at the same node of this end, by edge index."""
+    order = np.argsort(end, kind="stable")
+    counts = np.bincount(end)
+    slot = np.empty(len(end), dtype=np.int64)
+    slot[order] = np.arange(len(end)) - (np.cumsum(counts) - counts)[end[order]]
+    return slot
+
+
+def _table(slot: np.ndarray, end: np.ndarray, n_nodes: int) -> np.ndarray:
+    """(width >= 1, n) table with edge k at [slot[k], end[k]]; -1 pads.
+
+    n is n_nodes, or more when that end numbers nodes past n_nodes.
+    """
+    table = np.full((slot.max(initial=0) + 1, max(n_nodes, end.max(initial=-1) + 1)), -1)
+    table[slot, end] = np.arange(len(end))
+    return table
 
 
 def _edge_rows(a, edges: Edges) -> Tensor:
@@ -188,32 +231,37 @@ def _edge_rows(a, edges: Edges) -> Tensor:
     return a
 
 
-def _reduce(ufunc, x: np.ndarray, edges: Edges) -> np.ndarray:
-    """ufunc over the edge rows into each node; 0 for nodes with none."""
-    out = np.zeros((edges.n_nodes, x.shape[1]), dtype=x.dtype)
-    out[edges.groups] = ufunc.reduceat(x, edges.starts, axis=0)
+def _reduce(ufunc, x: np.ndarray, table: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    """ufunc over the rows of x listed in each column of table, slot after slot.
+
+    That is the order of ``ufunc.reduce`` over the slot axis, with (n, cols)
+    temporaries only: a (width, n, cols) gather is slower here.
+    """
+    rows = np.concatenate([x, np.full((1, x.shape[1]), fill)])
+    out = rows.take(table[0], axis=0)
+    for slot in table[1:]:
+        ufunc(out, rows.take(slot, axis=0), out=out)
     return out
 
 
-def gather_rows(a, index, weight=None) -> Tensor:
-    """Row k of the output is row index[k] of a, times weight[k] if given.
+def gather_rows(a, edges: Edges, weight=None, end: str = "src") -> Tensor:
+    """Row k of the output is row src[k] of a (dst[k] for end="dst"), times weight[k].
 
-    weight is a constant (len(index), 1) array; only a gets a gradient.
+    weight is a constant (E, 1) array or None; only a gets a gradient, summed
+    over each node's edges through that end's slot table.
     """
+    if end not in ("src", "dst"):
+        raise AutodiffError(f"end must be 'src' or 'dst', not {end!r}")
     a = _as_tensor(a)
-    index = np.asarray(index, dtype=np.int64)
+    index, table = (edges.src, edges.by_src) if end == "src" else (edges.dst, edges.by_dst)
+    if a.shape[0] != table.shape[1]:
+        raise AutodiffError(f"{a.shape[0]} rows for {table.shape[1]} nodes")
     data = a.data[index]
     if weight is not None:
         data *= weight
 
-    def backward(g, n=a.shape[0], index=index, weight=weight):
-        # scatter-add as a grouped sum over output rows sorted by source row;
-        # faster than np.add.at and summed in the same order every run
-        order = np.argsort(index, kind="stable")
-        g = g[order]
-        if weight is not None:
-            g *= weight[order]
-        return (_reduce(np.add, g, Edges(order, index[order], n)),)
+    def backward(g, table=table, weight=weight):
+        return (_reduce(np.add, g if weight is None else g * weight, table),)
 
     return _result(data, (a,), backward)
 
@@ -221,7 +269,8 @@ def gather_rows(a, index, weight=None) -> Tensor:
 def row_sum_pool(a, edges: Edges) -> Tensor:
     """Row i of the output is the sum of the edge rows into node i."""
     a = _edge_rows(a, edges)
-    return _result(_reduce(np.add, a.data, edges), (a,), lambda g, d=edges.dst: (g[d],))
+    data = _reduce(np.add, a.data, edges.by_dst)
+    return _result(data, (a,), lambda g, d=edges.dst: (g[d],))
 
 
 def row_max_pool(a, edges: Edges) -> Tensor:
@@ -231,14 +280,21 @@ def row_max_pool(a, edges: Edges) -> Tensor:
     tie-breaking is deterministic.
     """
     a = _edge_rows(a, edges)
-    data = _reduce(np.maximum, a.data, edges)
-    cand = np.where(a.data == data[edges.dst], np.arange(a.shape[0])[:, None], a.shape[0])
-    winners = np.minimum.reduceat(cand, edges.starts, axis=0)  # (groups, cols) edge index
+    table = edges.by_dst
+    best = _reduce(np.maximum, a.data, table, -np.inf)
+    data = best.copy()
+    data[table[0] < 0] = 0.0
 
-    def backward(g, shape=a.shape, winners=winners, groups=edges.groups):
-        ga = np.zeros(shape)
-        ga[winners, np.arange(shape[1])] = g[groups]
-        return (ga,)
+    def backward(g, x=a.data, best=best, table=table):
+        rows = np.concatenate([x, np.full((1, x.shape[1]), -np.inf)])
+        ga = np.empty_like(rows)      # row -1 takes the empty slots
+        taken = np.zeros(best.shape, dtype=bool)
+        for slot in table:            # slots ascend by edge index: the first max wins
+            win = rows.take(slot, axis=0) == best
+            win &= ~taken
+            taken |= win
+            ga[slot] = g * win
+        return (ga[:-1],)
 
     return _result(data, (a,), backward)
 
@@ -246,11 +302,12 @@ def row_max_pool(a, edges: Edges) -> Tensor:
 def row_softmax(a, edges: Edges) -> Tensor:
     """Softmax per column over the edge rows into each node, max-stabilized."""
     a = _edge_rows(a, edges)
-    e = np.exp(a.data - _reduce(np.maximum, a.data, edges)[edges.dst])
-    y = e / _reduce(np.add, e, edges)[edges.dst]
+    table, dst = edges.by_dst, edges.dst
+    e = np.exp(a.data - _reduce(np.maximum, a.data, table, -np.inf)[dst])
+    y = e / _reduce(np.add, e, table)[dst]
 
-    def backward(g, y=y, edges=edges):
-        return (y * (g - _reduce(np.add, g * y, edges)[edges.dst]),)
+    def backward(g, y=y, table=table, dst=dst):
+        return (y * (g - _reduce(np.add, g * y, table)[dst]),)
 
     return _result(y, (a,), backward)
 
@@ -321,31 +378,78 @@ def backward(loss: Tensor):
                 grads[id(parent)] = np.array(pg, dtype=np.float64, copy=True)
 
 
+def parameters(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    """Trainable tensors whose values and gradients are views of two flat buffers.
+
+    The views lie end to end in dict order, so `adam_step` updates every
+    parameter in one vectorised pass.
+    """
+    values = np.concatenate([np.ravel(a) for a in arrays.values()]).astype(np.float64)
+    grads = np.zeros_like(values)
+    out, at = {}, 0
+    for name, a in arrays.items():
+        shape, size = np.shape(a), np.size(a)
+        t = Tensor(values[at : at + size].reshape(shape))
+        t.requires_grad, t.grad = True, grads[at : at + size].reshape(shape)
+        out[name] = t
+        at += size
+    return out
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def flat_view(arrays: list[np.ndarray]) -> np.ndarray:
+    """The 1-D view over float64 arrays that lie end to end, in order, in one buffer."""
+    first = arrays[0]
+    flat = (first if first.base is None else first.base).reshape(-1)
+    origin = _address(flat)
+    start = at = (_address(first) - origin) // 8
+    for a in arrays:
+        if a.dtype != np.float64 or not a.flags.c_contiguous or _address(a) != origin + 8 * at:
+            raise AutodiffError("arrays do not lie end to end in one float64 buffer")
+        at += a.size
+    if flat.dtype != np.float64 or at > flat.size:
+        raise AutodiffError("arrays do not lie end to end in one float64 buffer")
+    return flat[start:at]
+
+
 @dataclass
 class AdamState:
-    """Bias-corrected Adam moments keyed by parameter name."""
+    """Bias-corrected Adam moments, flat in the order of the parameters."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState):
-    """One Adam update, in place on the parameter tensors."""
-    state.t += 1
-    t = state.t
+    """One Adam update, in place on the parameter tensors.
+
+    The parameter values, and the gradients, must each lie end to end in one
+    buffer in dict order, as `parameters` lays them out (a single array
+    always does), so the whole update is one vectorised pass.
+    """
     for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
+        if grads[name].shape != p.shape:
             raise AutodiffError(f"gradient shape mismatch for {name!r}")
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
-        m += (1 - state.beta1) * (g - m)
-        v += (1 - state.beta2) * (g * g - v)
-        m_hat = m / (1 - state.beta1**t)
-        v_hat = v / (1 - state.beta2**t)
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    p = flat_view([t.data for t in params.values()])
+    g = flat_view([grads[name] for name in params])
+    if state.m is None:
+        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
+    state.t += 1
+    t, m, v = state.t, state.m, state.v
+    # m += (1 - beta1) (g - m); v += (1 - beta2) (g g - v);
+    # p -= lr m_hat / (sqrt(v_hat) + eps), with m_hat, v_hat bias-corrected.
+    # The same roundings in the same order, written into two scratch arrays.
+    a, b = g - m, g * g
+    m += np.multiply(a, 1 - state.beta1, out=a)
+    v += np.multiply(np.subtract(b, v, out=b), 1 - state.beta2, out=b)
+    m_hat = np.divide(m, 1 - state.beta1**t, out=a)
+    denom = np.add(np.sqrt(np.divide(v, 1 - state.beta2**t, out=b), out=b), state.eps, out=b)
+    p -= np.divide(np.multiply(m_hat, state.lr, out=a), denom, out=a)

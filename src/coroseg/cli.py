@@ -205,6 +205,8 @@ def cmd_cv(args, run: Path):
     records, files = _load_corpus(args.corpus)
     dataset13 = _build_dataset(records)
     modes = [11, 13] if args.classes == "both" else [args.classes]
+    # one dataset per mode, so each subject's graph structure is built once per mode
+    datasets = {mode: select_classes(dataset13, mode) for mode in modes}
     variants = VARIANTS if args.model == "all" else [args.model]
     rows = []
     reports = {}
@@ -214,7 +216,7 @@ def cmd_cv(args, run: Path):
         for mode in modes:
             model_cfg = ModelConfig(variant=variant, num_classes=mode, seed=args.seed)
             train_cfg = _train_config(args, mode)
-            dataset = select_classes(dataset13, mode)
+            dataset = datasets[mode]
             report = run_cv(model_cfg, train_cfg, dataset)
             if args.check:
                 _audit_report(report, [sid for sid, _ in dataset], mode, dataset)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,13 @@ class SegmentGraph:
     def n_nodes(self) -> int:
         return len(self.node_ids)
 
+    @cached_property
+    def structure(self):
+        """The graph's `models.GraphStructure`, built on first use and kept."""
+        from .models import GraphStructure
+
+        return GraphStructure.from_adjacency(self.adjacency)
+
     def label_indices(self, classes: list[str]) -> np.ndarray:
         """Class indices per node; -1 where the label is missing."""
         lut = {c: i for i, c in enumerate(classes)}
@@ -79,21 +87,23 @@ class SegmentGraph:
 def split_into_segments(subject: SubjectRecord) -> SkeletonGraph:
     """Cut branches at junctions. Requires a resampled + merged subject.
 
-    Two points are one point when their coordinates are equal (bit-exactly,
-    post-merge; -0.0 equals 0.0). A junction sits at every branch endpoint,
-    and every branch is cut where it passes one. That finds each attachment:
-    a child attaches where its start lies on another branch, and its start
-    is an endpoint. Each side must have a single root (a branch whose start
-    lies on no other branch), and its segments must form one tree.
+    Two points are one point when they are on the same side and their
+    coordinates are equal (bit-exactly, post-merge; -0.0 equals 0.0), so the
+    left and right trees never share a junction. A junction sits at every
+    branch endpoint, and every branch is cut where it passes one. That finds
+    each attachment: a child attaches where its start lies on another branch,
+    and its start is an endpoint. Each side must have a single root (a branch
+    whose start lies on no other branch), and its segments must form one tree.
     """
     cls = subject.centerlines
     points = np.concatenate([cl.points for cl in cls])
     sizes = np.array([len(cl.points) for cl in cls])
     owner = np.repeat(np.arange(len(cls)), sizes)
+    right = np.array([cl.side == RIGHT for cl in cls])
     ends = np.cumsum(sizes) - 1
     starts = ends - sizes + 1
-    # one id per distinct point; + 0.0 turns -0.0 into 0.0 before bytes compare
-    raw = (points + 0.0).view("V24").ravel()
+    # one id per distinct (point, side); + 0.0 turns -0.0 into 0.0 before bytes compare
+    raw = np.column_stack([points + 0.0, right[owner]]).view("V32").ravel()
     _, first, key = np.unique(raw, return_index=True, return_inverse=True)
 
     # distinct (point id, branch) pairs, counted per point id
@@ -110,7 +120,7 @@ def split_into_segments(subject: SubjectRecord) -> SkeletonGraph:
 
     ids = np.arange(is_junction.sum())
     oriented = (junction[:, :1] == ids) * 1.0 - (junction[:, 1:] == ids)  # (S, J) incidence
-    on_right = np.array([cl.side == RIGHT for cl in cls])[seg_owner]
+    on_right = right[seg_owner]
     for on, side in ((~on_right, LEFT), (on_right, RIGHT)):
         roots = [cl.branch_id for cl, r in zip(cls, is_root) if r and cl.side == side]
         if len(roots) > 1:

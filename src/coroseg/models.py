@@ -2,9 +2,10 @@
 
 All four variants share one architecture: two graph layers with a ReLU
 between them, then a fully-connected head producing per-node class logits.
-Graph layers pass messages along edge lists: rows are gathered per edge,
-then summed, max-pooled or softmax-weighted per destination node. Each
-variant is one pair: ``_<variant>_params`` and ``<variant>_layer`` for layer k.
+Graph layers pass messages along edges: rows are gathered per edge, then
+summed, max-pooled or softmax-weighted per destination node through the
+padded slot tables of `autodiff.Edges`. Each variant is one pair:
+``_<variant>_params`` and ``<variant>_layer`` for layer k.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class ModelConfig:
 
 @dataclass
 class GraphStructure:
-    """Per-graph edge lists shared by all layers, grouped by destination node."""
+    """Per-graph edges shared by all layers, sorted by destination, with slot tables."""
 
     neighbors: Edges         # j -> i for each edge of the graph, self excluded
     with_loops: Edges        # the same edges plus i -> i
@@ -79,16 +80,10 @@ class GraphStructure:
 
     @classmethod
     def block_diagonal(cls, structures: list["GraphStructure"]) -> "GraphStructure":
-        """Disjoint union: each graph's node indices shifted past the previous graphs'."""
-        offsets = np.cumsum([0] + [s.neighbors.n_nodes for s in structures])
-
-        def union(edges: list[Edges]) -> Edges:
-            src, dst = zip(*[(e.src + o, e.dst + o) for e, o in zip(edges, offsets)])
-            return Edges(np.concatenate(src), np.concatenate(dst), int(offsets[-1]))
-
+        """Disjoint union: each graph's nodes and edges shifted past the previous graphs'."""
         return cls(
-            union([s.neighbors for s in structures]),
-            union([s.with_loops for s in structures]),
+            Edges.disjoint_union([s.neighbors for s in structures]),
+            Edges.disjoint_union([s.with_loops for s in structures]),
             np.concatenate([s.gcn_weight for s in structures]),
         )
 
@@ -99,13 +94,13 @@ class TrainedModel:
     params: dict[str, Tensor]
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
+def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)), requires_grad=True)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _zeros(rows: int, cols: int) -> Tensor:
-    return Tensor(np.zeros((rows, cols)), requires_grad=True)
+def _zeros(rows: int, cols: int) -> np.ndarray:
+    return np.zeros((rows, cols))
 
 
 def _variant(name: str):
@@ -115,13 +110,14 @@ def _variant(name: str):
 
 
 def init_model(cfg: ModelConfig) -> TrainedModel:
+    """Fresh parameters, as views of one flat buffer (see `autodiff.parameters`)."""
     rng = np.random.default_rng(cfg.seed)
     params, _ = _variant(cfg.variant)
     d_h = cfg.hidden_dim
     p = {**params(rng, cfg, cfg.in_dim, d_h, 1), **params(rng, cfg, d_h, d_h, 2)}
     p["fc_w"] = _glorot(rng, d_h, cfg.num_classes)
     p["fc_b"] = _zeros(1, cfg.num_classes)
-    return TrainedModel(cfg, p)
+    return TrainedModel(cfg, ad.parameters(p))
 
 
 def _gcn_params(rng, cfg, d_in, d_out, k):
@@ -130,7 +126,7 @@ def _gcn_params(rng, cfg, d_in, d_out, k):
 
 def gcn_layer(h: Tensor, gs: GraphStructure, params, k: int, cfg: ModelConfig) -> Tensor:
     """Symmetric-normalized propagation: D^-1/2 (A+I) D^-1/2 H W + b."""
-    messages = ad.gather_rows(ad.matmul(h, params[f"w{k}"]), gs.with_loops.src, gs.gcn_weight)
+    messages = ad.gather_rows(ad.matmul(h, params[f"w{k}"]), gs.with_loops, gs.gcn_weight)
     return ad.add(ad.row_sum_pool(messages, gs.with_loops), params[f"b{k}"])
 
 
@@ -155,9 +151,9 @@ def gat_head(h: Tensor, gs: GraphStructure, w, a_src, a_dst, slope: float) -> Te
     """One attention head: softmax over N(i) u {i} of leaky-relu logits."""
     edges = gs.with_loops
     hw = ad.matmul(h, w)
-    hw_src = ad.gather_rows(hw, edges.src)                        # (E, d) per edge j -> i
+    hw_src = ad.gather_rows(hw, edges)                            # (E, d) per edge j -> i
     # the logit of edge j -> i is a_src . hw_i + a_dst . hw_j
-    f_src = ad.gather_rows(ad.matmul(hw, a_src), edges.dst)
+    f_src = ad.gather_rows(ad.matmul(hw, a_src), edges, end="dst")
     alpha = ad.row_softmax(ad.leaky_relu(ad.add(f_src, ad.matmul(hw_src, a_dst)), slope), edges)
     return ad.row_sum_pool(ad.mul(hw_src, alpha), edges)
 
@@ -174,7 +170,7 @@ def gat_layer(h: Tensor, gs: GraphStructure, params, k: int, cfg: ModelConfig) -
 
 def _gin_params(rng, cfg, d_in, d_out, k):
     return {
-        f"eps{k}": Tensor(np.full((1, 1), cfg.gin_eps_init), requires_grad=True),
+        f"eps{k}": np.full((1, 1), cfg.gin_eps_init),
         f"mlp{k}_w1": _glorot(rng, d_in, d_out), f"mlp{k}_b1": _zeros(1, d_out),
         f"mlp{k}_w2": _glorot(rng, d_out, d_out), f"mlp{k}_b2": _zeros(1, d_out),
     }
@@ -183,7 +179,7 @@ def _gin_params(rng, cfg, d_in, d_out, k):
 def gin_layer(h: Tensor, gs: GraphStructure, params, k: int, cfg: ModelConfig) -> Tensor:
     """MLP((1 + eps) h + sum of neighbor rows), eps learnable."""
     scaled = ad.mul(h, ad.add(params[f"eps{k}"], Tensor([[1.0]])))
-    agg = ad.add(scaled, ad.row_sum_pool(ad.gather_rows(h, gs.neighbors.src), gs.neighbors))
+    agg = ad.add(scaled, ad.row_sum_pool(ad.gather_rows(h, gs.neighbors), gs.neighbors))
     hidden = ad.relu(ad.add(ad.matmul(agg, params[f"mlp{k}_w1"]), params[f"mlp{k}_b1"]))
     return ad.add(ad.matmul(hidden, params[f"mlp{k}_w2"]), params[f"mlp{k}_b2"])
 
@@ -201,7 +197,7 @@ def sage_layer(h: Tensor, gs: GraphStructure, params, k: int, cfg: ModelConfig) 
     Empty neighborhoods aggregate to the zero vector.
     """
     pooled_src = ad.relu(ad.add(ad.matmul(h, params[f"pool{k}"]), params[f"pool{k}_b"]))
-    agg = ad.row_max_pool(ad.gather_rows(pooled_src, gs.neighbors.src), gs.neighbors)
+    agg = ad.row_max_pool(ad.gather_rows(pooled_src, gs.neighbors), gs.neighbors)
     out = ad.add(ad.matmul(ad.concat_cols([h, agg]), params[f"out{k}"]), params[f"out{k}_b"])
     return ad.l2_normalize_rows(out)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdamState, adam_step, backward, softmax_cross_entropy
+from .autodiff import AdamState, Tensor, adam_step, backward, softmax_cross_entropy
 from .centerline import CLASSES_11, CLASSES_13
 from .graph import SegmentGraph
 from .models import GraphStructure, ModelConfig, TrainedModel, init_model, model_forward
@@ -98,10 +98,7 @@ class _PreparedSubject:
 
 def _prepare(dataset: list[tuple[str, SegmentGraph]], classes: list[str]):
     return [
-        _PreparedSubject(
-            sid, sg.features, sg.label_indices(classes),
-            GraphStructure.from_adjacency(sg.adjacency),
-        )
+        _PreparedSubject(sid, sg.features, sg.label_indices(classes), sg.structure)
         for sid, sg in dataset
     ]
 
@@ -124,6 +121,8 @@ def train(
     if all((s.labels < 0).all() for s in prepared):
         raise TrainingError("dataset has no labeled nodes")
     model = init_model(model_cfg)
+    grads = {k: p.grad for k, p in model.params.items()}
+    flat_grad = ad.flat_view(list(grads.values()))
     state = AdamState(lr=train_cfg.lr)
     rng = np.random.default_rng(train_cfg.seed)
     trace = []
@@ -141,26 +140,27 @@ def train(
                 loss = softmax_cross_entropy(logits, np.where(mask, labels, 0), mask)
             except ad.AutodiffError as exc:
                 raise TrainingError(f"non-finite loss at epoch {epoch}: {exc}") from exc
-            for p in model.params.values():
-                p.zero_grad()
+            flat_grad[:] = 0.0
             backward(loss)
-            adam_step(model.params, {k: p.grad for k, p in model.params.items()}, state)
+            adam_step(model.params, grads, state)
             losses.append(float(loss.data[0, 0]))
         trace.append(float(np.mean(losses)) if losses else float("nan"))
     return model, trace
 
 
 def predict(model: TrainedModel, dataset, classes: list[str]):
-    """Pooled (preds, labels) over labeled nodes of every subject."""
+    """Pooled (preds, labels) over labeled nodes of every subject, in dataset order.
+
+    One forward over the block-diagonal batch of the whole set, on untracked
+    views of the parameters, so no tape is kept.
+    """
     if not dataset:
         raise TrainingError("empty dataset")
-    preds, labels = [], []
-    for s in _prepare(dataset, classes):
-        logits = model_forward(model, s.features, s.structure).data
-        mask = s.labels >= 0
-        preds.append(np.argmax(logits[mask], axis=1))
-        labels.append(s.labels[mask])
-    return np.concatenate(preds), np.concatenate(labels)
+    feats, labels, gs = _batch(_prepare(dataset, classes))
+    frozen = TrainedModel(model.config, {k: Tensor(p.data) for k, p in model.params.items()})
+    logits = model_forward(frozen, feats, gs).data
+    mask = labels >= 0
+    return np.argmax(logits[mask], axis=1), labels[mask]
 
 
 def confusion_matrix(preds, labels, num_classes: int, normalized: bool = False) -> np.ndarray:

@@ -135,13 +135,13 @@ def _point_key(p: np.ndarray) -> tuple[float, float, float]:
 
 
 def split_oracle(subject: SubjectRecord) -> SkeletonGraph:
-    """Float-tuple point keys, a pairwise attachment scan and "j%03d" junction ids.
+    """(side, float tuple) point keys, a pairwise attachment scan and "j%03d" junction ids.
 
     Cuts where a branch passes a branch endpoint or another branch's start.
     Each side must have a single root.
     """
     cls = subject.centerlines
-    keys = [[_point_key(p) for p in cl.points] for cl in cls]
+    keys = [[(cl.side, *_point_key(p)) for p in cl.points] for cl in cls]
     point_sets = [set(k) for k in keys]
 
     # A branch whose start lies on no other branch is a root: one per side.
@@ -239,6 +239,22 @@ def init_model_oracle(cfg) -> dict[str, np.ndarray]:
     p["fc_w"] = _glorot(rng, d_h, d_out)
     p["fc_b"] = _zeros(1, d_out)
     return p
+
+
+def adam_oracle(params: dict, grads: dict, state: dict, lr: float = 1e-3,
+                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    """Per-parameter Adam, one update per array; state holds t and moments by name."""
+    state["t"] = state.get("t", 0) + 1
+    t = state["t"]
+    for name, p in params.items():
+        g = grads[name]
+        m = state.setdefault(("m", name), np.zeros_like(p))
+        v = state.setdefault(("v", name), np.zeros_like(p))
+        m += (1 - beta1) * (g - m)
+        v += (1 - beta2) * (g * g - v)
+        m_hat = m / (1 - beta1**t)
+        v_hat = v / (1 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def chain_subject() -> SubjectRecord:

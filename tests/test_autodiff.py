@@ -124,7 +124,7 @@ def test_row_softmax_vs_loop_oracle(rng):
         edges = edges_of(adj)
         x = rng.normal(size=(len(edges.dst), d))
         out = ad.row_softmax(Tensor(x), edges).data
-        for i in edges.groups:
+        for i in np.unique(edges.dst):
             rows = edges.dst == i
             e = np.exp(x[rows] - x[rows].max(axis=0))
             assert np.allclose(out[rows], e / e.sum(axis=0), atol=1e-12)
@@ -185,8 +185,9 @@ def test_edges_from_adjacency():
     assert edges.n_nodes == 3
     assert list(edges.src) == [1, 2, 0, 0]
     assert list(edges.dst) == [0, 0, 1, 2]
-    assert list(edges.starts) == [0, 2, 3]
-    assert list(edges.groups) == [0, 1, 2]
+    # column i lists the edges into (by_dst) or out of (by_src) node i; -1 pads
+    assert edges.by_dst.tolist() == [[0, 2, 3], [1, -1, -1]]
+    assert edges.by_src.tolist() == [[2, 0, 1], [3, -1, -1]]
     with pytest.raises(AutodiffError, match="sorted by destination"):
         Edges([0, 1], [1, 0], 2)
     with pytest.raises(AutodiffError, match="3 rows for 4 edges"):
@@ -199,7 +200,7 @@ def test_row_sum_pool_vs_loop_oracle(rng):
         adj = random_adjacency(rng, n, 0.4)
         edges = edges_of(adj)
         x = rng.normal(size=(n, d))
-        out = ad.row_sum_pool(ad.gather_rows(Tensor(x), edges.src), edges).data
+        out = ad.row_sum_pool(ad.gather_rows(Tensor(x), edges), edges).data
         expected = np.array([x[np.flatnonzero(adj[i])].sum(axis=0) for i in range(n)])
         assert np.allclose(out, expected, atol=1e-12)
 
@@ -210,7 +211,7 @@ def test_row_max_pool_vs_loop_oracle(rng):
         adj = random_adjacency(rng, n, 0.4)
         edges = edges_of(adj)
         x = rng.normal(size=(n, d))
-        out = ad.row_max_pool(ad.gather_rows(Tensor(x), edges.src), edges).data
+        out = ad.row_max_pool(ad.gather_rows(Tensor(x), edges), edges).data
         for i in range(n):
             nbrs = np.flatnonzero(adj[i])
             expected = x[nbrs].max(axis=0) if len(nbrs) else np.zeros(d)
@@ -221,17 +222,17 @@ def test_pool_gradients(rng):
     edges = edges_of(random_adjacency(rng, 6, 0.5))
     w = rng.normal(size=(6, 4))
     check_gradients(
-        lambda a: sum_all(ad.mul(ad.row_sum_pool(ad.gather_rows(a, edges.src), edges), w)),
+        lambda a: sum_all(ad.mul(ad.row_sum_pool(ad.gather_rows(a, edges), edges), w)),
         [rng.normal(size=(6, 4))],
     )
     check_gradients(
-        lambda a: sum_all(ad.mul(ad.row_max_pool(ad.gather_rows(a, edges.src), edges), w)),
+        lambda a: sum_all(ad.mul(ad.row_max_pool(ad.gather_rows(a, edges), edges), w)),
         [rng.normal(size=(6, 4))],
     )
     weight = rng.uniform(0.1, 1.0, size=(len(edges.src), 1))
     check_gradients(
         lambda a: sum_all(
-            ad.mul(ad.row_sum_pool(ad.gather_rows(a, edges.src, weight), edges), w)
+            ad.mul(ad.row_sum_pool(ad.gather_rows(a, edges, weight), edges), w)
         ),
         [rng.normal(size=(6, 4))],
     )
@@ -241,7 +242,7 @@ def test_max_pool_tie_routes_to_lowest_index():
     # rows 1 and 2 tie; the gradient must go entirely to row 1
     x = Tensor(np.array([[9.0], [5.0], [5.0]]), requires_grad=True)
     edges = Edges([1, 2], [0, 0], 3)
-    backward(sum_all(ad.row_max_pool(ad.gather_rows(x, edges.src), edges)))
+    backward(sum_all(ad.row_max_pool(ad.gather_rows(x, edges), edges)))
     assert np.array_equal(x.grad, [[0.0], [1.0], [0.0]])
     # the same on edge rows: of two tied edges into node 0, the first wins
     e = Tensor(np.array([[5.0, 1.0], [5.0, 2.0]]), requires_grad=True)
@@ -343,7 +344,7 @@ def test_backward_deterministic_bit_identical(rng):
     def run():
         xt = Tensor(x, requires_grad=True)
         wt = Tensor(w, requires_grad=True)
-        h = ad.relu(ad.matmul(ad.row_sum_pool(ad.gather_rows(xt, edges.src), edges), wt))
+        h = ad.relu(ad.matmul(ad.row_sum_pool(ad.gather_rows(xt, edges), edges), wt))
         backward(softmax_cross_entropy(h, labels))
         return xt.grad.copy(), wt.grad.copy()
 
@@ -374,3 +375,140 @@ def test_adam_shape_mismatch():
     p = Tensor(np.zeros((2, 2)), requires_grad=True)
     with pytest.raises(AutodiffError, match="shape mismatch"):
         adam_step({"p": p}, {"p": np.zeros((3, 2))}, AdamState())
+
+
+def _star(n_leaves: int) -> np.ndarray:
+    adj = np.zeros((n_leaves + 1, n_leaves + 1))
+    adj[0, 1:] = adj[1:, 0] = 1.0
+    return adj
+
+
+def _table_cases():
+    """(name, edges, rows of the gathered tensor) for the slot-table oracles."""
+    isolated = np.zeros((5, 5))
+    isolated[0, 1] = isolated[1, 0] = isolated[1, 2] = isolated[2, 1] = 1.0  # 3, 4 alone
+    return [
+        ("isolated nodes", edges_of(isolated), 5),
+        ("star of degree 7", edges_of(_star(7)), 8),
+        ("empty edge set", Edges([], [], 4), 4),
+        ("more source rows than destination nodes", PAIR, 2),
+    ]
+
+
+def _pool_oracle(x, edges):
+    """Per-node loops: sum, max (0 if no edges) and the lowest-index max edge."""
+    n, d = edges.n_nodes, x.shape[1]
+    total, best, winner = np.zeros((n, d)), np.zeros((n, d)), np.full((n, d), -1)
+    for i in range(n):
+        for k in range(len(edges.dst)):
+            if edges.dst[k] != i:
+                continue
+            total[i] += x[k]
+            for c in range(d):
+                if winner[i, c] < 0 or x[k, c] > best[i, c]:
+                    best[i, c], winner[i, c] = x[k, c], k
+    return total, best, winner
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_table_pools_and_softmax_vs_loop_oracle(case, rng):
+    name, edges, _ = _table_cases()[case]
+    # small integers make max ties common
+    x = rng.integers(-2, 3, size=(len(edges.dst), 3)).astype(float)
+    g = rng.normal(size=(edges.n_nodes, 3))
+    total, best, winner = _pool_oracle(x, edges)
+
+    a = Tensor(x, requires_grad=True)
+    backward(sum_all(ad.mul(ad.row_sum_pool(a, edges), Tensor(g))))
+    assert np.array_equal(ad.row_sum_pool(Tensor(x), edges).data, total), name
+    assert np.array_equal(a.grad, g[edges.dst].reshape(x.shape)), name
+
+    a = Tensor(x, requires_grad=True)
+    out = ad.row_max_pool(a, edges)
+    backward(sum_all(ad.mul(out, Tensor(g))))
+    assert np.array_equal(out.data, best), name
+    expected = np.zeros_like(x)
+    for i, c in zip(*np.nonzero(winner >= 0)):
+        expected[winner[i, c], c] = g[i, c]
+    assert np.array_equal(a.grad, expected), name
+
+    z = rng.normal(size=x.shape)
+    w = rng.normal(size=x.shape)
+    a = Tensor(z, requires_grad=True)
+    y = ad.row_softmax(a, edges)
+    backward(sum_all(ad.mul(y, Tensor(w))))
+    y_ref, grad_ref = np.zeros_like(z), np.zeros_like(z)
+    for i in range(edges.n_nodes):
+        rows = edges.dst == i
+        if rows.any():
+            e = np.exp(z[rows] - z[rows].max(axis=0))
+            y_ref[rows] = e / e.sum(axis=0)
+            grad_ref[rows] = y_ref[rows] * (w[rows] - (w[rows] * y_ref[rows]).sum(axis=0))
+    assert np.allclose(y.data, y_ref, rtol=0, atol=1e-12), name
+    assert np.allclose(a.grad, grad_ref, rtol=0, atol=1e-12), name
+
+
+@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("end", ["src", "dst"])
+def test_gather_rows_backward_vs_loop_oracle(case, end, rng):
+    name, edges, rows = _table_cases()[case]
+    index = edges.src if end == "src" else edges.dst
+    if end == "dst":
+        rows = edges.n_nodes
+    x = rng.normal(size=(rows, 3))
+    g = rng.normal(size=(len(index), 3))
+    weight = rng.uniform(0.1, 1.0, size=(len(index), 1))
+    for wt in (None, weight):
+        a = Tensor(x, requires_grad=True)
+        out = ad.gather_rows(a, edges, wt, end=end)
+        backward(sum_all(ad.mul(out, Tensor(g))))
+        assert np.array_equal(out.data, x[index] * (1.0 if wt is None else wt)), name
+        expected = np.zeros_like(x)
+        for k, j in enumerate(index):
+            expected[j] += g[k] * (1.0 if wt is None else wt[k])
+        assert np.allclose(a.grad, expected, rtol=0, atol=1e-12), name
+    with pytest.raises(AutodiffError, match="rows for"):
+        ad.gather_rows(Tensor(np.zeros((rows + 1, 3))), edges, end=end)
+
+
+def test_disjoint_union_matches_tables_built_from_scratch(rng):
+    parts = [edges_of(random_adjacency(rng, n, 0.5)) for n in (3, 1, 6)]
+    parts += [edges_of(_star(7)), Edges([], [], 2)]
+    union = Edges.disjoint_union(parts)
+    fresh = Edges(union.src, union.dst, union.n_nodes)
+    assert np.array_equal(union.by_dst, fresh.by_dst)
+    assert np.array_equal(union.by_src, fresh.by_src)
+    with pytest.raises(AutodiffError, match="past n_nodes"):
+        Edges.disjoint_union([PAIR])
+
+
+def test_flat_adam_bit_identical_to_per_parameter_oracle(rng):
+    from conftest import adam_oracle
+
+    arrays = {"w": rng.normal(size=(4, 3)), "b": np.zeros((1, 3)), "s": np.ones((1, 1))}
+    params = ad.parameters(arrays)
+    grads = {k: p.grad for k, p in params.items()}
+    ref = {k: a.copy() for k, a in arrays.items()}
+    state, ref_state = AdamState(lr=0.01), {}
+    for _ in range(50):
+        for k, g in grads.items():
+            g[:] = rng.normal(size=g.shape)
+        adam_step(params, grads, state)
+        adam_oracle(ref, grads, ref_state, lr=0.01)
+        for k in arrays:
+            assert np.array_equal(params[k].data, ref[k]), k
+
+
+def test_parameters_are_views_of_two_flat_buffers(rng):
+    params = ad.parameters({"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(1, 3))})
+    values = ad.flat_view([p.data for p in params.values()])
+    grads = ad.flat_view([p.grad for p in params.values()])
+    assert values.shape == grads.shape == (9,)
+    values[:] = 7.0
+    grads[:] = 1.0
+    assert (params["b"].data == 7.0).all() and (params["a"].grad == 1.0).all()
+    with pytest.raises(AutodiffError, match="end to end"):
+        ad.flat_view([params["b"].data, params["a"].data])
+    with pytest.raises(AutodiffError, match="end to end"):
+        adam_step({"x": Tensor(np.zeros((2, 2))), "y": Tensor(np.zeros((2, 2)))},
+                  {"x": np.zeros((2, 2)), "y": np.zeros((2, 2))}, AdamState())

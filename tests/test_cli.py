@@ -99,6 +99,24 @@ def test_cv_all_models_report_shape(corpus, tmp_path):
             assert len(csv) == c + 1
 
 
+def test_cv_builds_each_structure_once(corpus, tmp_path, monkeypatch):
+    from coroseg.models import GraphStructure
+
+    calls = []
+    build = GraphStructure.from_adjacency.__func__
+
+    def counting(cls, adj):
+        calls.append(len(adj))
+        return build(cls, adj)
+
+    monkeypatch.setattr(GraphStructure, "from_adjacency", classmethod(counting))
+    assert run_cli(
+        "cv", "--corpus", str(corpus), "--model", "all", "--classes", "13",
+        "--epochs", "1", "--folds", "3", "--out", str(tmp_path), "--run-name", "cv",
+    ) == 0
+    assert len(calls) == len(list((corpus / "subjects").glob("*.json")))
+
+
 def test_cv_reruns_byte_identical(corpus, tmp_path):
     for name in ("r1", "r2"):
         code = run_cli(

@@ -130,6 +130,21 @@ def test_split_rejects_side_that_is_not_one_tree(branches, message):
         split_into_segments(subject)
 
 
+def test_split_keeps_sides_apart_at_a_shared_point():
+    # R starts exactly on a vertex of L: the two trees must still not meet
+    subject = SubjectRecord("cross", 0.5, [
+        Centerline("L", "left", [[0, 0, 0], [0, 0, 5], [0, 0, 10], [0, 0, 15]]),
+        Centerline("R", "right", [[0, 0, 10], [5, 0, 10], [10, 0, 10]]),
+    ])
+    skel = split_into_segments(subject)
+    assert [s.segment_id for s in skel.segments] == ["L#0", "R#0"]
+    assert np.array_equal(line_graph_adjacency(skel), [[0, 0], [0, 0]])
+    _assert_same_split(subject)
+    sg = build_segment_graph(prepare_subject(subject))
+    assert sg.node_ids == ("L#0", "R#0")
+    assert not sg.adjacency.any()
+
+
 def test_split_two_branches_sharing_an_ostium():
     lad = straight_line((0, 0, 0), (0, 0, 1), 4)
     lcx = straight_line((0, 0, 0), (1, 0, 0), 4)

@@ -266,6 +266,24 @@ def test_checkpoint_roundtrip(tmp_path, rng):
         )
 
 
+def test_checkpoint_roundtrip_keeps_flat_parameter_buffers(tmp_path, rng):
+    from coroseg.autodiff import AdamState, adam_step, flat_view
+
+    model = init_model(ModelConfig("gat", in_dim=48, hidden_dim=8, seed=3))
+    values = flat_view([p.data for p in model.params.values()])
+    values += rng.normal(size=values.size) * 0.1
+    save_model(model, tmp_path / "a.json")
+    loaded = load_model(tmp_path / "a.json")
+    save_model(loaded, tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    # the loaded weights are still views of one buffer, so Adam can update them
+    assert np.array_equal(flat_view([p.data for p in loaded.params.values()]), values)
+    grads = {k: p.grad for k, p in loaded.params.items()}
+    flat_view(list(grads.values()))[:] = 1.0
+    adam_step(loaded.params, grads, AdamState(lr=0.5))
+    assert np.allclose(loaded.params["fc_b"].data, model.params["fc_b"].data - 0.5)
+
+
 def test_checkpoint_version_and_weight_guards(tmp_path):
     import json
 
