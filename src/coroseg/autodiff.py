@@ -384,7 +384,7 @@ def parameters(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
     The views lie end to end in dict order, so `adam_step` updates every
     parameter in one vectorised pass.
     """
-    values = np.concatenate([np.ravel(a) for a in arrays.values()]).astype(np.float64)
+    values = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
     grads = np.zeros_like(values)
     out, at = {}, 0
     for name, a in arrays.items():
