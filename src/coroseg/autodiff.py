@@ -371,11 +371,17 @@ def backward(loss: Tensor):
             node.grad += g
         if node._backward is None:
             continue
+        # A backward returns fresh arrays or views of g (add, _unbroadcast,
+        # concat_cols, transpose). A view is copied before it is stored: a
+        # later += into it would write through to g, which add also hands
+        # to its other parent.
         for parent, pg in zip(node._parents, node._backward(g)):
             if id(parent) in grads:
                 grads[id(parent)] += pg
+            elif np.may_share_memory(pg, g):
+                grads[id(parent)] = pg.copy()
             else:
-                grads[id(parent)] = np.array(pg, dtype=np.float64, copy=True)
+                grads[id(parent)] = pg
 
 
 def parameters(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:

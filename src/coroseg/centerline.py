@@ -3,12 +3,17 @@
 A subject file holds one ordered 3D polyline per vessel branch, in
 millimeters, tagged with the coronary tree side it belongs to and an
 optional anatomical class label.
+
+Resampling and merging work on a whole subject at once: its branches'
+points lie end to end in one array, and each step is one array operation
+whatever the branch count. Every branch gets the bits a loop over branches
+would give it. Errors name the first failing branch in file order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,9 +53,9 @@ class Centerline:
             raise CenterlineError(f"branch {self.branch_id!r}: points must be (n, 3)")
         if len(pts) < 2:
             raise CenterlineError(f"branch {self.branch_id!r}: centerline too short")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise CenterlineError(f"branch {self.branch_id!r}: non-finite coordinates")
-        if np.any(np.all(pts[1:] == pts[:-1], axis=1)):
+        if (pts[1:] == pts[:-1]).all(axis=1).any():
             raise CenterlineError(
                 f"branch {self.branch_id!r}: consecutive duplicate points"
             )
@@ -86,7 +91,10 @@ class SubjectRecord:
 
 
 def parse_subject(raw: bytes | str) -> SubjectRecord:
-    """Parse a subject JSON file into a validated SubjectRecord."""
+    """Parse a subject JSON file into a validated SubjectRecord.
+
+    An error names the first failing branch in file order.
+    """
     if isinstance(raw, bytes):
         raw = raw.decode("utf-8")
     try:
@@ -107,31 +115,45 @@ def parse_subject(raw: bytes | str) -> SubjectRecord:
         raise CenterlineError("branches must be a non-empty list")
     centerlines = []
     for i, b in enumerate(branches):
-        if not isinstance(b, dict):
-            raise CenterlineError(f"branch {i}: must be an object")
-        if "points" not in b:
-            raise CenterlineError(f"branch {i}: missing points array")
         try:
-            pts = np.asarray(b["points"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise CenterlineError(f"branch {i}: points must be an array of numbers") from exc
-        if pts.ndim != 2 or len(pts) < 2:
-            raise CenterlineError(f"branch {i}: centerline too short")
-        if b.get("label") is not None and b["label"] not in CLASSES_13:
-            raise CenterlineError(f"branch {i}: unknown label {b['label']!r}")
-        cl = Centerline(
-            branch_id=str(b.get("id", f"b{i}")),
-            side=str(b.get("side", "")),
-            points=pts,
-            label=b.get("label"),
-        )
-        # below 1e150 per coordinate no step or sum of steps can overflow
-        if np.abs(cl.points).max() > 1e150:
-            with np.errstate(over="ignore"):
-                if not np.isfinite(arc_lengths(cl.points)[-1]):
-                    raise CenterlineError(f"branch {cl.branch_id!r}: arc length overflows")
-        centerlines.append(cl)
+            centerlines.append(_parse_branch(i, b))
+        except CenterlineError:
+            _check_arc_lengths(centerlines)  # an earlier branch fails first
+            raise
+    _check_arc_lengths(centerlines)
     return SubjectRecord(subject_id, voxel, centerlines)
+
+
+def _parse_branch(i: int, b) -> Centerline:
+    if not isinstance(b, dict):
+        raise CenterlineError(f"branch {i}: must be an object")
+    if "points" not in b:
+        raise CenterlineError(f"branch {i}: missing points array")
+    try:
+        pts = np.asarray(b["points"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise CenterlineError(f"branch {i}: points must be an array of numbers") from exc
+    if pts.ndim != 2 or len(pts) < 2:
+        raise CenterlineError(f"branch {i}: centerline too short")
+    if b.get("label") is not None and b["label"] not in CLASSES_13:
+        raise CenterlineError(f"branch {i}: unknown label {b['label']!r}")
+    return Centerline(
+        branch_id=str(b.get("id", f"b{i}")),
+        side=str(b.get("side", "")),
+        points=pts,
+        label=b.get("label"),
+    )
+
+
+def _check_arc_lengths(centerlines: list[Centerline]) -> None:
+    """Raise for the first branch whose arc length overflows to infinity."""
+    # below 1e150 per coordinate no step or sum of steps can overflow
+    if not centerlines or np.abs(np.concatenate([cl.points for cl in centerlines])).max() <= 1e150:
+        return
+    with np.errstate(over="ignore"):
+        for cl in centerlines:
+            if not np.isfinite(arc_lengths(cl.points)[-1]):
+                raise CenterlineError(f"branch {cl.branch_id!r}: arc length overflows")
 
 
 def serialize_subject(subject: SubjectRecord) -> str:
@@ -164,32 +186,75 @@ def resample_centerline(cl: Centerline, spacing_mm: float) -> Centerline:
     First and last input points are preserved exactly; interpolated points
     lie on the piecewise-linear input curve.
     """
-    if spacing_mm <= 0:
-        raise CenterlineError("spacing must be positive")
-    pts = cl.points
-    cum = arc_lengths(pts)
-    total = cum[-1]
-    if total <= 0:
-        raise CenterlineError(f"branch {cl.branch_id!r}: zero-length curve")
-    # Strictly-interior targets; relative epsilon keeps the final gap from
-    # degenerating to fp noise when total is an exact multiple of spacing.
-    n_interior = int(np.floor((total - 1e-9 * spacing_mm) / spacing_mm))
-    t = np.arange(1, n_interior + 1) * spacing_mm
-    j = np.minimum(np.searchsorted(cum, t, side="right") - 1, len(pts) - 2)
-    seg_len = cum[j + 1] - cum[j]
-    alpha = np.divide(t - cum[j], seg_len, out=np.zeros_like(t), where=seg_len > 0)
-    interior = pts[j] + alpha[:, None] * (pts[j + 1] - pts[j])
-    return replace(cl, points=np.vstack([pts[0], interior, pts[-1]]))
+    return _resample((cl,), spacing_mm)[0]
 
 
 def resample_subject(subject: SubjectRecord, spacing_mm: float | None = None) -> SubjectRecord:
-    """Resample every branch; default spacing is 10 voxels."""
+    """Resample every branch as resample_centerline does; default spacing is 10 voxels."""
     if spacing_mm is None:
         spacing_mm = 10 * subject.voxel_spacing_mm
-    return replace(
-        subject,
-        centerlines=tuple(resample_centerline(cl, spacing_mm) for cl in subject.centerlines),
+    return SubjectRecord(
+        subject.subject_id, subject.voxel_spacing_mm, _resample(subject.centerlines, spacing_mm)
     )
+
+
+def _layout(centerlines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Branch points end to end, each branch's first row, and each point's branch."""
+    lengths = np.array([len(cl.points) for cl in centerlines])
+    points = np.concatenate([cl.points for cl in centerlines])
+    return points, np.cumsum(lengths) - lengths, np.repeat(np.arange(len(lengths)), lengths)
+
+
+def _resample(centerlines, spacing_mm: float) -> list[Centerline]:
+    """Resample all branches with one array operation per step, whatever their count.
+
+    Temporaries are O(points + targets), apart from the arc-length table of
+    branches x longest branch.
+    """
+    if not spacing_mm > 0:
+        raise CenterlineError("spacing must be positive")
+    pts, first, owner = _layout(centerlines)
+    n_branches, n_points = len(first), len(pts)
+    last = np.append(first[1:], n_points) - 1
+    col = np.arange(n_points) - first[owner]
+    # Arc length per branch: a row-wise cumsum over a zero-padded table adds
+    # each branch's steps in the order its own cumsum would.
+    table = np.zeros((n_branches, col.max() + 1))
+    inner = col > 0
+    table[owner[inner], col[inner]] = np.linalg.norm(np.diff(pts, axis=0), axis=1)[inner[1:]]
+    np.cumsum(table, axis=1, out=table)
+    cum = table[owner, col]
+    total = cum[last]
+    ok = (total > 0) & np.isfinite(total)
+    # Strictly-interior targets; relative epsilon keeps the final gap from
+    # degenerating to fp noise when total is an exact multiple of spacing.
+    n_interior = np.floor((total - 1e-9 * spacing_mm) / spacing_mm)
+    counts = np.where(ok, np.maximum(n_interior, 0), 0).astype(np.intp)
+    t_owner = np.repeat(np.arange(n_branches), counts)
+    k = np.arange(len(t_owner)) - (np.cumsum(counts) - counts)[t_owner] + 1
+    t = k * spacing_mm
+    # Segment index as searchsorted(cum, t, side="right") - 1 within each
+    # branch: one stable sort by (branch, value) puts cum values before equal
+    # targets, and the cum values before a target end at its segment start.
+    order = np.lexsort((np.concatenate([cum, t]), np.concatenate([owner, t_owner])))
+    is_target = order >= n_points
+    j = np.minimum(np.cumsum(~is_target)[is_target] - 1, last[t_owner] - 1)
+    seg_len = cum[j + 1] - cum[j]
+    alpha = np.divide(t - cum[j], seg_len, out=np.zeros_like(t), where=seg_len > 0)
+    out_first = np.cumsum(counts + 2) - (counts + 2)
+    out = np.empty((len(t) + 2 * n_branches, 3))
+    out[out_first] = pts[first]
+    out[out_first[t_owner] + k] = pts[j] + alpha[:, None] * (pts[j + 1] - pts[j])
+    out[out_first + counts + 1] = pts[last]
+    # Branches are checked in file order, so the first failing one is named.
+    bounds = np.append(out_first, len(out)).tolist()
+    resampled = []
+    for b, cl in enumerate(centerlines):
+        if not ok[b]:
+            problem = "zero-length curve" if not total[b] > 0 else "arc length overflows"
+            raise CenterlineError(f"branch {cl.branch_id!r}: {problem}")
+        resampled.append(Centerline(cl.branch_id, cl.side, out[bounds[b]:bounds[b + 1]], cl.label))
+    return resampled
 
 
 def merge_branch_origins(
@@ -199,28 +264,35 @@ def merge_branch_origins(
 
     A start within tol_mm of a point on some other branch of the same side
     is set bit-exactly to that nearest point; the left and right trees never
-    join. Ties break to the lower branch index, then the lower point index.
-    Only start points ever move.
+    join. Starts are taken in file order, and each sees the moves made
+    before it. Ties break to the lower branch index, then the lower point
+    index. Only start points ever move.
     """
     if tol_mm <= 0:
         raise CenterlineError("merge tolerance must be positive")
     cls = subject.centerlines
-    lengths = [len(cl.points) for cl in cls]
-    starts = np.cumsum([0] + lengths[:-1])
-    points = np.concatenate([cl.points for cl in cls])  # branch order
-    owner = np.repeat(np.arange(len(cls)), lengths)
-    side = np.array([cl.side for cl in cls])[owner]
-    for i, first in enumerate(starts):
-        d = np.linalg.norm(points - points[first], axis=1)
-        d[(owner == i) | (side != side[first])] = np.inf
+    points, first, owner = _layout(cls)
+    right = np.array([cl.side == RIGHT for cl in cls])
+    # dist[i, m]: start i to point m, inf on i's own branch and the other side
+    dist = np.linalg.norm(points - points[first][:, None], axis=2)
+    dist[(owner == np.arange(len(cls))[:, None]) | (right[owner] != right[:, None])] = np.inf
+    for i, start in enumerate(first.tolist()):
         # the first minimum is on the lowest branch, then the lowest point
-        k = int(np.argmin(d))
-        if d[k] <= tol_mm:
-            points[first] = points[k]  # later starts see this move
-    centerlines = tuple(
-        replace(cl, points=p) for cl, p in zip(cls, np.split(points, starts[1:]))
-    )
-    return replace(subject, centerlines=centerlines)
+        k = int(np.argmin(dist[i]))
+        if dist[i, k] <= tol_mm:
+            # Later starts see this move: point k holds the same bits, so its
+            # column already holds their distances, except on k's own branch,
+            # whose row masks it.
+            points[start] = points[k]
+            dist[i + 1:, start] = dist[i + 1:, k]
+            o = owner[k]
+            if o > i:
+                dist[o, start] = np.linalg.norm(points[[start]] - points[first[o]], axis=1)[0]
+    bounds = np.append(first, len(points)).tolist()
+    return SubjectRecord(subject.subject_id, subject.voxel_spacing_mm, [
+        Centerline(cl.branch_id, cl.side, points[bounds[b]:bounds[b + 1]], cl.label)
+        for b, cl in enumerate(cls)
+    ])
 
 
 def prepare_subject(

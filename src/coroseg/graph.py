@@ -79,9 +79,21 @@ class SegmentGraph:
         return GraphStructure.from_adjacency(self.adjacency)
 
     def label_indices(self, classes: list[str]) -> np.ndarray:
-        """Class indices per node; -1 where the label is missing."""
-        lut = {c: i for i, c in enumerate(classes)}
-        return np.array([lut.get(lb, -1) if lb else -1 for lb in self.labels])
+        """Class indices per node; -1 where the label is missing.
+
+        Built once per class list and kept; the array is read-only.
+        """
+        key = tuple(classes)
+        if key not in self._label_indices:
+            lut = {c: i for i, c in enumerate(classes)}
+            out = np.array([lut.get(lb, -1) if lb else -1 for lb in self.labels])
+            out.flags.writeable = False
+            self._label_indices[key] = out
+        return self._label_indices[key]
+
+    @cached_property
+    def _label_indices(self) -> dict[tuple[str, ...], np.ndarray]:
+        return {}
 
 
 def split_into_segments(subject: SubjectRecord) -> SkeletonGraph:

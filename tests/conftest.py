@@ -257,6 +257,37 @@ def adam_oracle(params: dict, grads: dict, state: dict, lr: float = 1e-3,
         p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def backward_oracle(loss):
+    """Reverse pass that copies the first gradient reaching every tape node."""
+    loss._done = True
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            stack.append((p, False))
+    grads = {id(loss): np.ones((1, 1))}
+    for node in reversed(topo):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node.requires_grad:
+            node.grad += g
+        if node._backward is None:
+            continue
+        for parent, pg in zip(node._parents, node._backward(g)):
+            if id(parent) in grads:
+                grads[id(parent)] += pg
+            else:
+                grads[id(parent)] = np.array(pg, dtype=np.float64, copy=True)
+
+
 def chain_subject() -> SubjectRecord:
     """Two chains whose line graph has no symmetric node pairs.
 

@@ -11,6 +11,7 @@ from coroseg.autodiff import (
     backward,
     softmax_cross_entropy,
 )
+from conftest import backward_oracle
 
 
 def sum_all(a) -> Tensor:
@@ -177,6 +178,47 @@ def test_gradient_accumulates_over_reuse(rng):
     x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     backward(sum_all(ad.add(x, x)))
     assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+
+
+#: Expressions whose backward returns views of the incoming gradient: add
+#: returning it to both parents, _unbroadcast returning it whole, concat_cols
+#: splits and transpose. In the add cases a later += into one parent's
+#: gradient would change the other's if it were not copied.
+ALIAS_CASES = {
+    "add(x, x)": lambda x, b, w: ad.add(ad.add(x, x), ad.mul(x, x)),
+    "broadcast add": lambda x, b, w: ad.add(ad.add(ad.add(x, b), ad.mul(x, x)), ad.mul(b, x)),
+    "concat_cols": lambda x, b, w: ad.matmul(
+        ad.concat_cols([x, ad.add(x, x), x]), ad.transpose(ad.concat_cols([ad.transpose(w)] * 3))
+    ),
+    "parameter used twice": lambda x, b, w: ad.matmul(
+        ad.relu(ad.matmul(x, w)), ad.transpose(w)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALIAS_CASES))
+def test_backward_bit_identical_to_copy_always_oracle(name, rng):
+    x, b, w = rng.normal(size=(4, 3)), rng.normal(size=(1, 3)), rng.normal(size=(3, 3))
+    labels = rng.integers(0, 3, size=4)
+    grads = []
+    for reverse in (backward, backward_oracle):
+        leaves = [Tensor(v.copy(), requires_grad=True) for v in (x, b, w)]
+        reverse(softmax_cross_entropy(ALIAS_CASES[name](*leaves), labels))
+        grads.append([t.grad for t in leaves])
+    for new, old in zip(*grads):
+        assert np.array_equal(new, old)
+
+
+def test_random_compositions_bit_identical_to_copy_always_oracle(rng):
+    for _ in range(200):
+        x = rng.normal(size=(2, 3))
+        seed = int(rng.integers(0, 2**31))
+        grads = []
+        for reverse in (backward, backward_oracle):
+            t = Tensor(x.copy(), requires_grad=True)
+            reverse(_random_expression(np.random.default_rng(seed), [t]))
+            grads.append(t.grad)
+        assert np.array_equal(grads[0], grads[1])
 
 
 def test_edges_from_adjacency():

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coroseg.centerline import (
     Centerline,
@@ -10,6 +11,7 @@ from coroseg.centerline import (
     SubjectRecord,
     merge_branch_origins,
     parse_subject,
+    prepare_subject,
     resample_centerline,
     resample_subject,
     serialize_subject,
@@ -293,10 +295,12 @@ def _oracle_subjects(rng) -> list[SubjectRecord]:
 
 def test_resample_bit_identical_to_loop_oracle(rng):
     for subject in _oracle_subjects(rng):
-        for cl in subject.centerlines:
-            for spacing in (0.5, 5.0, 7.3):
-                out = resample_centerline(cl, spacing).points
-                assert np.array_equal(out, resample_oracle(cl, spacing))
+        for spacing in (0.5, 5.0, 7.3):
+            expected = [resample_oracle(cl, spacing) for cl in subject.centerlines]
+            whole = resample_subject(subject, spacing).centerlines
+            assert all(np.array_equal(cl.points, e) for cl, e in zip(whole, expected))
+            for cl, e in zip(subject.centerlines, expected):
+                assert np.array_equal(resample_centerline(cl, spacing).points, e)
 
 
 def test_merge_bit_identical_to_loop_oracle(rng):
@@ -328,3 +332,136 @@ def test_merge_tie_breaks_to_lower_branch_then_lower_point():
     d = Centerline("d", "left", straight_line((-0.5, 0, 7.5), (-1, 0, 0), 3))
     merged = merge_branch_origins(SubjectRecord("s", 0.5, [b, a, d, FAR_RIGHT]), 2.6)
     assert np.array_equal(merged.centerlines[2].points[0], a.points[1])
+
+
+def _grid_subject(draw) -> SubjectRecord:
+    """Branches of axis-aligned integer steps: arc lengths, targets and
+    distances tie exactly, and a step back along its axis folds a branch.
+
+    A 1e-200 step, taken only where it changes the point, has zero length,
+    so a target can fall on a segment of length 0.
+    """
+    step = st.tuples(st.integers(0, 2), st.sampled_from([-3, -2, -1, 1, 2, 3, 1e-200]))
+    branches: list[Centerline] = []
+    for b in range(draw(st.integers(2, 7))):
+        side = ("left", "right")[b] if b < 2 else draw(st.sampled_from(["left", "right"]))
+        same_side = [cl for cl in branches if cl.side == side]
+        if same_side and draw(st.booleans()):
+            parent = draw(st.sampled_from(same_side)).points
+            start = parent[draw(st.integers(0, len(parent) - 1))]
+            start = start + draw(st.sampled_from([0.0, 0.25, 0.5])) * np.array([1.0, 1.0, 0.0])
+        else:
+            start = np.array([40.0 * (side == "right"), 0.0, 0.0])
+        pts = [start, start + (draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), 0, 0)]
+        for axis, length in draw(st.lists(step, max_size=6)):
+            p = pts[-1].copy()
+            p[axis] += length
+            if not np.array_equal(p, pts[-1]):
+                pts.append(p)
+        branches.append(Centerline(f"{side}{b}", side, np.array(pts)))
+    return SubjectRecord("grid", 0.5, branches)
+
+
+def _oracle_outcome(subject: SubjectRecord, arrays: list[np.ndarray]):
+    """The oracle's arrays, or the error the first invalid branch raises."""
+    try:
+        return [Centerline(cl.branch_id, cl.side, a, cl.label)
+                for cl, a in zip(subject.centerlines, arrays)]
+    except CenterlineError as exc:
+        return str(exc)
+
+
+def _outcome(fn, *args):
+    try:
+        return list(fn(*args).centerlines)
+    except CenterlineError as exc:
+        return str(exc)
+
+
+def _same(got, expected) -> bool:
+    if isinstance(got, str) or isinstance(expected, str):
+        return got == expected
+    return all(np.array_equal(a.points, b.points) for a, b in zip(got, expected))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    spacing=st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 0.7, 3.3]),
+    tol=st.sampled_from([0.5, 1.0, 1.5, 4.0]),
+)
+def test_whole_subject_kernel_matches_loop_oracles(data, spacing, tol):
+    subject = _grid_subject(data.draw)
+    resampled = _outcome(resample_subject, subject, spacing)
+    expected = _oracle_outcome(
+        subject, [resample_oracle(cl, spacing) for cl in subject.centerlines]
+    )
+    assert _same(resampled, expected)
+    if isinstance(resampled, str):
+        return
+    resampled = SubjectRecord("grid", 0.5, resampled)
+    assert _same(
+        _outcome(merge_branch_origins, resampled, tol),
+        _oracle_outcome(resampled, merge_oracle(resampled, tol)),
+    )
+
+
+#: Folds back on itself: at 0.2 mm voxels (2 mm spacing) the targets 4 and
+#: 6 mm both land on (4, 0, 0).
+FOLD_BACK = {"id": "a", "side": "left", "points": [[0, 0, 0], [5, 0, 0], [0, 0, 0]]}
+#: Valid, but its one step squares to 0: zero arc length.
+UNDERFLOW = {"id": "z", "side": "left", "points": [[0, 0, 0], [1e-200, 0, 0]]}
+OVERFLOW = {"id": "o", "side": "left", "points": [[-1.7e308, 0, 0], [1.7e308, 0, 0]]}
+
+
+def _subject(*branches) -> SubjectRecord:
+    """The branches plus a right one, at 0.2 mm voxels."""
+    return parse_subject(json.dumps({
+        "subject_id": "s", "voxel_spacing_mm": 0.2,
+        "branches": [*branches, MINIMAL["branches"][1]],
+    }))
+
+
+def test_fold_back_resamples_onto_equal_consecutive_points():
+    with pytest.raises(CenterlineError, match=r"^branch 'a': consecutive duplicate points$"):
+        prepare_subject(_subject(FOLD_BACK))
+
+
+@pytest.mark.parametrize(
+    "branches, message",
+    [
+        ((FOLD_BACK, UNDERFLOW), "branch 'a': consecutive duplicate points"),
+        ((UNDERFLOW, FOLD_BACK), "branch 'z': zero-length curve"),
+    ],
+)
+def test_resample_names_first_bad_branch(branches, message):
+    with pytest.raises(CenterlineError, match=f"^{message}$"):
+        resample_subject(_subject(*branches))
+
+
+@pytest.mark.parametrize(
+    "branches, message",
+    [
+        ((OVERFLOW, {**FOLD_BACK, "label": "XYZ"}), "branch 'o': arc length overflows"),
+        (({**FOLD_BACK, "label": "XYZ"}, OVERFLOW), "branch 0: unknown label 'XYZ'"),
+        ((FOLD_BACK, OVERFLOW, {**UNDERFLOW, "points": [[0, 0, 0]]}),
+         "branch 'o': arc length overflows"),
+    ],
+)
+def test_parse_names_first_bad_branch(branches, message):
+    with pytest.raises(CenterlineError, match=f"^{message}$"):
+        _subject(*branches)
+
+
+def test_merge_names_first_bad_branch():
+    # each child's start snaps onto the parent vertex equal to its own
+    # second point
+    parent = Centerline("p", "left", straight_line((0, 0, 0), (1, 0, 0), 4))
+    first = Centerline("c1", "left", [[5.5, 0, 0], [5, 0, 0], [5, 5, 0]])
+    second = Centerline("c2", "left", [[10.5, 0, 0], [10, 0, 0], [10, 5, 0]])
+    subject = SubjectRecord("s", 0.5, [parent, second, first, FAR_RIGHT])
+    with pytest.raises(CenterlineError, match=r"^branch 'c2': consecutive duplicate points$"):
+        merge_branch_origins(subject, 1.0)
+    subject = SubjectRecord("s", 0.5, [parent, first, second, FAR_RIGHT])
+    with pytest.raises(CenterlineError, match=r"^branch 'c1': consecutive duplicate points$"):
+        merge_branch_origins(subject, 1.0)

@@ -117,6 +117,26 @@ def test_cv_builds_each_structure_once(corpus, tmp_path, monkeypatch):
     assert len(calls) == len(list((corpus / "subjects").glob("*.json")))
 
 
+def test_cv_builds_each_label_index_array_once(corpus, tmp_path, monkeypatch):
+    from coroseg.graph import SegmentGraph
+
+    arrays = []
+    label_indices = SegmentGraph.label_indices
+
+    def keeping(self, classes):
+        arrays.append(label_indices(self, classes))
+        return arrays[-1]
+
+    monkeypatch.setattr(SegmentGraph, "label_indices", keeping)
+    assert run_cli(
+        "cv", "--corpus", str(corpus), "--model", "all", "--classes", "13",
+        "--epochs", "1", "--folds", "3", "--out", str(tmp_path), "--run-name", "cv",
+    ) == 0
+    # every train and predict call asks again; each array is built once
+    assert len({id(a) for a in arrays}) == len(list((corpus / "subjects").glob("*.json")))
+    assert len(arrays) > len({id(a) for a in arrays})
+
+
 def test_cv_reruns_byte_identical(corpus, tmp_path):
     for name in ("r1", "r2"):
         code = run_cli(
@@ -253,6 +273,19 @@ def test_build_bad_subject_one_line_error(tmp_path, capsys, field, value, messag
     subject.write_text(json.dumps({**GOOD_SUBJECT, field: value}))
     assert run_cli("build", str(subject), "--out", str(tmp_path), "--run-name", "x") == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_build_fold_back_one_line_error(tmp_path, capsys):
+    # valid input, but at 0.2 mm voxels resampling puts two equal points
+    # in a row
+    fold_back = {"id": "a", "side": "left", "points": [[0, 0, 0], [5, 0, 0], [0, 0, 0]]}
+    subject = tmp_path / "fold.json"
+    subject.write_text(json.dumps(
+        {**GOOD_SUBJECT, "voxel_spacing_mm": 0.2,
+         "branches": [fold_back, GOOD_SUBJECT["branches"][1]]}
+    ))
+    assert run_cli("build", str(subject), "--out", str(tmp_path), "--run-name", "x") == 1
+    assert _one_error_line(capsys) == "error: branch 'a': consecutive duplicate points"
 
 
 def test_usage_error_exit_code(capsys):
