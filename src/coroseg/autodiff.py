@@ -193,8 +193,6 @@ class Edges:
         Slots stay as they are, so nothing is sorted again: the union's tables
         are the parts' tables side by side, padded to the widest.
         """
-        if any(p.by_src.shape[1] != p.n_nodes for p in parts):
-            raise AutodiffError("cannot stack edges whose sources lie past n_nodes")
         sizes = [p.n_nodes for p in parts]
         shift = np.repeat(np.cumsum([0] + sizes[:-1]), [len(p.dst) for p in parts])
 
@@ -215,11 +213,10 @@ def _slots(end: np.ndarray) -> np.ndarray:
 
 
 def _table(slot: np.ndarray, end: np.ndarray, n_nodes: int) -> np.ndarray:
-    """(width >= 1, n) table with edge k at [slot[k], end[k]]; -1 pads.
-
-    n is n_nodes, or more when that end numbers nodes past n_nodes.
-    """
-    table = np.full((slot.max(initial=0) + 1, max(n_nodes, end.max(initial=-1) + 1)), -1)
+    """(width >= 1, n_nodes) table with edge k at [slot[k], end[k]]; -1 pads."""
+    if end.max(initial=-1) >= n_nodes:
+        raise AutodiffError(f"edge end {end.max()} is not below n_nodes {n_nodes}")
+    table = np.full((slot.max(initial=0) + 1, n_nodes), -1)
     table[slot, end] = np.arange(len(end))
     return table
 
@@ -384,11 +381,11 @@ def backward(loss: Tensor):
                 grads[id(parent)] = pg
 
 
-def parameters(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
-    """Trainable tensors whose values and gradients are views of two flat buffers.
+def parameters(arrays: dict[str, np.ndarray]) -> tuple[dict[str, Tensor], np.ndarray, np.ndarray]:
+    """Trainable tensors, with the two flat buffers their values and gradients view.
 
     The views lie end to end in dict order, so `adam_step` updates every
-    parameter in one vectorised pass.
+    parameter in one vectorised pass over the buffers.
     """
     values = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
     grads = np.zeros_like(values)
@@ -399,26 +396,7 @@ def parameters(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
         t.requires_grad, t.grad = True, grads[at : at + size].reshape(shape)
         out[name] = t
         at += size
-    return out
-
-
-def _address(a: np.ndarray) -> int:
-    return a.__array_interface__["data"][0]
-
-
-def flat_view(arrays: list[np.ndarray]) -> np.ndarray:
-    """The 1-D view over float64 arrays that lie end to end, in order, in one buffer."""
-    first = arrays[0]
-    flat = (first if first.base is None else first.base).reshape(-1)
-    origin = _address(flat)
-    start = at = (_address(first) - origin) // 8
-    for a in arrays:
-        if a.dtype != np.float64 or not a.flags.c_contiguous or _address(a) != origin + 8 * at:
-            raise AutodiffError("arrays do not lie end to end in one float64 buffer")
-        at += a.size
-    if flat.dtype != np.float64 or at > flat.size:
-        raise AutodiffError("arrays do not lie end to end in one float64 buffer")
-    return flat[start:at]
+    return out, values, grads
 
 
 @dataclass
@@ -434,28 +412,20 @@ class AdamState:
     v: np.ndarray | None = None
 
 
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState):
-    """One Adam update, in place on the parameter tensors.
-
-    The parameter values, and the gradients, must each lie end to end in one
-    buffer in dict order, as `parameters` lays them out (a single array
-    always does), so the whole update is one vectorised pass.
-    """
-    for name, p in params.items():
-        if grads[name].shape != p.shape:
-            raise AutodiffError(f"gradient shape mismatch for {name!r}")
-    p = flat_view([t.data for t in params.values()])
-    g = flat_view([grads[name] for name in params])
+def adam_step(values: np.ndarray, grads: np.ndarray, state: AdamState):
+    """One Adam update, in place on values, as one vectorised pass."""
+    if grads.shape != values.shape:
+        raise AutodiffError(f"gradient shape mismatch {grads.shape} for {values.shape}")
     if state.m is None:
-        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
+        state.m, state.v = np.zeros_like(values), np.zeros_like(values)
     state.t += 1
-    t, m, v = state.t, state.m, state.v
+    t, m, v, g = state.t, state.m, state.v, grads
     # m += (1 - beta1) (g - m); v += (1 - beta2) (g g - v);
-    # p -= lr m_hat / (sqrt(v_hat) + eps), with m_hat, v_hat bias-corrected.
+    # values -= lr m_hat / (sqrt(v_hat) + eps), with m_hat, v_hat bias-corrected.
     # The same roundings in the same order, written into two scratch arrays.
     a, b = g - m, g * g
     m += np.multiply(a, 1 - state.beta1, out=a)
     v += np.multiply(np.subtract(b, v, out=b), 1 - state.beta2, out=b)
     m_hat = np.divide(m, 1 - state.beta1**t, out=a)
     denom = np.add(np.sqrt(np.divide(v, 1 - state.beta2**t, out=b), out=b), state.eps, out=b)
-    p -= np.divide(np.multiply(m_hat, state.lr, out=a), denom, out=a)
+    values -= np.divide(np.multiply(m_hat, state.lr, out=a), denom, out=a)

@@ -11,6 +11,7 @@ padded slot tables of `autodiff.Edges`. Each variant is one pair:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -47,6 +48,8 @@ class ModelConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ModelError(f"config field {f.name!r} must be {f.type}, not {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ModelError(f"config field {f.name!r} must be finite, not {value!r}")
         if self.variant not in VARIANTS:
             raise ModelError(f"unknown variant {self.variant!r}")
         if min(self.in_dim, self.hidden_dim, self.gat_heads) <= 0:
@@ -90,8 +93,12 @@ class GraphStructure:
 
 @dataclass
 class TrainedModel:
+    """Named parameters whose values and gradients are views of the flat values and grads."""
+
     config: ModelConfig
     params: dict[str, Tensor]
+    values: np.ndarray
+    grads: np.ndarray
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -110,14 +117,14 @@ def _variant(name: str):
 
 
 def init_model(cfg: ModelConfig) -> TrainedModel:
-    """Fresh parameters, as views of one flat buffer (see `autodiff.parameters`)."""
+    """Fresh parameters, as views of two flat buffers (see `autodiff.parameters`)."""
     rng = np.random.default_rng(cfg.seed)
     params, _ = _variant(cfg.variant)
     d_h = cfg.hidden_dim
     p = {**params(rng, cfg, cfg.in_dim, d_h, 1), **params(rng, cfg, d_h, d_h, 2)}
     p["fc_w"] = _glorot(rng, d_h, cfg.num_classes)
     p["fc_b"] = _zeros(1, cfg.num_classes)
-    return TrainedModel(cfg, ad.parameters(p))
+    return TrainedModel(cfg, *ad.parameters(p))
 
 
 def _gcn_params(rng, cfg, d_in, d_out, k):

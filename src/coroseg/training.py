@@ -7,12 +7,12 @@ out-of-fold. The headline metric is support-weighted F1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import AdamState, Tensor, adam_step, backward, softmax_cross_entropy
+from .autodiff import AdamState, AutodiffError, Tensor, adam_step, backward, softmax_cross_entropy
 from .centerline import CLASSES_11, CLASSES_13
 from .graph import SegmentGraph
 from .models import GraphStructure, ModelConfig, TrainedModel, init_model, model_forward
@@ -34,6 +34,8 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.epochs, self.batch_size, self.folds) <= 0 or self.lr < 0:
             raise TrainingError("config values must be positive")
+        if not math.isfinite(self.lr):
+            raise TrainingError(f"lr must be finite, not {self.lr!r}")
         if self.folds < 2:
             raise TrainingError("folds must be >= 2")
         if self.class_mode not in (11, 13):
@@ -88,28 +90,19 @@ def select_classes(
     return out
 
 
-@dataclass
-class _PreparedSubject:
-    subject_id: str
-    features: np.ndarray
-    labels: np.ndarray        # class indices, -1 where unlabeled
-    structure: GraphStructure
+#: In train and predict, overflow, invalid and divide raise FloatingPointError, not a warning.
+_FP_FAULTS = {"over": "raise", "invalid": "raise", "divide": "raise"}
 
 
-def _prepare(dataset: list[tuple[str, SegmentGraph]], classes: list[str]):
-    return [
-        _PreparedSubject(sid, sg.features, sg.label_indices(classes), sg.structure)
-        for sid, sg in dataset
-    ]
-
-
-def _batch(subjects: list[_PreparedSubject]):
-    feats = np.vstack([s.features for s in subjects])
-    labels = np.concatenate([s.labels for s in subjects])
-    gs = GraphStructure.block_diagonal([s.structure for s in subjects])
+def _batch(graphs: list[SegmentGraph], classes: list[str]):
+    """Features, class indices (-1 where unlabeled) and the disjoint union of the graphs."""
+    feats = np.vstack([sg.features for sg in graphs])
+    labels = np.concatenate([sg.label_indices(classes) for sg in graphs])
+    gs = GraphStructure.block_diagonal([sg.structure for sg in graphs])
     return feats, labels, gs
 
 
+@np.errstate(**_FP_FAULTS)
 def train(
     model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: list[tuple[str, SegmentGraph]]
 ) -> tuple[TrainedModel, list[float]]:
@@ -117,37 +110,36 @@ def train(
     if not dataset:
         raise TrainingError("empty dataset")
     classes = train_cfg.classes
-    prepared = _prepare(dataset, classes)
-    if all((s.labels < 0).all() for s in prepared):
+    graphs = [sg for _, sg in dataset]
+    if all((sg.label_indices(classes) < 0).all() for sg in graphs):
         raise TrainingError("dataset has no labeled nodes")
     model = init_model(model_cfg)
-    grads = {k: p.grad for k, p in model.params.items()}
-    flat_grad = ad.flat_view(list(grads.values()))
     state = AdamState(lr=train_cfg.lr)
     rng = np.random.default_rng(train_cfg.seed)
     trace = []
     for epoch in range(train_cfg.epochs):
-        order = rng.permutation(len(prepared))
+        order = rng.permutation(len(graphs))
         losses = []
-        for start in range(0, len(prepared), train_cfg.batch_size):
-            chunk = [prepared[i] for i in order[start : start + train_cfg.batch_size]]
-            feats, labels, gs = _batch(chunk)
+        for start in range(0, len(graphs), train_cfg.batch_size):
+            chunk = [graphs[i] for i in order[start : start + train_cfg.batch_size]]
+            feats, labels, gs = _batch(chunk, classes)
             mask = labels >= 0
             if not mask.any():
                 continue
             try:
                 logits = model_forward(model, feats, gs)
                 loss = softmax_cross_entropy(logits, np.where(mask, labels, 0), mask)
-            except ad.AutodiffError as exc:
-                raise TrainingError(f"non-finite loss at epoch {epoch}: {exc}") from exc
-            flat_grad[:] = 0.0
-            backward(loss)
-            adam_step(model.params, grads, state)
+                model.grads[:] = 0.0
+                backward(loss)
+                adam_step(model.values, model.grads, state)
+            except (AutodiffError, FloatingPointError) as exc:
+                raise TrainingError(f"non-finite value at epoch {epoch}: {exc}") from exc
             losses.append(float(loss.data[0, 0]))
         trace.append(float(np.mean(losses)) if losses else float("nan"))
     return model, trace
 
 
+@np.errstate(**_FP_FAULTS)
 def predict(model: TrainedModel, dataset, classes: list[str]):
     """Pooled (preds, labels) over labeled nodes of every subject, in dataset order.
 
@@ -156,9 +148,12 @@ def predict(model: TrainedModel, dataset, classes: list[str]):
     """
     if not dataset:
         raise TrainingError("empty dataset")
-    feats, labels, gs = _batch(_prepare(dataset, classes))
-    frozen = TrainedModel(model.config, {k: Tensor(p.data) for k, p in model.params.items()})
-    logits = model_forward(frozen, feats, gs).data
+    feats, labels, gs = _batch([sg for _, sg in dataset], classes)
+    frozen = replace(model, params={k: Tensor(p.data) for k, p in model.params.items()})
+    try:
+        logits = model_forward(frozen, feats, gs).data
+    except (AutodiffError, FloatingPointError) as exc:
+        raise TrainingError(f"non-finite value in the forward pass: {exc}") from exc
     mask = labels >= 0
     return np.argmax(logits[mask], axis=1), labels[mask]
 
@@ -214,7 +209,6 @@ class MetricsReport:
     class_weights: np.ndarray
     confusion: np.ndarray
     confusion_normalized: np.ndarray
-    loss_traces: list[list[float]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -238,10 +232,7 @@ class MetricsReport:
 
 
 def run_cv(
-    model_cfg: ModelConfig,
-    train_cfg: TrainConfig,
-    dataset: list[tuple[str, SegmentGraph]],
-    keep_traces: bool = False,
+    model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: list[tuple[str, SegmentGraph]]
 ) -> MetricsReport:
     """k-fold cross-validation with strict out-of-fold evaluation."""
     classes = train_cfg.classes
@@ -250,18 +241,16 @@ def run_cv(
     if len(by_id) != len(dataset):
         raise TrainingError("duplicate subject ids")
     folds = kfold_split([sid for sid, _ in dataset], train_cfg.folds, train_cfg.seed)
-    fold_f1, all_preds, all_labels, traces = [], [], [], []
+    fold_f1, all_preds, all_labels = [], [], []
     for test_ids in folds:
         test_set = set(test_ids)
         train_data = [(sid, g) for sid, g in dataset if sid not in test_set]
         test_data = [(sid, by_id[sid]) for sid in test_ids]
-        model, trace = train(model_cfg, train_cfg, train_data)
+        model, _ = train(model_cfg, train_cfg, train_data)
         preds, labels = predict(model, test_data, classes)
         fold_f1.append(weighted_f1(preds, labels, len(classes)))
         all_preds.append(preds)
         all_labels.append(labels)
-        if keep_traces:
-            traces.append(trace)
     preds = np.concatenate(all_preds)
     labels = np.concatenate(all_labels)
     precision, recall, f1, weights = per_class_metrics(preds, labels, len(classes))
@@ -277,7 +266,6 @@ def run_cv(
         class_weights=weights,
         confusion=confusion_matrix(preds, labels, len(classes)),
         confusion_normalized=confusion_matrix(preds, labels, len(classes), normalized=True),
-        loss_traces=traces,
     )
 
 

@@ -288,7 +288,7 @@ def test_max_pool_tie_routes_to_lowest_index():
     assert np.array_equal(x.grad, [[0.0], [1.0], [0.0]])
     # the same on edge rows: of two tied edges into node 0, the first wins
     e = Tensor(np.array([[5.0, 1.0], [5.0, 2.0]]), requires_grad=True)
-    backward(sum_all(ad.row_max_pool(e, Edges([0, 1], [0, 0], 1))))
+    backward(sum_all(ad.row_max_pool(e, Edges([0, 1], [0, 0], 2))))
     assert np.array_equal(e.grad, [[1.0, 0.0], [0.0, 1.0]])
 
 
@@ -329,8 +329,8 @@ def test_cross_entropy_errors():
         softmax_cross_entropy(logits, np.zeros(3, dtype=int))
 
 
-#: both rows of a (2, 3) tensor are edges into one node
-PAIR = Edges([0, 1], [0, 0], 1)
+#: both rows of a (2, 3) tensor are edges into node 0; node 1 has none
+PAIR = Edges([0, 1], [0, 0], 2)
 
 
 def _random_expression(rng, leaves):
@@ -397,26 +397,25 @@ def test_backward_deterministic_bit_identical(rng):
 
 
 def test_adam_vs_textbook_oracle(rng):
-    p = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    p = rng.normal(size=(3, 2))
     state = AdamState(lr=0.01)
     # independent transcription of the published update rule
-    ref = p.data.copy()
+    ref = p.copy()
     m = np.zeros_like(ref)
     v = np.zeros_like(ref)
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
     for t in range(1, 51):
         g = rng.normal(size=(3, 2))
-        adam_step({"p": p}, {"p": g}, state)
+        adam_step(p, g, state)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         ref = ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-        assert np.allclose(p.data, ref, atol=1e-12)
+        assert np.allclose(p, ref, atol=1e-12)
 
 
 def test_adam_shape_mismatch():
-    p = Tensor(np.zeros((2, 2)), requires_grad=True)
     with pytest.raises(AutodiffError, match="shape mismatch"):
-        adam_step({"p": p}, {"p": np.zeros((3, 2))}, AdamState())
+        adam_step(np.zeros((2, 2)), np.zeros((3, 2)), AdamState())
 
 
 def _star(n_leaves: int) -> np.ndarray:
@@ -433,7 +432,7 @@ def _table_cases():
         ("isolated nodes", edges_of(isolated), 5),
         ("star of degree 7", edges_of(_star(7)), 8),
         ("empty edge set", Edges([], [], 4), 4),
-        ("more source rows than destination nodes", PAIR, 2),
+        ("two edges into one of two nodes", PAIR, 2),
     ]
 
 
@@ -520,37 +519,31 @@ def test_disjoint_union_matches_tables_built_from_scratch(rng):
     fresh = Edges(union.src, union.dst, union.n_nodes)
     assert np.array_equal(union.by_dst, fresh.by_dst)
     assert np.array_equal(union.by_src, fresh.by_src)
-    with pytest.raises(AutodiffError, match="past n_nodes"):
-        Edges.disjoint_union([PAIR])
+    with pytest.raises(AutodiffError, match="not below n_nodes"):
+        Edges([0, 1], [0, 0], 1)
 
 
 def test_flat_adam_bit_identical_to_per_parameter_oracle(rng):
     from conftest import adam_oracle
 
     arrays = {"w": rng.normal(size=(4, 3)), "b": np.zeros((1, 3)), "s": np.ones((1, 1))}
-    params = ad.parameters(arrays)
+    params, values, flat_grads = ad.parameters(arrays)
     grads = {k: p.grad for k, p in params.items()}
     ref = {k: a.copy() for k, a in arrays.items()}
     state, ref_state = AdamState(lr=0.01), {}
     for _ in range(50):
         for k, g in grads.items():
             g[:] = rng.normal(size=g.shape)
-        adam_step(params, grads, state)
+        adam_step(values, flat_grads, state)
         adam_oracle(ref, grads, ref_state, lr=0.01)
         for k in arrays:
             assert np.array_equal(params[k].data, ref[k]), k
 
 
 def test_parameters_are_views_of_two_flat_buffers(rng):
-    params = ad.parameters({"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(1, 3))})
-    values = ad.flat_view([p.data for p in params.values()])
-    grads = ad.flat_view([p.grad for p in params.values()])
+    params, values, grads = ad.parameters(
+        {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(1, 3))})
     assert values.shape == grads.shape == (9,)
     values[:] = 7.0
     grads[:] = 1.0
     assert (params["b"].data == 7.0).all() and (params["a"].grad == 1.0).all()
-    with pytest.raises(AutodiffError, match="end to end"):
-        ad.flat_view([params["b"].data, params["a"].data])
-    with pytest.raises(AutodiffError, match="end to end"):
-        adam_step({"x": Tensor(np.zeros((2, 2))), "y": Tensor(np.zeros((2, 2)))},
-                  {"x": np.zeros((2, 2)), "y": np.zeros((2, 2))}, AdamState())

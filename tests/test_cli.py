@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -319,6 +321,19 @@ def _one_error_line(capsys) -> str:
     return lines[0]
 
 
+def _gat(weight=None, **config):
+    """Edit that swaps in a gat checkpoint: config fields changed, every weight set to weight."""
+    def edit(_):
+        model = init_model(ModelConfig("gat"))
+        if weight is not None:
+            model.values[:] = weight
+        with tempfile.TemporaryDirectory() as tmp:
+            save_model(model, Path(tmp) / "gat.json")
+            doc = json.loads((Path(tmp) / "gat.json").read_text())
+        return {**doc, "config": {**doc["config"], **config}}
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -329,6 +344,8 @@ def _one_error_line(capsys) -> str:
          "missing weights ['w2']"),
         (lambda d: {**d, "config": {**d["config"], "leaky_slope": "0.2"}},
          "config field 'leaky_slope' must be float"),
+        (_gat(leaky_slope=float("nan")), "config field 'leaky_slope' must be finite"),
+        (_gat(weight=1e300), "non-finite value in the forward pass"),
     ],
 )
 def test_eval_bad_checkpoint_one_line_error(corpus, tmp_path, capsys, edit, message):

@@ -44,6 +44,9 @@ def test_config_validation():
         TrainConfig(folds=1)
     with pytest.raises(TrainingError):
         TrainConfig(class_mode=12)
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(TrainingError, match="lr must be finite"):
+            TrainConfig(lr=lr)
     assert TrainConfig(lr=0.0).lr == 0.0
     assert len(TrainConfig(class_mode=11).classes) == 11
     assert TrainConfig().classes == CLASSES_13
@@ -196,6 +199,8 @@ def test_train_input_errors(rng):
     unlabeled = _graph_with_labels([None, None, None], rng)
     with pytest.raises(TrainingError, match="no labeled nodes"):
         train(cfg, TrainConfig(), [("u", unlabeled)])
+    with pytest.raises(TrainingError, match=r"non-finite value at epoch \d: overflow"):
+        train(cfg, TrainConfig(epochs=3, lr=1e308), chain_dataset(2))
 
 
 def test_predict_pools_labeled_nodes():
@@ -216,7 +221,6 @@ def test_run_cv_bookkeeping():
         ModelConfig("sage", hidden_dim=8, seed=2),
         TrainConfig(epochs=3, folds=5, seed=1),
         dataset,
-        keep_traces=True,
     )
     assert isinstance(report, MetricsReport)
     assert len(report.fold_f1) == 5
@@ -227,7 +231,6 @@ def test_run_cv_bookkeeping():
     n_labeled = sum(sum(1 for lb in g.labels if lb) for _, g in dataset)
     assert report.confusion.sum() == n_labeled
     assert abs(report.class_weights.sum() - 1.0) < 1e-12
-    assert len(report.loss_traces) == 5
     doc = report.to_dict()
     assert set(doc["per_class"]) == set(CLASSES_13)
     assert doc["fold_weighted_f1"] == report.fold_f1
