@@ -181,6 +181,10 @@ class Edges:
         self.dst = np.asarray(dst, dtype=np.int64)
         if np.any(np.diff(self.dst) < 0):
             raise AutodiffError("edges must be sorted by destination")
+        ends = np.concatenate([self.src, self.dst])
+        if ends.size and not 0 <= ends.min() <= ends.max() < n_nodes:
+            bad = ends.min() if ends.min() < 0 else ends.max()
+            raise AutodiffError(f"edge end {bad} is negative or not below n_nodes {n_nodes}")
         self.n_nodes = n_nodes
         self.dst_slot, self.src_slot = slots or (_slots(self.dst), _slots(self.src))
         self.by_dst = _table(self.dst_slot, self.dst, n_nodes)
@@ -214,8 +218,6 @@ def _slots(end: np.ndarray) -> np.ndarray:
 
 def _table(slot: np.ndarray, end: np.ndarray, n_nodes: int) -> np.ndarray:
     """(width >= 1, n_nodes) table with edge k at [slot[k], end[k]]; -1 pads."""
-    if end.max(initial=-1) >= n_nodes:
-        raise AutodiffError(f"edge end {end.max()} is not below n_nodes {n_nodes}")
     table = np.full((slot.max(initial=0) + 1, n_nodes), -1)
     table[slot, end] = np.arange(len(end))
     return table

@@ -25,8 +25,9 @@ CLASSES_13 = [
     "LM", "LAD", "LCX", "R", "S", "OM", "D", "L-PLB", "L-PDA",
     "RCA", "AM", "R-PLB", "R-PDA",
 ]
-#: Ablation class set: the two rare left posterior classes removed.
-CLASSES_11 = [c for c in CLASSES_13 if c not in ("L-PLB", "L-PDA")]
+#: The two rare left posterior classes that the 11-class ablation removes.
+DROPPED_IN_11 = ("L-PLB", "L-PDA")
+CLASSES_11 = [c for c in CLASSES_13 if c not in DROPPED_IN_11]
 
 #: Merge tolerance: 3 voxels at a 0.5 mm voxel spacing, below the 10-voxel
 #: resample spacing so merging cannot collapse distinct junctions.

@@ -19,6 +19,7 @@ import time
 from pathlib import Path
 
 from .centerline import (
+    DROPPED_IN_11,
     CenterlineError,
     parse_subject,
     prepare_subject,
@@ -197,7 +198,7 @@ def _audit_report(report: MetricsReport, dataset_ids: list[str], class_mode: int
         raise CheckFailure("weighted F1 out of range")
     if class_mode == 11:
         for _, sg in dataset:
-            if any(lb in ("L-PDA", "L-PLB") for lb in sg.labels):
+            if any(lb in DROPPED_IN_11 for lb in sg.labels):
                 raise CheckFailure("11-class dataset still contains removed classes")
 
 

@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .centerline import LEFT, RIGHT, SubjectRecord
+from .models import GraphStructure
 
 EMBED_DIM = 48
 
@@ -72,10 +73,8 @@ class SegmentGraph:
         return len(self.node_ids)
 
     @cached_property
-    def structure(self):
-        """The graph's `models.GraphStructure`, built on first use and kept."""
-        from .models import GraphStructure
-
+    def structure(self) -> GraphStructure:
+        """The graph's `GraphStructure`, built on first use and kept."""
         return GraphStructure.from_adjacency(self.adjacency)
 
     def label_indices(self, classes: list[str]) -> np.ndarray:

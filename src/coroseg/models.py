@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -60,35 +61,31 @@ class ModelConfig:
             raise ModelError("hidden_dim must divide evenly across gat_heads")
 
 
-@dataclass
-class GraphStructure:
-    """Per-graph edges shared by all layers, sorted by destination, with slot tables."""
-
-    neighbors: Edges         # j -> i for each edge of the graph, self excluded
-    with_loops: Edges        # the same edges plus i -> i
-    gcn_weight: np.ndarray   # (len(with_loops.dst), 1): 1 / sqrt(deg_i deg_j), loop counted
+class GraphStructure(Edges):
+    """A graph's edges j -> i plus a loop i -> i per node; other views are built on first use."""
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> "GraphStructure":
         """From an (N, N) 0/1 symmetric adjacency with zero diagonal."""
-        n = len(adj)
-        dst, src = np.nonzero(adj)
-        nodes = np.arange(n)
-        loop_src, loop_dst = np.concatenate([src, nodes]), np.concatenate([dst, nodes])
-        order = np.lexsort((loop_src, loop_dst))   # by destination, then source
-        loop_src, loop_dst = loop_src[order], loop_dst[order]
-        d_inv_sqrt = 1.0 / np.sqrt(np.bincount(dst, minlength=n) + 1.0)
-        weight = d_inv_sqrt[loop_dst] * d_inv_sqrt[loop_src]
-        return cls(Edges(src, dst, n), Edges(loop_src, loop_dst, n), weight[:, None])
+        dst, src = np.nonzero(adj + np.eye(len(adj)))   # row-major: by destination, then source
+        return cls(src, dst, len(adj))
 
     @classmethod
     def block_diagonal(cls, structures: list["GraphStructure"]) -> "GraphStructure":
         """Disjoint union: each graph's nodes and edges shifted past the previous graphs'."""
-        return cls(
-            Edges.disjoint_union([s.neighbors for s in structures]),
-            Edges.disjoint_union([s.with_loops for s in structures]),
-            np.concatenate([s.gcn_weight for s in structures]),
-        )
+        return cls.disjoint_union(structures)
+
+    @cached_property
+    def neighbors(self) -> Edges:
+        """The same edges without the loops, for GIN and SAGE."""
+        keep = self.src != self.dst
+        return Edges(self.src[keep], self.dst[keep], self.n_nodes)
+
+    @cached_property
+    def gcn_weight(self) -> np.ndarray:
+        """(E, 1) constant 1 / sqrt(deg_i deg_j), each degree counting the loop."""
+        d_inv_sqrt = 1.0 / np.sqrt(np.bincount(self.dst, minlength=self.n_nodes))
+        return (d_inv_sqrt[self.dst] * d_inv_sqrt[self.src])[:, None]
 
 
 @dataclass
@@ -133,8 +130,8 @@ def _gcn_params(rng, cfg, d_in, d_out, k):
 
 def gcn_layer(h: Tensor, gs: GraphStructure, params, k: int, cfg: ModelConfig) -> Tensor:
     """Symmetric-normalized propagation: D^-1/2 (A+I) D^-1/2 H W + b."""
-    messages = ad.gather_rows(ad.matmul(h, params[f"w{k}"]), gs.with_loops, gs.gcn_weight)
-    return ad.add(ad.row_sum_pool(messages, gs.with_loops), params[f"b{k}"])
+    messages = ad.gather_rows(ad.matmul(h, params[f"w{k}"]), gs, gs.gcn_weight)
+    return ad.add(ad.row_sum_pool(messages, gs), params[f"b{k}"])
 
 
 def _gat_suffixes(cfg: ModelConfig, k: int) -> list[str]:
@@ -156,13 +153,12 @@ def _gat_params(rng, cfg, d_in, d_out, k):
 
 def gat_head(h: Tensor, gs: GraphStructure, w, a_src, a_dst, slope: float) -> Tensor:
     """One attention head: softmax over N(i) u {i} of leaky-relu logits."""
-    edges = gs.with_loops
     hw = ad.matmul(h, w)
-    hw_src = ad.gather_rows(hw, edges)                            # (E, d) per edge j -> i
+    hw_src = ad.gather_rows(hw, gs)                               # (E, d) per edge j -> i
     # the logit of edge j -> i is a_src . hw_i + a_dst . hw_j
-    f_src = ad.gather_rows(ad.matmul(hw, a_src), edges, end="dst")
-    alpha = ad.row_softmax(ad.leaky_relu(ad.add(f_src, ad.matmul(hw_src, a_dst)), slope), edges)
-    return ad.row_sum_pool(ad.mul(hw_src, alpha), edges)
+    f_src = ad.gather_rows(ad.matmul(hw, a_src), gs, end="dst")
+    alpha = ad.row_softmax(ad.leaky_relu(ad.add(f_src, ad.matmul(hw_src, a_dst)), slope), gs)
+    return ad.row_sum_pool(ad.mul(hw_src, alpha), gs)
 
 
 def gat_layer(h: Tensor, gs: GraphStructure, params, k: int, cfg: ModelConfig) -> Tensor:

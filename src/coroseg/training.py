@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import AdamState, AutodiffError, Tensor, adam_step, backward, softmax_cross_entropy
-from .centerline import CLASSES_11, CLASSES_13
+from .centerline import CLASSES_11, CLASSES_13, DROPPED_IN_11
 from .graph import SegmentGraph
 from .models import GraphStructure, ModelConfig, TrainedModel, init_model, model_forward
 
@@ -51,27 +51,19 @@ def kfold_split(subject_ids: list[str], k: int, seed: int) -> list[list[str]]:
     ids = list(subject_ids)
     if k > len(ids):
         raise TrainingError(f"cannot split {len(ids)} subjects into {k} folds")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(ids))
-    base, extra = divmod(len(ids), k)
-    folds, pos = [], 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append([ids[j] for j in order[pos : pos + size]])
-        pos += size
-    return folds
+    order = np.random.default_rng(seed).permutation(len(ids))
+    return [[ids[j] for j in fold] for fold in np.array_split(order, k)]
 
 
 def select_classes(
     dataset: list[tuple[str, SegmentGraph]], mode: int
 ) -> list[tuple[str, SegmentGraph]]:
-    """Mode 11 drops all L-PDA / L-PLB nodes (induced subgraph); 13 is identity."""
+    """Mode 11 drops the nodes labelled in `DROPPED_IN_11` (induced subgraph); 13 is identity."""
     if mode == 13:
         return dataset
-    drop = {"L-PDA", "L-PLB"}
     out = []
     for sid, sg in dataset:
-        keep = np.array([lb not in drop for lb in sg.labels])
+        keep = np.array([lb not in DROPPED_IN_11 for lb in sg.labels])
         if keep.all():
             out.append((sid, sg))
             continue

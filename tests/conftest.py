@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from coroseg.autodiff import Edges
 from coroseg.centerline import LEFT, RIGHT, Centerline, SubjectRecord
 from coroseg.graph import GraphBuildError, Segment, SkeletonGraph
 
@@ -239,6 +240,19 @@ def init_model_oracle(cfg) -> dict[str, np.ndarray]:
     p["fc_w"] = _glorot(rng, d_h, d_out)
     p["fc_b"] = _zeros(1, d_out)
     return p
+
+
+def structure_oracle(adj: np.ndarray) -> tuple[Edges, Edges, np.ndarray]:
+    """Both edge sets built separately: (neighbors, with loops, GCN weight column)."""
+    n = len(adj)
+    dst, src = np.nonzero(adj)
+    nodes = np.arange(n)
+    loop_src, loop_dst = np.concatenate([src, nodes]), np.concatenate([dst, nodes])
+    order = np.lexsort((loop_src, loop_dst))   # by destination, then source
+    loop_src, loop_dst = loop_src[order], loop_dst[order]
+    d_inv_sqrt = 1.0 / np.sqrt(np.bincount(dst, minlength=n) + 1.0)
+    weight = d_inv_sqrt[loop_dst] * d_inv_sqrt[loop_src]
+    return Edges(src, dst, n), Edges(loop_src, loop_dst, n), weight[:, None]
 
 
 def adam_oracle(params: dict, grads: dict, state: dict, lr: float = 1e-3,

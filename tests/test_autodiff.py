@@ -521,6 +521,9 @@ def test_disjoint_union_matches_tables_built_from_scratch(rng):
     assert np.array_equal(union.by_src, fresh.by_src)
     with pytest.raises(AutodiffError, match="not below n_nodes"):
         Edges([0, 1], [0, 0], 1)
+    for src, dst in (([-1], [0]), ([0], [-1])):
+        with pytest.raises(AutodiffError, match="edge end -1 is negative"):
+            Edges(src, dst, 2)
 
 
 def test_flat_adam_bit_identical_to_per_parameter_oracle(rng):

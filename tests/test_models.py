@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from conftest import init_model_oracle
+from conftest import init_model_oracle, structure_oracle
 
 from coroseg import models
-from coroseg.autodiff import Tensor, backward, softmax_cross_entropy
+from coroseg.autodiff import Edges, Tensor, backward, softmax_cross_entropy
 from coroseg.models import (
     VARIANTS,
     GraphStructure,
@@ -55,6 +55,35 @@ def test_gcn_layer_hand_case_path_graph():
     cfg = ModelConfig("gcn", in_dim=3, hidden_dim=3)
     out = gcn_layer(Tensor(np.eye(3)), gs, params, 1, cfg).data
     assert np.allclose(out, expected, atol=1e-12)
+
+
+def _assert_same_edges(edges, oracle):
+    for name in ("src", "dst", "dst_slot", "src_slot", "by_dst", "by_src"):
+        assert np.array_equal(getattr(edges, name), getattr(oracle, name)), name
+    assert edges.n_nodes == oracle.n_nodes
+
+
+def test_structure_derives_neighbors_and_weights_like_two_edge_set_oracle(rng):
+    adjs = [np.zeros((1, 1)), np.zeros((3, 3)), PATH3]
+    adjs += [_random_adjacency(rng, n) for n in rng.integers(1, 12, size=20)]
+    batches = [[adjs[i] for i in rng.choice(len(adjs), size=k)] for k in range(2, 9)]
+    cases = [(GraphStructure.from_adjacency(a), [a]) for a in adjs]
+    cases += [
+        (GraphStructure.block_diagonal([GraphStructure.from_adjacency(a) for a in b]), b)
+        for b in batches
+    ]
+    for gs, parts in cases:
+        oracles = [structure_oracle(a) for a in parts]
+        neighbors, with_loops = (Edges.disjoint_union([o[i] for o in oracles]) for i in (0, 1))
+        _assert_same_edges(gs, with_loops)
+        _assert_same_edges(gs.neighbors, neighbors)
+        weight = np.concatenate([o[2] for o in oracles])
+        assert gs.gcn_weight.tobytes() == weight.tobytes()
+    # GAT reads only the self-looped edges, so it builds neither derived view
+    gs = GraphStructure.block_diagonal([GraphStructure.from_adjacency(a) for a in batches[-1]])
+    model_forward(init_model(ModelConfig("gat", in_dim=4, hidden_dim=4)),
+                  rng.normal(size=(gs.n_nodes, 4)), gs)
+    assert not {"neighbors", "gcn_weight"} & set(vars(gs))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
