@@ -83,10 +83,6 @@ class SubjectRecord:
         if len(set(ids)) != len(ids):
             raise CenterlineError("duplicate branch ids")
 
-    @property
-    def labels(self) -> dict[str, str]:
-        return {cl.branch_id: cl.label for cl in self.centerlines if cl.label}
-
     def branches(self, side: str) -> list[Centerline]:
         return [cl for cl in self.centerlines if cl.side == side]
 
@@ -187,16 +183,15 @@ def resample_centerline(cl: Centerline, spacing_mm: float) -> Centerline:
     First and last input points are preserved exactly; interpolated points
     lie on the piecewise-linear input curve.
     """
-    return _resample((cl,), spacing_mm)[0]
+    return resample_branches((cl,), spacing_mm)[0]
 
 
 def resample_subject(subject: SubjectRecord, spacing_mm: float | None = None) -> SubjectRecord:
     """Resample every branch as resample_centerline does; default spacing is 10 voxels."""
     if spacing_mm is None:
         spacing_mm = 10 * subject.voxel_spacing_mm
-    return SubjectRecord(
-        subject.subject_id, subject.voxel_spacing_mm, _resample(subject.centerlines, spacing_mm)
-    )
+    resampled = resample_branches(subject.centerlines, spacing_mm)
+    return SubjectRecord(subject.subject_id, subject.voxel_spacing_mm, resampled)
 
 
 def _layout(centerlines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -206,14 +201,17 @@ def _layout(centerlines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return points, np.cumsum(lengths) - lengths, np.repeat(np.arange(len(lengths)), lengths)
 
 
-def _resample(centerlines, spacing_mm: float) -> list[Centerline]:
-    """Resample all branches with one array operation per step, whatever their count.
+def resample_branches(centerlines, spacing_mm: float) -> list[Centerline]:
+    """Resample branches as resample_centerline does, with one array operation
+    per step whatever their count; no branches give an empty list.
 
     Temporaries are O(points + targets), apart from the arc-length table of
     branches x longest branch.
     """
     if not spacing_mm > 0:
         raise CenterlineError("spacing must be positive")
+    if not centerlines:
+        return []
     pts, first, owner = _layout(centerlines)
     n_branches, n_points = len(first), len(pts)
     last = np.append(first[1:], n_points) - 1

@@ -46,7 +46,6 @@ class Segment:
     """Piece of a branch between two consecutive junctions."""
 
     segment_id: str
-    parent_branch_id: str
     points: np.ndarray
     start_junction: int
     end_junction: int
@@ -150,7 +149,6 @@ def split_into_segments(subject: SubjectRecord) -> SkeletonGraph:
     segments = tuple(
         Segment(
             segment_id=f"{cls[o].branch_id}#{k}",
-            parent_branch_id=cls[o].branch_id,
             points=points[i : j + 1],
             start_junction=js,
             end_junction=je,

@@ -6,9 +6,13 @@ class-characteristic directions. Counts are calibrated so the corpus
 reproduces the published per-subject branch/segment averages and class
 imbalance (rare left posterior branches included).
 
-Emitted centerlines are pre-resampled so every child start coincides with a
-parent vertex; the ingestion pipeline's resample + merge is then a stable
-no-op up to floating-point snapping.
+Emitted centerlines are pre-resampled so every child start coincides
+bit-exactly with a vertex of its resampled parent. The ingestion pipeline's
+resample + merge is not a no-op on them: resampling an already-resampled
+curved branch shifts its interior vertices, and merge then snaps each child
+start onto the shifted vertex (0.009-0.063 mm in the seed-8 default subject
+synthetic-0002). ROADMAP item 3 plans to resample between attachment
+vertices instead.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .centerline import (
     Centerline,
     SubjectRecord,
     prepare_subject,
-    resample_centerline,
+    resample_branches,
 )
 from .graph import split_into_segments
 
@@ -150,29 +154,13 @@ def _jitter_direction(rng, d: np.ndarray, angle_scale: float) -> np.ndarray:
     return _rotation(axis, rng.normal(0.0, angle_scale)) @ d
 
 
-def _grow_curve(
-    rng: np.random.Generator,
-    start: np.ndarray,
-    direction: np.ndarray,
-    length: float,
-    bend: float,
-    wobble: float,
-    step: float = 1.0,
-) -> np.ndarray:
-    """Smooth polyline: tangent rotates steadily about a bend axis plus curl."""
-    n = max(3, int(round(length / step)))
-    bend_axis = _perpendicular(rng, direction)
-    curl_axis = _perpendicular(rng, direction)
-    per_step = bend / n
-    pts = [start]
-    d = direction.copy()
-    for _ in range(n):
-        d = _rotation(bend_axis, per_step) @ d
-        if wobble > 0:
-            d = _rotation(curl_axis, rng.normal(0.0, wobble)) @ d
-        d = _unit(d)
-        pts.append(pts[-1] + step * d)
-    return np.asarray(pts)
+def _skew(axes: np.ndarray) -> np.ndarray:
+    """Cross-product matrices (..., 3, 3) of axes (..., 3), as `_rotation` builds them."""
+    x, y, z = np.moveaxis(axes, -1, 0)
+    zero = np.zeros_like(x)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(
+        axes.shape + (3,)
+    )
 
 
 def _attach_index(points: np.ndarray, frac: float, used: set[int]) -> int:
@@ -188,62 +176,134 @@ def _attach_index(points: np.ndarray, frac: float, used: set[int]) -> int:
     return want
 
 
-def generate_subject(params: GenParams, subject_seed) -> SubjectRecord:
-    """One labeled subject: deterministic in (params, subject_seed)."""
-    rng = np.random.default_rng(subject_seed)
-    spacing = params.resample_spacing_mm
-    branches: dict[str, list[Centerline]] = {}
-    used_vertices: dict[str, set[int]] = {}
-    order: dict[str, list[Centerline]] = {LEFT: [], RIGHT: []}
+@dataclass(frozen=True)
+class _Draw:
+    """Everything one branch draws from the subject's rng, in draw order."""
 
+    cls: str
+    branch_id: str
+    anchor: np.ndarray | float  # root start, or attach fraction along the parent
+    direction: np.ndarray
+    bend: float
+    bend_axis: np.ndarray
+    curl_axis: np.ndarray
+    wobble: np.ndarray  # one curl angle per 1 mm step; zeros when wobble_rad is 0
+
+
+def _depth(cls: str) -> int:
+    """Depth of a class in the template tree: roots 0, their children 1, ..."""
+    parent = TEMPLATES[cls].parent
+    return 0 if parent is None else 1 + _depth(parent)
+
+
+def _draw_branches(rng: np.random.Generator, params: GenParams) -> list[_Draw]:
+    """Every branch's random draws, in template order; none depends on geometry."""
+    draws = []
     for cls, tpl in TEMPLATES.items():
         probs = np.asarray(params.count_probs[cls])
         count = int(rng.choice(len(probs), p=probs / probs.sum()))
-        instances = []
         for i in range(count):
             if tpl.parent is None:
-                start = np.asarray(tpl.start, dtype=float)
+                anchor = np.asarray(tpl.start, dtype=float)
                 if cls != "LM":
-                    start = start + rng.normal(0, params.junction_jitter_mm, 3)
+                    anchor = anchor + rng.normal(0, params.junction_jitter_mm, 3)
             else:
-                parent = branches[tpl.parent][0]
                 lo, hi = tpl.attach
                 frac = lo + (i + 0.5) * (hi - lo) / count
                 frac += rng.normal(0, params.attach_jitter_frac * max(hi - lo, 0.05))
-                idx = _attach_index(
-                    parent.points, float(np.clip(frac, 0.02, 0.98)),
-                    used_vertices.setdefault(tpl.parent, set()),
-                )
-                start = parent.points[idx].copy()
+                anchor = float(np.clip(frac, 0.02, 0.98))
             direction = _jitter_direction(
                 rng, _unit(np.asarray(tpl.direction)), params.direction_jitter_rad
             )
             length = tpl.length_mm * (1 + rng.normal(0, params.length_jitter_frac))
-            length = max(length, 2.5 * spacing)
+            length = max(length, 2.5 * params.resample_spacing_mm)
             bend = tpl.bend_rad * (1 + rng.normal(0, params.bend_jitter_frac))
-            raw = _grow_curve(rng, start, direction, length, bend, params.wobble_rad)
-            cl = resample_centerline(
-                Centerline(
-                    branch_id=cls if count == 1 else f"{cls}{i + 1}",
-                    side=tpl.side,
-                    points=raw,
-                    label=cls,
-                ),
-                spacing,
-            )
-            # resampling preserves the first point, so the attachment vertex
-            # stays bit-exact on the parent
-            instances.append(cl)
-        branches[cls] = instances
-        order[tpl.side].extend(instances)
+            n = max(3, int(round(length)))  # 1 mm steps
+            bend_axis = _perpendicular(rng, direction)
+            curl_axis = _perpendicular(rng, direction)
+            if params.wobble_rad > 0:
+                wobble = rng.normal(0.0, params.wobble_rad, n)
+            else:
+                wobble = np.zeros(n)
+            draws.append(_Draw(
+                cls, cls if count == 1 else f"{cls}{i + 1}", anchor, direction,
+                bend, bend_axis, curl_axis, wobble,
+            ))
+    return draws
 
-    # File order: LM must be the first left centerline (frame origin) and
-    # RCA the last right one (frame control point).
-    right = [cl for cl in order[RIGHT] if cl.label != "RCA"] + branches["RCA"]
-    centerlines = order[LEFT] + right
 
+def _grow_directions(draws: list[_Draw], curl: bool) -> np.ndarray:
+    """Unit tangent after each 1 mm step, (longest branch, branches, 3).
+
+    All branches step in lockstep. Each step rotates the tangent about the
+    bend axis by bend / n, then (if curl) about the curl axis by that step's
+    wobble angle, then renormalises. Steps past a branch's end are padding.
+    """
+    lengths = [len(dr.wobble) for dr in draws]
+    n_max = max(lengths)
+    bend = np.stack([_rotation(dr.bend_axis, dr.bend / n) for dr, n in zip(draws, lengths)])
+    if curl:
+        angles = np.zeros((n_max, len(draws)))  # padding angle 0 is the identity
+        for b, dr in enumerate(draws):
+            angles[: lengths[b], b] = dr.wobble
+        k = _skew(np.stack([dr.curl_axis for dr in draws]))
+        rot = (
+            np.eye(3)
+            + np.sin(angles)[:, :, None, None] * k
+            + (1 - np.cos(angles))[:, :, None, None] * (k @ k)
+        )
+    d = np.stack([dr.direction for dr in draws])
+    dirs = np.empty((n_max, len(draws), 3))
+    for s in range(n_max):
+        d = np.matmul(bend, d[:, :, None])[:, :, 0]
+        if curl:
+            d = np.matmul(rot[s], d[:, :, None])[:, :, 0]
+        d /= np.sqrt(np.vecdot(d, d))[:, None]
+        dirs[s] = d
+    return dirs
+
+
+def generate_subject(params: GenParams, subject_seed) -> SubjectRecord:
+    """One labeled subject: deterministic in (params, subject_seed).
+
+    Three phases: draw every branch's randomness in template order, grow all
+    tangents in lockstep, then place and resample the branches one template
+    depth at a time, so each child starts on a vertex of its resampled parent.
+    """
+    rng = np.random.default_rng(subject_seed)
+    draws = _draw_branches(rng, params)
     motion_t = rng.uniform(-params.translation_range_mm, params.translation_range_mm, 3)
     motion_r = _random_rotation(rng) if params.rotate else np.eye(3)
+    dirs = _grow_directions(draws, params.wobble_rad > 0)
+
+    first: dict[str, Centerline] = {}  # children attach to their class's first instance
+    used_vertices: dict[str, set[int]] = {}
+    grown: list[Centerline | None] = [None] * len(draws)
+    depths = [_depth(dr.cls) for dr in draws]
+    for depth in range(max(depths) + 1):
+        level = [b for b, d in enumerate(depths) if d == depth]
+        raw = []
+        for b in level:
+            dr = draws[b]
+            tpl = TEMPLATES[dr.cls]
+            if tpl.parent is None:
+                start = dr.anchor
+            else:
+                parent = first[tpl.parent].points
+                used = used_vertices.setdefault(tpl.parent, set())
+                start = parent[_attach_index(parent, dr.anchor, used)]
+            # the cumulative sum adds the steps in the order a walk would
+            steps = np.concatenate([start[None], dirs[: len(dr.wobble), b]])
+            raw.append(Centerline(dr.branch_id, tpl.side, np.cumsum(steps, axis=0), dr.cls))
+        # resampling preserves each first point, so attachment vertices stay
+        # bit-exact on the parent
+        for b, cl in zip(level, resample_branches(raw, params.resample_spacing_mm)):
+            grown[b] = cl
+            first.setdefault(cl.label, cl)
+
+    # File order: LM must be the first left centerline (frame origin) and
+    # RCA the last right one (frame control point); the sort is stable.
+    centerlines = sorted(grown, key=lambda cl: (cl.side == RIGHT, cl.label == "RCA"))
     centerlines = [
         replace(cl, points=cl.points @ motion_r.T + motion_t) for cl in centerlines
     ]

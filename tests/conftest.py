@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from coroseg.autodiff import Edges
-from coroseg.centerline import LEFT, RIGHT, Centerline, SubjectRecord
+from coroseg.centerline import LEFT, RIGHT, Centerline, SubjectRecord, resample_centerline
 from coroseg.graph import GraphBuildError, Segment, SkeletonGraph
+from coroseg.synth import (
+    TEMPLATES,
+    _attach_index,
+    _jitter_direction,
+    _perpendicular,
+    _random_rotation,
+    _rotation,
+    _unit,
+)
 
 
 def straight_line(start, direction, n_points, step=5.0) -> np.ndarray:
@@ -188,7 +199,6 @@ def split_oracle(subject: SubjectRecord) -> SkeletonGraph:
             segments.append(
                 Segment(
                     segment_id=f"{cl.branch_id}#{piece}",
-                    parent_branch_id=cl.branch_id,
                     points=pts,
                     start_junction=jid(keys[i][a], pts[0]),
                     end_junction=jid(keys[i][b], pts[-1]),
@@ -196,6 +206,99 @@ def split_oracle(subject: SubjectRecord) -> SkeletonGraph:
                 )
             )
     return SkeletonGraph(junctions=junctions, segments=tuple(segments))
+
+
+def _grow_curve(
+    rng: np.random.Generator,
+    start: np.ndarray,
+    direction: np.ndarray,
+    length: float,
+    bend: float,
+    wobble: float,
+    step: float = 1.0,
+) -> np.ndarray:
+    """Smooth polyline: tangent rotates steadily about a bend axis plus curl."""
+    n = max(3, int(round(length / step)))
+    bend_axis = _perpendicular(rng, direction)
+    curl_axis = _perpendicular(rng, direction)
+    per_step = bend / n
+    pts = [start]
+    d = direction.copy()
+    for _ in range(n):
+        d = _rotation(bend_axis, per_step) @ d
+        if wobble > 0:
+            d = _rotation(curl_axis, rng.normal(0.0, wobble)) @ d
+        d = _unit(d)
+        pts.append(pts[-1] + step * d)
+    return np.asarray(pts)
+
+
+def generate_subject_oracle(params, subject_seed) -> SubjectRecord:
+    """The generator as a per-branch, per-step loop: one Rodrigues matrix per
+    bend and curl step, one resample per branch. Same rng stream and bits."""
+    rng = np.random.default_rng(subject_seed)
+    spacing = params.resample_spacing_mm
+    branches: dict[str, list[Centerline]] = {}
+    used_vertices: dict[str, set[int]] = {}
+    order: dict[str, list[Centerline]] = {LEFT: [], RIGHT: []}
+
+    for cls, tpl in TEMPLATES.items():
+        probs = np.asarray(params.count_probs[cls])
+        count = int(rng.choice(len(probs), p=probs / probs.sum()))
+        instances = []
+        for i in range(count):
+            if tpl.parent is None:
+                start = np.asarray(tpl.start, dtype=float)
+                if cls != "LM":
+                    start = start + rng.normal(0, params.junction_jitter_mm, 3)
+            else:
+                parent = branches[tpl.parent][0]
+                lo, hi = tpl.attach
+                frac = lo + (i + 0.5) * (hi - lo) / count
+                frac += rng.normal(0, params.attach_jitter_frac * max(hi - lo, 0.05))
+                idx = _attach_index(
+                    parent.points, float(np.clip(frac, 0.02, 0.98)),
+                    used_vertices.setdefault(tpl.parent, set()),
+                )
+                start = parent.points[idx].copy()
+            direction = _jitter_direction(
+                rng, _unit(np.asarray(tpl.direction)), params.direction_jitter_rad
+            )
+            length = tpl.length_mm * (1 + rng.normal(0, params.length_jitter_frac))
+            length = max(length, 2.5 * spacing)
+            bend = tpl.bend_rad * (1 + rng.normal(0, params.bend_jitter_frac))
+            raw = _grow_curve(rng, start, direction, length, bend, params.wobble_rad)
+            cl = resample_centerline(
+                Centerline(
+                    branch_id=cls if count == 1 else f"{cls}{i + 1}",
+                    side=tpl.side,
+                    points=raw,
+                    label=cls,
+                ),
+                spacing,
+            )
+            # resampling preserves the first point, so the attachment vertex
+            # stays bit-exact on the parent
+            instances.append(cl)
+        branches[cls] = instances
+        order[tpl.side].extend(instances)
+
+    # File order: LM must be the first left centerline (frame origin) and
+    # RCA the last right one (frame control point).
+    right = [cl for cl in order[RIGHT] if cl.label != "RCA"] + branches["RCA"]
+    centerlines = order[LEFT] + right
+
+    motion_t = rng.uniform(-params.translation_range_mm, params.translation_range_mm, 3)
+    motion_r = _random_rotation(rng) if params.rotate else np.eye(3)
+    centerlines = [
+        replace(cl, points=cl.points @ motion_r.T + motion_t) for cl in centerlines
+    ]
+    sid = subject_seed[-1] if isinstance(subject_seed, (list, tuple)) else subject_seed
+    return SubjectRecord(
+        subject_id=f"synthetic-{sid:04d}",
+        voxel_spacing_mm=params.voxel_spacing_mm,
+        centerlines=centerlines,
+    )
 
 
 def init_model_oracle(cfg) -> dict[str, np.ndarray]:

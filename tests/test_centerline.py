@@ -12,6 +12,7 @@ from coroseg.centerline import (
     merge_branch_origins,
     parse_subject,
     prepare_subject,
+    resample_branches,
     resample_centerline,
     resample_subject,
     serialize_subject,
@@ -301,6 +302,12 @@ def test_resample_bit_identical_to_loop_oracle(rng):
             assert all(np.array_equal(cl.points, e) for cl, e in zip(whole, expected))
             for cl, e in zip(subject.centerlines, expected):
                 assert np.array_equal(resample_centerline(cl, spacing).points, e)
+
+
+def test_resample_branches_takes_no_branches():
+    assert resample_branches([], 5.0) == []
+    with pytest.raises(CenterlineError, match="spacing must be positive"):
+        resample_branches([], 0.0)
 
 
 def test_merge_bit_identical_to_loop_oracle(rng):

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from coroseg.centerline import CLASSES_13, prepare_subject
+from coroseg.centerline import CLASSES_13, prepare_subject, serialize_subject
 from coroseg.graph import build_segment_graph, split_into_segments
 from coroseg.synth import (
     DEFAULT_COUNT_PROBS,
@@ -11,7 +11,7 @@ from coroseg.synth import (
     generate_corpus,
     generate_subject,
 )
-from conftest import segment_count_oracle
+from conftest import generate_subject_oracle, segment_count_oracle
 
 SMALL = GenParams(n_subjects=20, seed=7)
 
@@ -126,3 +126,26 @@ def test_rotation_can_be_disabled():
     lm = next(cl for cl in rec.centerlines if cl.label == "LM")
     # without the rigid motion the LM root starts at the canonical origin
     assert np.allclose(lm.points[0], [0.0, 0.0, 0.0])
+
+
+def test_generator_bit_identical_to_loop_oracle():
+    # no level-2 class: LAD and LCX get no children, so that level is empty
+    no_level_2 = dict(DEFAULT_COUNT_PROBS, **{
+        c: (1.0,) for c, tpl in TEMPLATES.items() if tpl.parent in ("LAD", "LCX")
+    })
+    cases = [(preset, seed, 6) for preset in (GenParams(), GenParams.low_noise())
+             for seed in (0, 3, 8)]
+    cases += [(params, 5, 4) for params in (
+        GenParams(wobble_rad=0.0),
+        GenParams(direction_jitter_rad=0.0),
+        GenParams.low_noise(rotate=False),
+        GenParams(wobble_rad=0.0, rotate=False),
+        GenParams(count_probs=no_level_2),
+    )]
+    for params, seed, n in cases:
+        for i in range(n):
+            got = serialize_subject(generate_subject(params, [seed, i]))
+            assert got == serialize_subject(generate_subject_oracle(params, [seed, i]))
+    rec = generate_subject(GenParams(count_probs=no_level_2), [5, 0])
+    assert [cl.label for cl in rec.centerlines][:3] == ["LM", "LAD", "LCX"]
+    assert len([cl for cl in rec.centerlines if cl.side == "left"]) == 3
