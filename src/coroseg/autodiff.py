@@ -40,10 +40,6 @@ class Tensor:
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad[:] = 0.0
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 

@@ -1,19 +1,20 @@
 """Per-subject centerline files: parsing, validation, resampling, merging.
 
-A subject file holds one ordered 3D polyline per vessel branch, in
-millimeters, tagged with the coronary tree side it belongs to and an
-optional anatomical class label.
-
-Resampling and merging work on a whole subject at once: its branches'
-points lie end to end in one array, and each step is one array operation
-whatever the branch count. Every branch gets the bits a loop over branches
-would give it. Errors name the first failing branch in file order.
+A subject file holds one ordered 3D polyline per vessel branch, in millimeters,
+tagged with its coronary tree side and an optional anatomical class label. A
+SubjectRecord holds a subject as arrays from parse to graph, checked once when
+made; errors name the first failing branch in file order. Parsing, resampling
+and merging take a fixed number of array operations whatever the branch count,
+and give every branch the bits a loop over branches would. Centerline is one
+branch: the input form of hand-built subjects, and a view of a record's rows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -57,124 +58,150 @@ class Centerline:
         if not np.isfinite(pts).all():
             raise CenterlineError(f"branch {self.branch_id!r}: non-finite coordinates")
         if (pts[1:] == pts[:-1]).all(axis=1).any():
-            raise CenterlineError(
-                f"branch {self.branch_id!r}: consecutive duplicate points"
-            )
+            raise CenterlineError(f"branch {self.branch_id!r}: consecutive duplicate points")
         if self.side not in (LEFT, RIGHT):
             raise CenterlineError(f"branch {self.branch_id!r}: bad side {self.side!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SubjectRecord:
-    """All centerlines of one subject, in file order."""
+    """All branches of one subject in file order: branch b is rows first[b]
+    up to the next branch's first row of the read-only points."""
 
     subject_id: str
     voxel_spacing_mm: float
-    centerlines: tuple[Centerline, ...] = field(default_factory=tuple)
+    points: np.ndarray  # (P, 3) float64, millimeters
+    first: np.ndarray   # (B,)
+    branch_ids: tuple[str, ...]
+    sides: tuple[str, ...]
+    labels: tuple[str | None, ...]
+    owner: np.ndarray = field(init=False, repr=False)  # (P,) the branch of each row
+    right: np.ndarray = field(init=False, repr=False)  # (B,) True on the right side
 
-    def __post_init__(self):
-        object.__setattr__(self, "centerlines", tuple(self.centerlines))
-        if not (np.isfinite(self.voxel_spacing_mm) and self.voxel_spacing_mm > 0):
+    def __init__(self, subject_id: str, voxel_spacing_mm: float, centerlines=None, *,
+                 points=(), first=(), branch_ids=(), sides=(), labels=(), problems=None):
+        """From Centerline objects, or from arrays laid out as above; centerlines
+        win, so dataclasses.replace(record, centerlines=...) works. Checked once:
+        each branch in file order for its entry in problems (a message or None),
+        as Centerline checks it, and for arc-length overflow; then the subject."""
+        if centerlines is not None:
+            cls = tuple(centerlines)
+            sizes = [len(cl.points) for cl in cls]
+            points = np.concatenate([cl.points for cl in cls] or [np.empty((0, 3))])
+            first, branch_ids = np.cumsum(sizes) - sizes, [cl.branch_id for cl in cls]
+            sides, labels = [cl.side for cl in cls], [cl.label for cl in cls]
+        points, bounds = np.asarray(points, np.float64), np.append(np.asarray(first, np.intp), len(points))
+        points.flags.writeable = False
+        sizes, n = bounds[1:] - bounds[:-1], len(bounds) - 1
+        owner = np.repeat(np.arange(n), sizes)
+        self.__dict__.update(
+            subject_id=subject_id, voxel_spacing_mm=voxel_spacing_mm, points=points,
+            first=bounds[:-1], branch_ids=tuple(branch_ids), sides=tuple(sides),
+            labels=tuple(labels), owner=owner, right=np.array([s == RIGHT for s in sides], bool))
+        # one pass over the arrays, and only a subject that fails it is checked
+        # per branch; below 1e150 per coordinate no arc length can overflow
+        if (any(problems or ()) or sizes.min(initial=2) < 2 or not np.isfinite(points).all()
+                or np.abs(points).max(initial=0) > 1e150
+                or ((points[1:] == points[:-1]).all(axis=1) & (owner[1:] == owner[:-1])).any()
+                or not {LEFT, RIGHT}.issuperset(self.sides)):
+            for problem, cl in zip(problems or [None] * n, self.centerlines):
+                if problem:
+                    raise CenterlineError(problem)
+                Centerline(cl.branch_id, cl.side, cl.points, cl.label)  # raises as it checks
+                with np.errstate(over="ignore"):
+                    if not np.isfinite(np.linalg.norm(np.diff(cl.points, axis=0), axis=1).cumsum()[-1]):
+                        raise CenterlineError(f"branch {cl.branch_id!r}: arc length overflows")
+        if not (np.isfinite(voxel_spacing_mm) and voxel_spacing_mm > 0):
             raise CenterlineError("voxel_spacing_mm must be finite and positive")
-        sides = {cl.side for cl in self.centerlines}
-        if LEFT not in sides or RIGHT not in sides:
+        if LEFT not in self.sides or RIGHT not in self.sides:
             raise CenterlineError("subject needs at least one left and one right branch")
-        ids = [cl.branch_id for cl in self.centerlines]
-        if len(set(ids)) != len(ids):
+        if len(set(self.branch_ids)) != n:
             raise CenterlineError("duplicate branch ids")
 
-    def branches(self, side: str) -> list[Centerline]:
-        return [cl for cl in self.centerlines if cl.side == side]
+    @cached_property
+    def centerlines(self) -> tuple[Centerline, ...]:
+        """One Centerline per branch viewing its checked rows, built on first read."""
+        bounds = np.append(self.first, len(self.points)).tolist()
+        views = tuple(object.__new__(Centerline) for _ in self.first)
+        for b, view in enumerate(views):
+            view.__dict__.update(branch_id=self.branch_ids[b], side=self.sides[b],
+                                 points=self.points[bounds[b]:bounds[b + 1]], label=self.labels[b])
+        return views
 
 
 def parse_subject(raw: bytes | str) -> SubjectRecord:
     """Parse a subject JSON file into a validated SubjectRecord.
 
-    An error names the first failing branch in file order.
+    All points are decoded with one np.asarray; only when that fails is each
+    branch decoded alone.
     """
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
     except json.JSONDecodeError as exc:
         raise CenterlineError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CenterlineError("top-level value must be an object")
     try:
         subject_id = str(doc["subject_id"])
-        voxel = float(doc["voxel_spacing_mm"])
+        voxel = _numbers(doc["voxel_spacing_mm"])
+        if voxel is None or voxel.ndim:
+            raise CenterlineError("voxel_spacing_mm must be a number")
         branches = doc["branches"]
     except KeyError as exc:
         raise CenterlineError(f"missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise CenterlineError("voxel_spacing_mm must be a number") from exc
     if not isinstance(branches, list) or not branches:
         raise CenterlineError("branches must be a non-empty list")
-    centerlines = []
-    for i, b in enumerate(branches):
-        try:
-            centerlines.append(_parse_branch(i, b))
-        except CenterlineError:
-            _check_arc_lengths(centerlines)  # an earlier branch fails first
-            raise
-    _check_arc_lengths(centerlines)
-    return SubjectRecord(subject_id, voxel, centerlines)
-
-
-def _parse_branch(i: int, b) -> Centerline:
-    if not isinstance(b, dict):
-        raise CenterlineError(f"branch {i}: must be an object")
-    if "points" not in b:
-        raise CenterlineError(f"branch {i}: missing points array")
-    try:
-        pts = np.asarray(b["points"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise CenterlineError(f"branch {i}: points must be an array of numbers") from exc
-    if pts.ndim != 2 or len(pts) < 2:
-        raise CenterlineError(f"branch {i}: centerline too short")
-    if b.get("label") is not None and b["label"] not in CLASSES_13:
-        raise CenterlineError(f"branch {i}: unknown label {b['label']!r}")
-    return Centerline(
-        branch_id=str(b.get("id", f"b{i}")),
-        side=str(b.get("side", "")),
-        points=pts,
-        label=b.get("label"),
+    docs = [b if isinstance(b, dict) else {} for b in branches]
+    ids = [str(b.get("id", f"b{i}")) for i, b in enumerate(docs)]
+    lists = [b.get("points") for b in docs]
+    points = _numbers(list(chain.from_iterable(lists))) if all(type(p) is list for p in lists) else None
+    if points is not None and points.shape[1:] == (3,):
+        shapes = [(len(p), 3) for p in lists]
+    else:  # some branch does not decode: decode each alone to find it
+        arrays = [_numbers(p) for p in lists]
+        shapes = [None if a is None else a.shape for a in arrays]
+        # a branch that stops here holds two rows that are never checked
+        points = np.concatenate([a if s and s[1:] == (3,) else np.zeros((2, 3))
+                                 for a, s in zip(arrays, shapes)])
+    sizes = [s[0] if s and s[1:] == (3,) else 2 for s in shapes]
+    return SubjectRecord(
+        subject_id, float(voxel), points=points, first=np.cumsum(sizes) - sizes, branch_ids=ids,
+        sides=[str(b.get("side", "")) for b in docs], labels=[b.get("label") for b in docs],
+        problems=[_stop(i, b, s, bid) for i, (b, s, bid) in enumerate(zip(branches, shapes, ids))],
     )
 
 
-def _check_arc_lengths(centerlines: list[Centerline]) -> None:
-    """Raise for the first branch whose arc length overflows to infinity."""
-    # below 1e150 per coordinate no step or sum of steps can overflow
-    if not centerlines or np.abs(np.concatenate([cl.points for cl in centerlines])).max() <= 1e150:
-        return
-    with np.errstate(over="ignore"):
-        for cl in centerlines:
-            if not np.isfinite(arc_lengths(cl.points)[-1]):
-                raise CenterlineError(f"branch {cl.branch_id!r}: arc length overflows")
+def _numbers(value) -> np.ndarray | None:
+    """value as a float64 array, or None if it is not numbers."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):
+        return None
+    return arr.astype(np.float64) if arr.dtype.kind in "iuf" else None
+
+
+def _stop(i: int, b, shape, branch_id: str) -> str | None:
+    """What stops branch i before its point values are checked, if anything."""
+    if not isinstance(b, dict):
+        return f"branch {i}: must be an object"
+    if "points" not in b:
+        return f"branch {i}: missing points array"
+    if shape is None:
+        return f"branch {i}: points must be an array of numbers"
+    if len(shape) != 2 or shape[0] < 2:
+        return f"branch {i}: centerline too short"
+    if b.get("label") is not None and b["label"] not in CLASSES_13:
+        return f"branch {i}: unknown label {b['label']!r}"
+    if shape[1] != 3:
+        return f"branch {branch_id!r}: points must be (n, 3)"
 
 
 def serialize_subject(subject: SubjectRecord) -> str:
     """Canonical JSON form; parse(serialize(s)) reproduces s exactly."""
-    doc = {
-        "subject_id": subject.subject_id,
-        "voxel_spacing_mm": subject.voxel_spacing_mm,
-        "branches": [
-            {
-                "id": cl.branch_id,
-                "side": cl.side,
-                "points": cl.points.tolist(),
-                **({"label": cl.label} if cl.label else {}),
-            }
-            for cl in subject.centerlines
-        ],
-    }
-    return json.dumps(doc, indent=1)
-
-
-def arc_lengths(points: np.ndarray) -> np.ndarray:
-    """Cumulative arc length along a polyline, starting at 0."""
-    steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    return np.concatenate([[0.0], np.cumsum(steps)])
+    branches = [{"id": cl.branch_id, "side": cl.side, "points": cl.points.tolist(),
+                 **({"label": cl.label} if cl.label else {})} for cl in subject.centerlines]
+    return json.dumps({"subject_id": subject.subject_id, "voxel_spacing_mm": subject.voxel_spacing_mm,
+                       "branches": branches}, indent=1)
 
 
 def resample_centerline(cl: Centerline, spacing_mm: float) -> Centerline:
@@ -183,44 +210,47 @@ def resample_centerline(cl: Centerline, spacing_mm: float) -> Centerline:
     First and last input points are preserved exactly; interpolated points
     lie on the piecewise-linear input curve.
     """
-    return resample_branches((cl,), spacing_mm)[0]
+    points, _, length = resample_points(cl.points, np.zeros(1, np.intp), spacing_mm)
+    problem = _length_problems(length, [cl.branch_id])[0]
+    if problem:
+        raise CenterlineError(problem)
+    return Centerline(cl.branch_id, cl.side, points, cl.label)
 
 
 def resample_subject(subject: SubjectRecord, spacing_mm: float | None = None) -> SubjectRecord:
     """Resample every branch as resample_centerline does; default spacing is 10 voxels."""
-    if spacing_mm is None:
-        spacing_mm = 10 * subject.voxel_spacing_mm
-    resampled = resample_branches(subject.centerlines, spacing_mm)
-    return SubjectRecord(subject.subject_id, subject.voxel_spacing_mm, resampled)
+    spacing_mm = 10 * subject.voxel_spacing_mm if spacing_mm is None else spacing_mm
+    points, first, length = resample_points(subject.points, subject.first, spacing_mm)
+    return replace(subject, points=points, first=first,
+                   problems=_length_problems(length, subject.branch_ids))
 
 
-def _layout(centerlines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Branch points end to end, each branch's first row, and each point's branch."""
-    lengths = np.array([len(cl.points) for cl in centerlines])
-    points = np.concatenate([cl.points for cl in centerlines])
-    return points, np.cumsum(lengths) - lengths, np.repeat(np.arange(len(lengths)), lengths)
+def _length_problems(length: np.ndarray, ids) -> list[str | None]:
+    """Per branch: why its points cannot be resampled, or None."""
+    return [None if 0 < total < np.inf else f"branch {bid!r}: "
+            + ("zero-length curve" if not total > 0 else "arc length overflows")
+            for bid, total in zip(ids, length.tolist())]
 
 
-def resample_branches(centerlines, spacing_mm: float) -> list[Centerline]:
-    """Resample branches as resample_centerline does, with one array operation
-    per step whatever their count; no branches give an empty list.
-
-    Temporaries are O(points + targets), apart from the arc-length table of
-    branches x longest branch.
-    """
+def resample_points(points: np.ndarray, first: np.ndarray, spacing_mm: float):
+    """Resample branches laid out end to end, branch b from row first[b], as
+    resample_centerline does, with one array operation per step whatever their
+    count. Returns the new points and first rows and each branch's arc length;
+    a branch whose length is zero or not finite keeps just its end points.
+    Temporaries are O(points + targets), but for a branches x longest table."""
     if not spacing_mm > 0:
         raise CenterlineError("spacing must be positive")
-    if not centerlines:
-        return []
-    pts, first, owner = _layout(centerlines)
-    n_branches, n_points = len(first), len(pts)
+    n_branches, n_points = len(first), len(points)
+    if not n_branches:
+        return np.empty((0, 3)), np.empty(0, np.intp), np.empty(0)
     last = np.append(first[1:], n_points) - 1
+    owner = np.repeat(np.arange(n_branches), last - first + 1)
     col = np.arange(n_points) - first[owner]
     # Arc length per branch: a row-wise cumsum over a zero-padded table adds
     # each branch's steps in the order its own cumsum would.
     table = np.zeros((n_branches, col.max() + 1))
     inner = col > 0
-    table[owner[inner], col[inner]] = np.linalg.norm(np.diff(pts, axis=0), axis=1)[inner[1:]]
+    table[owner[inner], col[inner]] = np.linalg.norm(np.diff(points, axis=0), axis=1)[inner[1:]]
     np.cumsum(table, axis=1, out=table)
     cum = table[owner, col]
     total = cum[last]
@@ -242,23 +272,13 @@ def resample_branches(centerlines, spacing_mm: float) -> list[Centerline]:
     alpha = np.divide(t - cum[j], seg_len, out=np.zeros_like(t), where=seg_len > 0)
     out_first = np.cumsum(counts + 2) - (counts + 2)
     out = np.empty((len(t) + 2 * n_branches, 3))
-    out[out_first] = pts[first]
-    out[out_first[t_owner] + k] = pts[j] + alpha[:, None] * (pts[j + 1] - pts[j])
-    out[out_first + counts + 1] = pts[last]
-    # Branches are checked in file order, so the first failing one is named.
-    bounds = np.append(out_first, len(out)).tolist()
-    resampled = []
-    for b, cl in enumerate(centerlines):
-        if not ok[b]:
-            problem = "zero-length curve" if not total[b] > 0 else "arc length overflows"
-            raise CenterlineError(f"branch {cl.branch_id!r}: {problem}")
-        resampled.append(Centerline(cl.branch_id, cl.side, out[bounds[b]:bounds[b + 1]], cl.label))
-    return resampled
+    out[out_first] = points[first]
+    out[out_first[t_owner] + k] = points[j] + alpha[:, None] * (points[j + 1] - points[j])
+    out[out_first + counts + 1] = points[last]
+    return out, out_first, total
 
 
-def merge_branch_origins(
-    subject: SubjectRecord, tol_mm: float = DEFAULT_MERGE_TOL_MM
-) -> SubjectRecord:
+def merge_branch_origins(subject: SubjectRecord, tol_mm: float = DEFAULT_MERGE_TOL_MM) -> SubjectRecord:
     """Snap branch start points onto the nearest point of another branch.
 
     A start within tol_mm of a point on some other branch of the same side
@@ -269,12 +289,10 @@ def merge_branch_origins(
     """
     if tol_mm <= 0:
         raise CenterlineError("merge tolerance must be positive")
-    cls = subject.centerlines
-    points, first, owner = _layout(cls)
-    right = np.array([cl.side == RIGHT for cl in cls])
+    points, first, owner, right = subject.points.copy(), subject.first, subject.owner, subject.right
     # dist[i, m]: start i to point m, inf on i's own branch and the other side
     dist = np.linalg.norm(points - points[first][:, None], axis=2)
-    dist[(owner == np.arange(len(cls))[:, None]) | (right[owner] != right[:, None])] = np.inf
+    dist[(owner == np.arange(len(first))[:, None]) | (right[owner] != right[:, None])] = np.inf
     for i, start in enumerate(first.tolist()):
         # the first minimum is on the lowest branch, then the lowest point
         k = int(np.argmin(dist[i]))
@@ -287,17 +305,10 @@ def merge_branch_origins(
             o = owner[k]
             if o > i:
                 dist[o, start] = np.linalg.norm(points[[start]] - points[first[o]], axis=1)[0]
-    bounds = np.append(first, len(points)).tolist()
-    return SubjectRecord(subject.subject_id, subject.voxel_spacing_mm, [
-        Centerline(cl.branch_id, cl.side, points[bounds[b]:bounds[b + 1]], cl.label)
-        for b, cl in enumerate(cls)
-    ])
+    return replace(subject, points=points)
 
 
-def prepare_subject(
-    subject: SubjectRecord,
-    spacing_mm: float | None = None,
-    merge_tol_mm: float = DEFAULT_MERGE_TOL_MM,
-) -> SubjectRecord:
+def prepare_subject(subject: SubjectRecord, spacing_mm: float | None = None,
+                    merge_tol_mm: float = DEFAULT_MERGE_TOL_MM) -> SubjectRecord:
     """Resample then merge: the canonical preprocessing before graph building."""
     return merge_branch_origins(resample_subject(subject, spacing_mm), merge_tol_mm)

@@ -54,8 +54,27 @@ class Segment:
 
 @dataclass(frozen=True)
 class SkeletonGraph:
-    junctions: dict[int, np.ndarray]  # junction id -> point
-    segments: tuple[Segment, ...]
+    """A subject's branches cut at junctions: segment s is rows span[s, 0] to
+    span[s, 1] of points and joins junctions ends[s]; junction k is row
+    junction_rows[k]."""
+
+    points: np.ndarray         # (P, 3), the subject's points
+    span: np.ndarray           # (S, 2)
+    ends: np.ndarray           # (S, 2)
+    junction_rows: np.ndarray  # (J,)
+    segment_ids: tuple[str, ...]
+    labels: tuple[str | None, ...]
+
+    @cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        """One Segment per segment, viewing its rows; built on first read."""
+        spans, ends = self.span.tolist(), self.ends.tolist()
+        return tuple(Segment(sid, self.points[i : j + 1], js, je, label) for sid, label, (i, j), (js, je)
+                     in zip(self.segment_ids, self.labels, spans, ends))
+
+    @cached_property
+    def junctions(self) -> dict[int, np.ndarray]:
+        return dict(enumerate(self.points[self.junction_rows]))
 
 
 @dataclass(frozen=True)
@@ -95,32 +114,27 @@ class SegmentGraph:
 
 
 def split_into_segments(subject: SubjectRecord) -> SkeletonGraph:
-    """Cut branches at junctions. Requires a resampled + merged subject.
+    """Cut the branches of a resampled and merged subject at junctions.
 
-    Two points are one point when they are on the same side and their
-    coordinates are equal (bit-exactly, post-merge; -0.0 equals 0.0), so the
-    left and right trees never share a junction. A junction sits at every
-    branch endpoint, and every branch is cut where it passes one. That finds
-    each attachment: a child attaches where its start lies on another branch,
-    and its start is an endpoint. Each side must have a single root (a branch
-    whose start lies on no other branch), and its segments must form one tree.
+    Two points are one when they are on the same side and their coordinates
+    are equal (bit-exactly; -0.0 equals 0.0), so the left and right trees never
+    share a junction. A junction sits at every branch endpoint, and a branch is
+    cut where it passes one; that finds each attachment, since a child starts
+    on its parent. Each side must have one root (a branch whose start lies on
+    no other branch), and its segments must form one tree.
     """
-    cls = subject.centerlines
-    points = np.concatenate([cl.points for cl in cls])
-    sizes = np.array([len(cl.points) for cl in cls])
-    owner = np.repeat(np.arange(len(cls)), sizes)
-    right = np.array([cl.side == RIGHT for cl in cls])
-    ends = np.cumsum(sizes) - 1
-    starts = ends - sizes + 1
+    points, owner, right = subject.points, subject.owner, subject.right
+    starts, n = subject.first, len(subject.first)
+    ends = np.append(starts[1:], len(points)) - 1
     # one id per distinct (point, side); + 0.0 turns -0.0 into 0.0 before bytes compare
     raw = np.column_stack([points + 0.0, right[owner]]).view("V32").ravel()
-    _, first, key = np.unique(raw, return_index=True, return_inverse=True)
+    _, first_row, key = np.unique(raw, return_index=True, return_inverse=True)
 
     # distinct (point id, branch) pairs, counted per point id
-    pairs = np.sort(key * len(cls) + owner)
-    n_owners = np.bincount(pairs[np.diff(pairs, prepend=-1) > 0] // len(cls))
+    pairs = np.sort(key * n + owner)
+    n_owners = np.bincount(pairs[np.diff(pairs, prepend=-1) > 0] // n)
     is_root = n_owners[key[starts]] == 1
-    is_junction = np.zeros(len(first), dtype=bool)
+    is_junction = np.zeros(len(first_row), dtype=bool)
     is_junction[key[starts]] = is_junction[key[ends]] = True
     cuts = np.flatnonzero(is_junction[key])
     same = owner[cuts[:-1]] == owner[cuts[1:]]
@@ -132,7 +146,7 @@ def split_into_segments(subject: SubjectRecord) -> SkeletonGraph:
     oriented = (junction[:, :1] == ids) * 1.0 - (junction[:, 1:] == ids)  # (S, J) incidence
     on_right = right[seg_owner]
     for on, side in ((~on_right, LEFT), (on_right, RIGHT)):
-        roots = [cl.branch_id for cl, r in zip(cls, is_root) if r and cl.side == side]
+        roots = [b for b, r, s in zip(subject.branch_ids, is_root, subject.sides) if r and s == side]
         if len(roots) > 1:
             raise GraphBuildError(
                 f"dangling branch: {side} side has unattached branches {roots[1:]}"
@@ -146,32 +160,19 @@ def split_into_segments(subject: SubjectRecord) -> SkeletonGraph:
             )
 
     piece = np.arange(len(span)) - np.searchsorted(seg_owner, seg_owner)
-    segments = tuple(
-        Segment(
-            segment_id=f"{cls[o].branch_id}#{k}",
-            points=points[i : j + 1],
-            start_junction=js,
-            end_junction=je,
-            label=cls[o].label,
-        )
-        for o, k, (i, j), (js, je) in zip(
-            seg_owner.tolist(), piece.tolist(), span.tolist(), junction.tolist()
-        )
+    names, labels = subject.branch_ids, subject.labels
+    return SkeletonGraph(
+        points=points, span=span, ends=junction, junction_rows=first_row[is_junction],
+        segment_ids=tuple(f"{names[o]}#{k}" for o, k in zip(seg_owner.tolist(), piece.tolist())),
+        labels=tuple(labels[o] for o in seg_owner.tolist()),
     )
-    junctions = {k: points[first[q]] for k, q in enumerate(np.flatnonzero(is_junction))}
-    return SkeletonGraph(junctions=junctions, segments=segments)
 
 
 def line_graph_adjacency(skel: SkeletonGraph) -> np.ndarray:
-    """Undirected adjacency over segments: edge iff two segments share a junction.
-
-    With M the segment x junction incidence matrix, A = (M M^T > 0) minus
-    the diagonal.
-    """
-    rows = np.arange(len(skel.segments))
-    incidence = np.zeros((len(rows), len(skel.junctions)))
-    for end in ("start_junction", "end_junction"):
-        incidence[rows, [getattr(s, end) for s in skel.segments]] = 1.0
+    """Undirected adjacency over segments, edge iff two share a junction:
+    with M the segment x junction incidence, A = (M M^T > 0) minus the diagonal."""
+    incidence = np.zeros((len(skel.ends), len(skel.junction_rows)))
+    incidence[np.arange(len(skel.ends))[:, None], skel.ends] = 1.0
     adj = (incidence @ incidence.T > 0).astype(np.float64)
     np.fill_diagonal(adj, 0.0)
     return adj
@@ -180,21 +181,20 @@ def line_graph_adjacency(skel: SkeletonGraph) -> np.ndarray:
 def build_reference_frame(subject: SubjectRecord) -> ReferenceFrame:
     """Frame from the first left-branch points and the last right-branch end.
 
-    Origin and z-axis come from the first two points of the first left
-    centerline; the last point of the last right centerline pins the y-z
-    plane. Scale is the bounding-box diagonal measured along the local axes,
-    which keeps it (and all embeddings) invariant to rigid motion.
+    Origin and z-axis come from the first two points of the first left branch;
+    the last point of the last right branch pins the y-z plane. Scale is the
+    bounding-box diagonal along the local axes, which keeps it (and all
+    embeddings) invariant to rigid motion.
     """
-    left = subject.branches(LEFT)
-    right = subject.branches("right")
-    first_left = left[0]
-    origin = first_left.points[0]
-    z = first_left.points[1] - origin
+    points, on_right = subject.points, subject.right[subject.owner]
+    start = int(np.argmin(on_right))  # the first left branch's first row
+    origin = points[start]
+    z = points[start + 1] - origin
     zn = np.linalg.norm(z)
     if zn < 1e-12:
         raise GraphBuildError("degenerate frame: coincident first points")
     z = z / zn
-    control = right[-1].points[-1]
+    control = points[np.flatnonzero(on_right)[-1]]  # the last right branch's last row
     w = control - origin
     wn = np.linalg.norm(w)
     y = w - (w @ z) * z
@@ -202,10 +202,9 @@ def build_reference_frame(subject: SubjectRecord) -> ReferenceFrame:
     if wn < 1e-12 or yn < 1e-9 * wn:
         raise GraphBuildError("degenerate frame: control point parallel to z-axis")
     y = y / yn
-    x = np.cross(y, z)
+    x = np.array([y[1] * z[2] - y[2] * z[1], y[2] * z[0] - y[0] * z[2], y[0] * z[1] - y[1] * z[0]])
     basis = np.vstack([x, y, z])
-    all_pts = np.vstack([cl.points for cl in subject.centerlines])
-    local = (basis @ (all_pts - origin).T).T
+    local = (basis @ (points - origin).T).T
     diag = float(np.linalg.norm(local.max(axis=0) - local.min(axis=0)))
     if diag <= 0:
         raise GraphBuildError("degenerate frame: zero extent")
@@ -235,46 +234,35 @@ def spherical_encode(q: np.ndarray) -> np.ndarray:
     ], axis=-1)
 
 
-def node_embedding(segments: tuple[Segment, ...], frame: ReferenceFrame) -> np.ndarray:
+def node_embedding(skel: SkeletonGraph, frame: ReferenceFrame) -> np.ndarray:
     """(S, 48) embeddings: 6 geometric features x (3 Cartesian + 5 spherical).
 
     Features: first point, midpoint (middle resampled index), last point,
     tangent first->second, vector first->midpoint, vector midpoint->last.
     """
-    picks = np.array([
-        [p[0], p[1], p[(len(p) - 1) // 2], p[-1]] for p in (s.points for s in segments)
-    ])
-    first, second, mid, last = picks.transpose(1, 0, 2)
+    i, j = skel.span.T
+    first, second, mid, last = skel.points[np.stack([i, i + 1, i + (j - i) // 2, j])]
     q = np.concatenate([
         frame.to_local(np.stack([first, mid, last], axis=1)),
         frame.vector_to_local(np.stack([second - first, mid - first, last - mid], axis=1)),
     ], axis=1)
-    return np.concatenate([q, spherical_encode(q)], axis=-1).reshape(len(picks), EMBED_DIM)
+    return np.concatenate([q, spherical_encode(q)], axis=-1).reshape(len(i), EMBED_DIM)
 
 
 def build_segment_graph(subject: SubjectRecord) -> SegmentGraph:
-    """Full construction: split, line graph, embeddings, inherited labels.
-
-    The subject must already be resampled and merged (see prepare_subject).
-    """
+    """Split, line graph, embeddings and inherited labels of a resampled and
+    merged subject (see prepare_subject)."""
     skel = split_into_segments(subject)
     frame = build_reference_frame(subject)
     adj = line_graph_adjacency(skel)
-    return SegmentGraph(
-        node_ids=tuple(s.segment_id for s in skel.segments),
-        features=node_embedding(skel.segments, frame),
-        adjacency=adj,
-        labels=tuple(s.label for s in skel.segments),
-    )
+    return SegmentGraph(skel.segment_ids, node_embedding(skel, frame), adj, skel.labels)
 
 
 def segment_graph_to_json(sg: SegmentGraph) -> str:
     """Export as {nodes: [{id, features, label?}], edges: [[i, j], ...]}, one node per line."""
-    nodes = []
-    for i, nid in enumerate(sg.node_ids):
-        node = {"id": nid, "features": sg.features[i].tolist()}
-        if sg.labels[i]:
-            node["label"] = sg.labels[i]
-        nodes.append(json.dumps(node))
+    nodes = [
+        json.dumps({"id": nid, "features": row.tolist(), **({"label": label} if label else {})})
+        for nid, row, label in zip(sg.node_ids, sg.features, sg.labels)
+    ]
     edges = json.dumps(np.argwhere(np.triu(sg.adjacency, 1)).tolist())
     return '{"nodes": [\n' + ",\n".join(nodes) + '\n],\n"edges": ' + edges + "}\n"

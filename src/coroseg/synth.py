@@ -21,14 +21,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .centerline import (
-    LEFT,
-    RIGHT,
-    Centerline,
-    SubjectRecord,
-    prepare_subject,
-    resample_branches,
-)
+from .centerline import LEFT, RIGHT, SubjectRecord, prepare_subject, resample_points
 from .graph import split_into_segments
 
 
@@ -276,42 +269,50 @@ def generate_subject(params: GenParams, subject_seed) -> SubjectRecord:
     motion_r = _random_rotation(rng) if params.rotate else np.eye(3)
     dirs = _grow_directions(draws, params.wobble_rad > 0)
 
-    first: dict[str, Centerline] = {}  # children attach to their class's first instance
+    first: dict[str, np.ndarray] = {}  # children attach to their class's first instance
     used_vertices: dict[str, set[int]] = {}
-    grown: list[Centerline | None] = [None] * len(draws)
+    grown: list[np.ndarray | None] = [None] * len(draws)
     depths = [_depth(dr.cls) for dr in draws]
     for depth in range(max(depths) + 1):
         level = [b for b, d in enumerate(depths) if d == depth]
-        raw = []
+        walks = []
         for b in level:
             dr = draws[b]
-            tpl = TEMPLATES[dr.cls]
-            if tpl.parent is None:
+            parent_cls = TEMPLATES[dr.cls].parent
+            if parent_cls is None:
                 start = dr.anchor
             else:
-                parent = first[tpl.parent].points
-                used = used_vertices.setdefault(tpl.parent, set())
+                parent = first[parent_cls]
+                used = used_vertices.setdefault(parent_cls, set())
                 start = parent[_attach_index(parent, dr.anchor, used)]
             # the cumulative sum adds the steps in the order a walk would
             steps = np.concatenate([start[None], dirs[: len(dr.wobble), b]])
-            raw.append(Centerline(dr.branch_id, tpl.side, np.cumsum(steps, axis=0), dr.cls))
+            walks.append(np.cumsum(steps, axis=0))
         # resampling preserves each first point, so attachment vertices stay
         # bit-exact on the parent
-        for b, cl in zip(level, resample_branches(raw, params.resample_spacing_mm)):
-            grown[b] = cl
-            first.setdefault(cl.label, cl)
+        sizes = [len(w) for w in walks]
+        points, starts, _ = resample_points(
+            np.concatenate(walks), np.cumsum(sizes) - sizes, params.resample_spacing_mm
+        )
+        bounds = np.append(starts, len(points)).tolist()
+        for n, b in enumerate(level):
+            grown[b] = points[bounds[n] : bounds[n + 1]]
+            first.setdefault(draws[b].cls, grown[b])
 
     # File order: LM must be the first left centerline (frame origin) and
     # RCA the last right one (frame control point); the sort is stable.
-    centerlines = sorted(grown, key=lambda cl: (cl.side == RIGHT, cl.label == "RCA"))
-    centerlines = [
-        replace(cl, points=cl.points @ motion_r.T + motion_t) for cl in centerlines
-    ]
+    sides = [TEMPLATES[dr.cls].side for dr in draws]
+    order = sorted(range(len(draws)), key=lambda b: (sides[b] == RIGHT, draws[b].cls == "RCA"))
+    sizes = [len(grown[b]) for b in order]
     sid = subject_seed[-1] if isinstance(subject_seed, (list, tuple)) else subject_seed
     return SubjectRecord(
-        subject_id=f"synthetic-{sid:04d}",
-        voxel_spacing_mm=params.voxel_spacing_mm,
-        centerlines=centerlines,
+        f"synthetic-{sid:04d}",
+        params.voxel_spacing_mm,
+        points=np.concatenate([grown[b] for b in order]) @ motion_r.T + motion_t,
+        first=np.cumsum(sizes) - sizes,
+        branch_ids=[draws[b].branch_id for b in order],
+        sides=[sides[b] for b in order],
+        labels=[draws[b].cls for b in order],
     )
 
 
@@ -325,15 +326,15 @@ def generate_corpus(params: GenParams) -> tuple[list[SubjectRecord], dict]:
     subjects = []
     for rec in records:
         skel = split_into_segments(prepare_subject(rec))
-        for cl in rec.centerlines:
-            per_class_branches[cl.label] += 1
-        for seg in skel.segments:
-            per_class_segments[seg.label] += 1
+        for label in rec.labels:
+            per_class_branches[label] += 1
+        for label in skel.labels:
+            per_class_segments[label] += 1
         subjects.append(
             {
                 "subject_id": rec.subject_id,
-                "n_branches": len(rec.centerlines),
-                "n_segments": len(skel.segments),
+                "n_branches": len(rec.labels),
+                "n_segments": len(skel.labels),
             }
         )
     n = len(records)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from coroseg.autodiff import Edges
 from coroseg.centerline import LEFT, RIGHT, Centerline, SubjectRecord, resample_centerline
-from coroseg.graph import GraphBuildError, Segment, SkeletonGraph
+from coroseg.graph import GraphBuildError, Segment
 from coroseg.synth import (
     TEMPLATES,
     _attach_index,
@@ -86,7 +87,7 @@ def junction_oracle(subject: SubjectRecord) -> set[tuple]:
     return out
 
 
-def line_graph_oracle(skel: SkeletonGraph) -> np.ndarray:
+def line_graph_oracle(skel) -> np.ndarray:
     """O(N^2) adjacency by junction-set intersection."""
     segs = skel.segments
     n = len(segs)
@@ -146,7 +147,7 @@ def _point_key(p: np.ndarray) -> tuple[float, float, float]:
     return (float(p[0]), float(p[1]), float(p[2]))
 
 
-def split_oracle(subject: SubjectRecord) -> SkeletonGraph:
+def split_oracle(subject: SubjectRecord) -> SimpleNamespace:
     """(side, float tuple) point keys, a pairwise attachment scan and "j%03d" junction ids.
 
     Cuts where a branch passes a branch endpoint or another branch's start.
@@ -205,7 +206,7 @@ def split_oracle(subject: SubjectRecord) -> SkeletonGraph:
                     label=cl.label,
                 )
             )
-    return SkeletonGraph(junctions=junctions, segments=tuple(segments))
+    return SimpleNamespace(junctions=junctions, segments=tuple(segments))
 
 
 def _grow_curve(

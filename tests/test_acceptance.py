@@ -125,8 +125,7 @@ def test_criterion_3_gradient_correctness(report):
                 softmax_cross_entropy(model_forward(model, feats, gs), labels).data[0, 0]
             )
 
-        for p in model.params.values():
-            p.zero_grad()
+        model.grads[:] = 0.0
         backward(softmax_cross_entropy(model_forward(model, feats, gs), labels))
         mid = loss_value()
         for p in model.params.values():

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coroseg.centerline import (
+    CLASSES_13,
+    DEFAULT_MERGE_TOL_MM,
     Centerline,
     CenterlineError,
     SubjectRecord,
     merge_branch_origins,
     parse_subject,
     prepare_subject,
-    resample_branches,
     resample_centerline,
+    resample_points,
     resample_subject,
     serialize_subject,
 )
@@ -74,6 +76,24 @@ def test_parse_invalid(mutate, message):
     doc = json.loads(json.dumps(MINIMAL))
     mutate(doc)
     with pytest.raises(CenterlineError, match=message):
+        parse_subject(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["branches"][0].update(points=[["0", "0", "0"], ["10", "0", "0"]]),
+         "branch 0: points must be an array of numbers"),
+        (lambda d: d["branches"][1].update(points=[[0, 0, None], [0, 0, 5]]),
+         "branch 1: points must be an array of numbers"),
+        (lambda d: d.update(voxel_spacing_mm="0.5"), "voxel_spacing_mm must be a number"),
+        (lambda d: d.update(voxel_spacing_mm=True), "voxel_spacing_mm must be a number"),
+    ],
+)
+def test_parse_rejects_values_that_are_not_numbers(mutate, message):
+    doc = json.loads(json.dumps(MINIMAL))
+    mutate(doc)
+    with pytest.raises(CenterlineError, match=f"^{message}$"):
         parse_subject(json.dumps(doc))
 
 
@@ -304,10 +324,11 @@ def test_resample_bit_identical_to_loop_oracle(rng):
                 assert np.array_equal(resample_centerline(cl, spacing).points, e)
 
 
-def test_resample_branches_takes_no_branches():
-    assert resample_branches([], 5.0) == []
+def test_resample_points_takes_no_branches():
+    points, first, length = resample_points(np.empty((0, 3)), np.empty(0, np.intp), 5.0)
+    assert points.shape == (0, 3) and len(first) == len(length) == 0
     with pytest.raises(CenterlineError, match="spacing must be positive"):
-        resample_branches([], 0.0)
+        resample_points(np.empty((0, 3)), np.empty(0, np.intp), 0.0)
 
 
 def test_merge_bit_identical_to_loop_oracle(rng):
@@ -472,3 +493,89 @@ def test_merge_names_first_bad_branch():
     subject = SubjectRecord("s", 0.5, [parent, first, second, FAR_RIGHT])
     with pytest.raises(CenterlineError, match=r"^branch 'c1': consecutive duplicate points$"):
         merge_branch_origins(subject, 1.0)
+
+
+def _parse_oracle(doc: dict) -> list[Centerline]:
+    """Each branch decoded alone and built as a Centerline, in file order."""
+    centerlines = []
+    for i, b in enumerate(doc["branches"]):
+        try:
+            pts = np.asarray(b["points"])
+        except (TypeError, ValueError):
+            pts = None
+        if pts is None or pts.dtype.kind not in "iuf":
+            raise CenterlineError(f"branch {i}: points must be an array of numbers")
+        if pts.ndim != 2 or len(pts) < 2:
+            raise CenterlineError(f"branch {i}: centerline too short")
+        if b.get("label") is not None and b["label"] not in CLASSES_13:
+            raise CenterlineError(f"branch {i}: unknown label {b['label']!r}")
+        cl = Centerline(str(b["id"]), str(b["side"]), pts, b.get("label"))
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.cumsum(np.linalg.norm(np.diff(cl.points, axis=0), axis=1))[-1]):
+                raise CenterlineError(f"branch {cl.branch_id!r}: arc length overflows")
+        centerlines.append(cl)
+    return centerlines
+
+
+def _prepare_oracle(centerlines: list[Centerline], voxel: float) -> list[Centerline]:
+    """Resample and merge one branch at a time, rebuilding every Centerline."""
+    resampled = []
+    for cl in centerlines:
+        total = np.cumsum(np.linalg.norm(np.diff(cl.points, axis=0), axis=1))[-1]
+        if not 0 < total < np.inf:
+            problem = "zero-length curve" if not total > 0 else "arc length overflows"
+            raise CenterlineError(f"branch {cl.branch_id!r}: {problem}")
+        points = resample_oracle(cl, 10 * voxel)
+        resampled.append(Centerline(cl.branch_id, cl.side, points, cl.label))
+    merged = merge_oracle(SubjectRecord("s", voxel, resampled), DEFAULT_MERGE_TOL_MM)
+    return [Centerline(cl.branch_id, cl.side, p, cl.label) for cl, p in zip(resampled, merged)]
+
+
+#: Out 7.5 mm and back: at a 5 mm spacing, targets 5 and 10 mm meet.
+FOLD_BACK_5MM = [[300, 0, 0], [307.5, 0, 0], [300, 0, 0]]
+
+
+#: Mutations of one branch's points, side or label, given a point index k.
+MUTATIONS = {
+    "nan": lambda b, k: b["points"][k].__setitem__(k % 3, float("nan")),
+    "inf": lambda b, k: b["points"][k].__setitem__(k % 3, float("-inf")),
+    "repeat": lambda b, k: b["points"].insert(k, list(b["points"][k])),
+    "side": lambda b, k: b.update(side="middle"),
+    "one point": lambda b, k: b.update(points=b["points"][k:k + 1]),
+    "label": lambda b, k: b.update(label="XYZ"),
+    "span": lambda b, k: b.update(points=[[-1.7e308, 0, 0], [1.7e308, 0, 0]]),
+    "fold back": lambda b, k: b.update(points=[list(p) for p in FOLD_BACK_5MM]),
+    "string": lambda b, k: b["points"][k].__setitem__(0, "1"),
+}
+_VALID = [json.loads(serialize_subject(generate_subject(GenParams(), [11, i]))) for i in range(3)]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    subject=st.sampled_from(range(len(_VALID))),
+    mutations=st.lists(
+        st.tuples(st.sampled_from(sorted(MUTATIONS)), st.integers(0, 99), st.integers(0, 99)),
+        max_size=3,
+    ),
+)
+def test_array_path_errors_match_per_branch_oracle(subject, mutations):
+    doc = json.loads(json.dumps(_VALID[subject]))
+    for name, branch, point in mutations:
+        b = doc["branches"][branch % len(doc["branches"])]
+        MUTATIONS[name](b, point % len(b["points"]))
+    raw = json.dumps(doc)
+    parsed, expected = _outcome(parse_subject, raw), _raised(_parse_oracle, json.loads(raw))
+    assert _same(parsed, expected)
+    if isinstance(parsed, str):
+        return
+    record = parse_subject(raw)
+    assert _same(_outcome(prepare_subject, record),
+                 _raised(_prepare_oracle, expected, record.voxel_spacing_mm))
+
+
+def _raised(oracle, *args):
+    """The oracle's branches, or the message of the error it raises."""
+    try:
+        return oracle(*args)
+    except CenterlineError as exc:
+        return str(exc)

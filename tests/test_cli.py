@@ -392,3 +392,21 @@ def test_bad_config_file_exits_2_with_one_line(corpus, tmp_path, capsys, text, m
     assert code == 2
     assert message in _one_error_line(capsys)
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("branches",
+         [{"id": "a", "side": "left", "points": [["0", "0", "0"], ["10", "0", "0"]]},
+          GOOD_SUBJECT["branches"][1]],
+         "branch 0: points must be an array of numbers"),
+        ("voxel_spacing_mm", "0.5", "voxel_spacing_mm must be a number"),
+        ("voxel_spacing_mm", True, "voxel_spacing_mm must be a number"),
+    ],
+)
+def test_build_rejects_values_that_are_not_numbers(tmp_path, capsys, field, value, message):
+    subject = tmp_path / "bad.json"
+    subject.write_text(json.dumps({**GOOD_SUBJECT, field: value}))
+    assert run_cli("build", str(subject), "--out", str(tmp_path), "--run-name", "x") == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]

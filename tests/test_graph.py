@@ -255,8 +255,9 @@ def test_spherical_encode_reconstructs_vector(rng):
 def test_node_embedding_layout():
     subject = two_branch_subject()
     frame = build_reference_frame(subject)
-    segments = split_into_segments(subject).segments
-    emb = node_embedding(segments, frame)
+    skel = split_into_segments(subject)
+    segments = skel.segments
+    emb = node_embedding(skel, frame)
     assert emb.shape == (len(segments), EMBED_DIM)
 
     # one batched product per subject rounds differently from one per point
@@ -338,3 +339,26 @@ def test_segment_graph_json_one_node_per_line():
     assert [json.loads(line.rstrip(",")) for line in lines[1 : 1 + sg.n_nodes]] == doc["nodes"]
     assert lines[1 + sg.n_nodes :] == ["],", '"edges": ' + json.dumps(doc["edges"]) + "}"]
     assert [n["features"] for n in doc["nodes"]] == sg.features.tolist()
+
+
+def test_labelling_reaches_each_stage_through_its_module_binding(monkeypatch):
+    # perfbench's tracer times each stage by rebinding these module names; a
+    # stage reached any other way would read zero in its per-layer metric
+    from coroseg import centerline, graph
+    from coroseg.centerline import parse_subject, serialize_subject
+    from coroseg.synth import generate_subject
+
+    stages = [
+        (centerline, "resample_subject"), (centerline, "merge_branch_origins"),
+        (graph, "split_into_segments"), (graph, "line_graph_adjacency"),
+        (graph, "build_reference_frame"), (graph, "node_embedding"),
+    ]
+    calls = {name: 0 for _, name in stages}
+    for module, name in stages:
+        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    raw = serialize_subject(generate_subject(GenParams(), [5, 0]))
+    graph.build_segment_graph(centerline.prepare_subject(parse_subject(raw)))
+    assert calls == {name: 1 for _, name in stages}

@@ -255,8 +255,7 @@ def test_full_model_gradients_vs_finite_differences(variant, rng):
             softmax_cross_entropy(model_forward(model, feats, gs), labels).data[0, 0]
         )
 
-    for p in model.params.values():
-        p.zero_grad()
+    model.grads[:] = 0.0
     backward(softmax_cross_entropy(model_forward(model, feats, gs), labels))
     h = 1e-5
     for name, p in model.params.items():
