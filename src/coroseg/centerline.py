@@ -34,6 +34,11 @@ CLASSES_11 = [c for c in CLASSES_13 if c not in DROPPED_IN_11]
 #: resample spacing so merging cannot collapse distinct junctions.
 DEFAULT_MERGE_TOL_MM = 1.5
 
+#: Most points one resample_points call makes, checked before any is made.
+#: A subject resamples to a few hundred; the cap bounds the call's peak
+#: memory near 20 MB (about 190 bytes per point).
+MAX_RESAMPLED_POINTS = 100_000
+
 
 class CenterlineError(ValueError):
     """Raised for malformed or invalid subject centerline data."""
@@ -172,12 +177,17 @@ def parse_subject(raw: bytes | str) -> SubjectRecord:
 
 
 def _numbers(value) -> np.ndarray | None:
-    """value as a float64 array, or None if it is not numbers."""
+    """value as a float64 array, or None if it is not numbers. np.asarray
+    reads a JSON true or false among numbers as 1 or 0, so where it decoded
+    a 0 or a 1, each value's type is looked at too."""
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError):
         return None
-    return arr.astype(np.float64) if arr.dtype.kind in "iuf" else None
+    if arr.dtype.kind not in "iuf" or (((arr == 0) | (arr == 1)).any()
+                                       and bool in map(type, np.asarray(value, object).flat)):
+        return None
+    return arr.astype(np.float64)
 
 
 def _stop(i: int, b, shape, branch_id: str) -> str | None:
@@ -210,39 +220,33 @@ def resample_centerline(cl: Centerline, spacing_mm: float) -> Centerline:
     First and last input points are preserved exactly; interpolated points
     lie on the piecewise-linear input curve.
     """
-    points, _, length = resample_points(cl.points, np.zeros(1, np.intp), spacing_mm)
-    problem = _length_problems(length, [cl.branch_id])[0]
-    if problem:
-        raise CenterlineError(problem)
+    points, _, problems = resample_points(cl.points, np.zeros(1, np.intp), spacing_mm, [cl.branch_id])
+    if problems[0]:
+        raise CenterlineError(problems[0])
     return Centerline(cl.branch_id, cl.side, points, cl.label)
 
 
 def resample_subject(subject: SubjectRecord, spacing_mm: float | None = None) -> SubjectRecord:
     """Resample every branch as resample_centerline does; default spacing is 10 voxels."""
     spacing_mm = 10 * subject.voxel_spacing_mm if spacing_mm is None else spacing_mm
-    points, first, length = resample_points(subject.points, subject.first, spacing_mm)
-    return replace(subject, points=points, first=first,
-                   problems=_length_problems(length, subject.branch_ids))
+    points, first, problems = resample_points(subject.points, subject.first, spacing_mm,
+                                              subject.branch_ids)
+    return replace(subject, points=points, first=first, problems=problems)
 
 
-def _length_problems(length: np.ndarray, ids) -> list[str | None]:
-    """Per branch: why its points cannot be resampled, or None."""
-    return [None if 0 < total < np.inf else f"branch {bid!r}: "
-            + ("zero-length curve" if not total > 0 else "arc length overflows")
-            for bid, total in zip(ids, length.tolist())]
-
-
-def resample_points(points: np.ndarray, first: np.ndarray, spacing_mm: float):
+def resample_points(points: np.ndarray, first: np.ndarray, spacing_mm: float, branch_ids=None):
     """Resample branches laid out end to end, branch b from row first[b], as
     resample_centerline does, with one array operation per step whatever their
-    count. Returns the new points and first rows and each branch's arc length;
-    a branch whose length is zero or not finite keeps just its end points.
-    Temporaries are O(points + targets), but for a branches x longest table."""
-    if not spacing_mm > 0:
-        raise CenterlineError("spacing must be positive")
+    count. Returns the new points and first rows and, per branch, why it
+    cannot be resampled or None; such a branch keeps just its end points.
+    Messages name branches by branch_ids, or by index. The output is checked
+    against MAX_RESAMPLED_POINTS before it is made, and temporaries are
+    O(points + targets), but for a branches x longest table."""
+    if not 0 < spacing_mm < np.inf:
+        raise CenterlineError("spacing must be positive and finite")
     n_branches, n_points = len(first), len(points)
     if not n_branches:
-        return np.empty((0, 3)), np.empty(0, np.intp), np.empty(0)
+        return np.empty((0, 3)), np.empty(0, np.intp), []
     last = np.append(first[1:], n_points) - 1
     owner = np.repeat(np.arange(n_branches), last - first + 1)
     col = np.arange(n_points) - first[owner]
@@ -255,10 +259,20 @@ def resample_points(points: np.ndarray, first: np.ndarray, spacing_mm: float):
     cum = table[owner, col]
     total = cum[last]
     ok = (total > 0) & np.isfinite(total)
+    problems = [None if good else ("zero-length curve" if not length > 0 else "arc length overflows")
+                for good, length in zip(ok.tolist(), total.tolist())]
     # Strictly-interior targets; relative epsilon keeps the final gap from
     # degenerating to fp noise when total is an exact multiple of spacing.
-    n_interior = np.floor((total - 1e-9 * spacing_mm) / spacing_mm)
-    counts = np.where(ok, np.maximum(n_interior, 0), 0).astype(np.intp)
+    with np.errstate(over="ignore"):  # an infinite count is over the cap
+        n_interior = np.floor((total - 1e-9 * spacing_mm) / spacing_mm)
+    counts = np.where(ok, np.maximum(n_interior, 0), 0)
+    # counted as floats, so one too large for intp is over the cap too
+    over = np.cumsum(counts + 2) > MAX_RESAMPLED_POINTS
+    if over.any():
+        b = int(over.argmax())
+        problems[b] = f"resampling makes more than {MAX_RESAMPLED_POINTS} points"
+        counts[b:] = 0
+    counts = counts.astype(np.intp)
     t_owner = np.repeat(np.arange(n_branches), counts)
     k = np.arange(len(t_owner)) - (np.cumsum(counts) - counts)[t_owner] + 1
     t = k * spacing_mm
@@ -275,7 +289,9 @@ def resample_points(points: np.ndarray, first: np.ndarray, spacing_mm: float):
     out[out_first] = points[first]
     out[out_first[t_owner] + k] = points[j] + alpha[:, None] * (points[j + 1] - points[j])
     out[out_first + counts + 1] = points[last]
-    return out, out_first, total
+    ids = range(n_branches) if branch_ids is None else branch_ids
+    return out, out_first, [None if p is None else f"branch {bid!r}: {p}"
+                            for bid, p in zip(ids, problems)]
 
 
 def merge_branch_origins(subject: SubjectRecord, tol_mm: float = DEFAULT_MERGE_TOL_MM) -> SubjectRecord:

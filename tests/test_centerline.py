@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from coroseg.centerline import (
     CLASSES_13,
     DEFAULT_MERGE_TOL_MM,
+    MAX_RESAMPLED_POINTS,
     Centerline,
     CenterlineError,
     SubjectRecord,
@@ -88,6 +90,10 @@ def test_parse_invalid(mutate, message):
          "branch 1: points must be an array of numbers"),
         (lambda d: d.update(voxel_spacing_mm="0.5"), "voxel_spacing_mm must be a number"),
         (lambda d: d.update(voxel_spacing_mm=True), "voxel_spacing_mm must be a number"),
+        (lambda d: d["branches"][0].update(points=[[0, 0, 0], [True, 0, 5]]),
+         "branch 0: points must be an array of numbers"),
+        (lambda d: d["branches"][1].update(points=[[10.5, 0, 0], [10, False, 5]]),
+         "branch 1: points must be an array of numbers"),
     ],
 )
 def test_parse_rejects_values_that_are_not_numbers(mutate, message):
@@ -95,6 +101,17 @@ def test_parse_rejects_values_that_are_not_numbers(mutate, message):
     mutate(doc)
     with pytest.raises(CenterlineError, match=f"^{message}$"):
         parse_subject(json.dumps(doc))
+
+
+def test_parse_accepts_zeros_and_ones_that_are_numbers():
+    # a decoded 0 or 1 may have been a JSON boolean, so these points take
+    # the type check
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["subject_id"], doc["branches"][0]["id"] = "true", "false"
+    doc["branches"][0]["points"] = [[0, 1, 0.0], [1.0, 0, 5]]
+    rec = parse_subject(json.dumps(doc))
+    assert rec.subject_id == "true" and rec.centerlines[0].branch_id == "false"
+    assert rec.centerlines[0].points.tolist() == [[0, 1, 0], [1, 0, 5]]
 
 
 def test_parse_malformed_json():
@@ -327,8 +344,9 @@ def test_resample_bit_identical_to_loop_oracle(rng):
 def test_resample_points_takes_no_branches():
     points, first, length = resample_points(np.empty((0, 3)), np.empty(0, np.intp), 5.0)
     assert points.shape == (0, 3) and len(first) == len(length) == 0
-    with pytest.raises(CenterlineError, match="spacing must be positive"):
-        resample_points(np.empty((0, 3)), np.empty(0, np.intp), 0.0)
+    for spacing in (0.0, float("inf"), float("nan")):
+        with pytest.raises(CenterlineError, match="spacing must be positive"):
+            resample_points(np.empty((0, 3)), np.empty(0, np.intp), spacing)
 
 
 def test_merge_bit_identical_to_loop_oracle(rng):
@@ -440,6 +458,8 @@ FOLD_BACK = {"id": "a", "side": "left", "points": [[0, 0, 0], [5, 0, 0], [0, 0, 
 #: Valid, but its one step squares to 0: zero arc length.
 UNDERFLOW = {"id": "z", "side": "left", "points": [[0, 0, 0], [1e-200, 0, 0]]}
 OVERFLOW = {"id": "o", "side": "left", "points": [[-1.7e308, 0, 0], [1.7e308, 0, 0]]}
+#: Valid, but at 2 mm spacing it would resample to 5e11 points.
+FAR = {"id": "f", "side": "left", "points": [[0, 0, 0], [1e12, 0, 5]]}
 
 
 def _subject(*branches) -> SubjectRecord:
@@ -460,11 +480,53 @@ def test_fold_back_resamples_onto_equal_consecutive_points():
     [
         ((FOLD_BACK, UNDERFLOW), "branch 'a': consecutive duplicate points"),
         ((UNDERFLOW, FOLD_BACK), "branch 'z': zero-length curve"),
+        ((UNDERFLOW, FAR), "branch 'z': zero-length curve"),
+        ((FAR, UNDERFLOW), f"branch 'f': resampling makes more than {MAX_RESAMPLED_POINTS} points"),
+        ((FOLD_BACK, FAR), "branch 'a': consecutive duplicate points"),
     ],
 )
 def test_resample_names_first_bad_branch(branches, message):
     with pytest.raises(CenterlineError, match=f"^{message}$"):
         resample_subject(_subject(*branches))
+
+
+@pytest.mark.parametrize("far", [1e30, 1e12])
+def test_resampling_is_bounded_before_it_allocates(far):
+    # 1e30 mm overflows an intp count of targets; 1e12 mm would ask for
+    # 5e11 points
+    branch = {"id": "f", "side": "left", "points": [[0, 0, 0], [far, 0, 5]]}
+    message = f"^branch 'f': resampling makes more than {MAX_RESAMPLED_POINTS} points$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(CenterlineError, match=message):
+            prepare_subject(_subject(MINIMAL["branches"][0], branch))
+        with pytest.raises(CenterlineError, match=message):
+            resample_centerline(Centerline("f", "left", branch["points"]), 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_resampling_count_that_overflows_is_over_the_cap():
+    points = np.array([[0.0, 0, 0], [1e10, 0, 0]])
+    _, _, problems = resample_points(points, np.zeros(1, np.intp), 1e-299)
+    assert problems == [f"branch 0: resampling makes more than {MAX_RESAMPLED_POINTS} points"]
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_resampling_cap_counts_the_whole_subject(over):
+    # at 2 mm spacing the other two branches resample to 4 points each, and
+    # f to its interior targets plus its two end points; the error names the
+    # branch at which the running total in file order passes the cap, the last
+    interior = MAX_RESAMPLED_POINTS - 8 - 2 + over
+    branch = {"id": "f", "side": "left", "points": [[0, 0, 0], [2 * interior + 1, 0, 0]]}
+    subject = _subject(MINIMAL["branches"][0], branch)
+    if over:
+        with pytest.raises(CenterlineError, match="^branch 'b': resampling makes more than"):
+            resample_subject(subject)
+    else:
+        assert len(resample_subject(subject).points) == MAX_RESAMPLED_POINTS
 
 
 @pytest.mark.parametrize(
@@ -503,7 +565,8 @@ def _parse_oracle(doc: dict) -> list[Centerline]:
             pts = np.asarray(b["points"])
         except (TypeError, ValueError):
             pts = None
-        if pts is None or pts.dtype.kind not in "iuf":
+        if (pts is None or pts.dtype.kind not in "iuf"
+                or any(isinstance(x, bool) for row in b["points"] for x in row)):
             raise CenterlineError(f"branch {i}: points must be an array of numbers")
         if pts.ndim != 2 or len(pts) < 2:
             raise CenterlineError(f"branch {i}: centerline too short")
@@ -519,12 +582,16 @@ def _parse_oracle(doc: dict) -> list[Centerline]:
 
 def _prepare_oracle(centerlines: list[Centerline], voxel: float) -> list[Centerline]:
     """Resample and merge one branch at a time, rebuilding every Centerline."""
-    resampled = []
+    resampled, made = [], 0
     for cl in centerlines:
         total = np.cumsum(np.linalg.norm(np.diff(cl.points, axis=0), axis=1))[-1]
         if not 0 < total < np.inf:
             problem = "zero-length curve" if not total > 0 else "arc length overflows"
             raise CenterlineError(f"branch {cl.branch_id!r}: {problem}")
+        made += max(np.floor((total - 1e-9 * 10 * voxel) / (10 * voxel)), 0) + 2
+        if made > MAX_RESAMPLED_POINTS:
+            raise CenterlineError(
+                f"branch {cl.branch_id!r}: resampling makes more than {MAX_RESAMPLED_POINTS} points")
         points = resample_oracle(cl, 10 * voxel)
         resampled.append(Centerline(cl.branch_id, cl.side, points, cl.label))
     merged = merge_oracle(SubjectRecord("s", voxel, resampled), DEFAULT_MERGE_TOL_MM)
@@ -546,6 +613,8 @@ MUTATIONS = {
     "span": lambda b, k: b.update(points=[[-1.7e308, 0, 0], [1.7e308, 0, 0]]),
     "fold back": lambda b, k: b.update(points=[list(p) for p in FOLD_BACK_5MM]),
     "string": lambda b, k: b["points"][k].__setitem__(0, "1"),
+    "boolean": lambda b, k: b["points"][k].__setitem__(k % 3, k % 2 == 0),
+    "far": lambda b, k: b["points"][-1].__setitem__(k % 3, 1e12),
 }
 _VALID = [json.loads(serialize_subject(generate_subject(GenParams(), [11, i]))) for i in range(3)]
 

@@ -268,6 +268,13 @@ GOOD_SUBJECT = {
              GOOD_SUBJECT["branches"][1]],
             "not a tree: left side has 3 segments on 3 junctions",
         ),
+        *(
+            ("branches",
+             [{"id": "a", "side": "left", "points": [[0, 0, 0], [far, 0, 5]]},
+              GOOD_SUBJECT["branches"][1]],
+             "branch 'a': resampling makes more than 100000 points")
+            for far in (1e30, 1e12)
+        ),
     ],
 )
 def test_build_bad_subject_one_line_error(tmp_path, capsys, field, value, message):
@@ -403,6 +410,10 @@ def test_bad_config_file_exits_2_with_one_line(corpus, tmp_path, capsys, text, m
          "branch 0: points must be an array of numbers"),
         ("voxel_spacing_mm", "0.5", "voxel_spacing_mm must be a number"),
         ("voxel_spacing_mm", True, "voxel_spacing_mm must be a number"),
+        ("branches",
+         [GOOD_SUBJECT["branches"][0],
+          {"id": "b", "side": "right", "points": [[10, 0, 0], [10, True, 5]]}],
+         "branch 1: points must be an array of numbers"),
     ],
 )
 def test_build_rejects_values_that_are_not_numbers(tmp_path, capsys, field, value, message):

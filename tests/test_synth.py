@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -6,14 +6,19 @@ from coroseg.centerline import CLASSES_13, prepare_subject, serialize_subject
 from coroseg.graph import build_segment_graph, split_into_segments
 from coroseg.synth import (
     DEFAULT_COUNT_PROBS,
+    GROUP_SIZE,
     TEMPLATES,
     GenParams,
     generate_corpus,
     generate_subject,
 )
-from conftest import generate_subject_oracle, segment_count_oracle
+from conftest import generate_subject_oracle, segment_count_oracle, split_oracle
 
 SMALL = GenParams(n_subjects=20, seed=7)
+#: No level-2 class: LAD and LCX get no children, so that level is empty.
+NO_LEVEL_2 = dict(DEFAULT_COUNT_PROBS, **{
+    c: (1.0,) for c, tpl in TEMPLATES.items() if tpl.parent in ("LAD", "LCX")
+})
 
 
 def test_templates_cover_all_classes():
@@ -149,3 +154,37 @@ def test_generator_bit_identical_to_loop_oracle():
     rec = generate_subject(GenParams(count_probs=no_level_2), [5, 0])
     assert [cl.label for cl in rec.centerlines][:3] == ["LM", "LAD", "LCX"]
     assert len([cl for cl in rec.centerlines if cl.side == "left"]) == 3
+
+
+def _census_oracle(params, records) -> dict:
+    """The corpus manifest, counted subject by subject with the split oracle."""
+    branches, segments, subjects = dict.fromkeys(TEMPLATES, 0), dict.fromkeys(TEMPLATES, 0), []
+    for rec in records:
+        pieces = split_oracle(prepare_subject(rec)).segments
+        for cl in rec.centerlines:
+            branches[cl.label] += 1
+        for seg in pieces:
+            segments[seg.label] += 1
+        subjects.append({"subject_id": rec.subject_id, "n_branches": len(rec.centerlines),
+                         "n_segments": len(pieces)})
+    n = len(records)
+    return {"params": asdict(params), "n_subjects": n, "per_class_branches": branches,
+            "per_class_segments": segments,
+            "avg_branches": sum(s["n_branches"] for s in subjects) / n,
+            "avg_segments": sum(s["n_segments"] for s in subjects) / n, "subjects": subjects}
+
+
+def test_corpus_equals_loop_oracle_across_groups():
+    # one whole group and a part-filled one
+    n = GROUP_SIZE + 3
+    for params in (
+        GenParams(n_subjects=n, seed=4),
+        GenParams.low_noise(n_subjects=n, seed=4),
+        GenParams(n_subjects=n, seed=4, wobble_rad=0.0),
+        GenParams(n_subjects=n, seed=4, rotate=False),
+        GenParams(n_subjects=n, seed=4, count_probs=NO_LEVEL_2),
+    ):
+        records, manifest = generate_corpus(params)
+        expected = [generate_subject_oracle(params, [4, i]) for i in range(n)]
+        assert [serialize_subject(r) for r in records] == [serialize_subject(e) for e in expected]
+        assert manifest == _census_oracle(params, expected)
