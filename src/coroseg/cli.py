@@ -133,19 +133,16 @@ def cmd_build(args, run: Path):
     return {"seed": None}, inputs, list(artifacts.values())
 
 
-def _train_config(args, class_mode: int) -> TrainConfig:
+def _train_config(args) -> TrainConfig:
     return TrainConfig(
-        epochs=args.epochs, batch_size=args.batch, lr=args.lr,
-        folds=args.folds, class_mode=class_mode, seed=args.seed,
+        epochs=args.epochs, batch_size=args.batch, lr=args.lr, folds=args.folds, seed=args.seed
     )
 
 
 def cmd_train(args, run: Path):
     records, files = _load_corpus(args.corpus)
-    dataset = select_classes(_build_dataset(records), args.classes)
     model_cfg = ModelConfig(variant=args.model, num_classes=args.classes, seed=args.seed)
-    train_cfg = _train_config(args, args.classes)
-    model, trace = train(model_cfg, train_cfg, dataset)
+    model, trace = train(model_cfg, _train_config(args), _build_dataset(records))
     ckpt = run / f"{args.model}_{args.classes}.checkpoint.json"
     save_model(model, ckpt)
     trace_path = run / f"{args.model}_{args.classes}.loss_trace.json"
@@ -158,15 +155,13 @@ def cmd_train(args, run: Path):
 def cmd_eval(args, run: Path):
     records, files = _load_corpus(args.corpus)
     model = load_model(args.checkpoint)
-    cfg = TrainConfig(class_mode=model.config.num_classes, seed=args.seed)
-    dataset = select_classes(_build_dataset(records), cfg.class_mode)
-    preds, labels = predict(model, dataset, cfg.classes)
+    preds, labels = predict(model, _build_dataset(records))
     if not len(labels):
         raise TrainingError("no labeled nodes to evaluate")
     metrics = {
         "model": model.config.variant,
-        "classes": cfg.class_mode,
-        "weighted_f1": weighted_f1(preds, labels, len(cfg.classes)),
+        "classes": model.config.num_classes,
+        "weighted_f1": weighted_f1(preds, labels, model.config.num_classes),
         "n_nodes": int(len(labels)),
     }
     out = run / "metrics.json"
@@ -182,10 +177,10 @@ def _write_csv(path: Path, classes, matrix):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _audit_report(report: MetricsReport, dataset_ids: list[str], class_mode: int, dataset):
+def _audit_report(report: MetricsReport, dataset):
     """Acceptance invariants; raises CheckFailure on any violation."""
     flat = [sid for fold in report.fold_test_ids for sid in fold]
-    if sorted(flat) != sorted(dataset_ids):
+    if sorted(flat) != sorted(sid for sid, _ in dataset):
         raise CheckFailure("folds do not partition the subject set")
     if len(set(flat)) != len(flat):
         raise CheckFailure("folds overlap")
@@ -196,18 +191,19 @@ def _audit_report(report: MetricsReport, dataset_ids: list[str], class_mode: int
         raise CheckFailure("class weights do not sum to 1")
     if not (0.0 <= report.weighted_f1_mean <= 1.0):
         raise CheckFailure("weighted F1 out of range")
-    if class_mode == 11:
-        for _, sg in dataset:
-            if any(lb in DROPPED_IN_11 for lb in sg.labels):
-                raise CheckFailure("11-class dataset still contains removed classes")
+    removed = set(DROPPED_IN_11).difference(report.classes)   # empty for 13 classes
+    if any(lb in removed for _, sg in dataset for lb in sg.labels):
+        raise CheckFailure("11-class dataset still contains removed classes")
 
 
 def cmd_cv(args, run: Path):
     records, files = _load_corpus(args.corpus)
     dataset13 = _build_dataset(records)
     modes = [11, 13] if args.classes == "both" else [args.classes]
-    # one dataset per mode, so each subject's graph structure is built once per mode
+    # train and predict select classes themselves; selecting once per mode here lets
+    # the variants share each induced 11-class graph and the structure it keeps
     datasets = {mode: select_classes(dataset13, mode) for mode in modes}
+    train_cfg = _train_config(args)
     variants = VARIANTS if args.model == "all" else [args.model]
     rows = []
     reports = {}
@@ -216,11 +212,9 @@ def cmd_cv(args, run: Path):
         row = {"model": variant, "f1_11": None, "f1_13": None}
         for mode in modes:
             model_cfg = ModelConfig(variant=variant, num_classes=mode, seed=args.seed)
-            train_cfg = _train_config(args, mode)
-            dataset = datasets[mode]
-            report = run_cv(model_cfg, train_cfg, dataset)
+            report = run_cv(model_cfg, train_cfg, datasets[mode])
             if args.check:
-                _audit_report(report, [sid for sid, _ in dataset], mode, dataset)
+                _audit_report(report, datasets[mode])
             reports[f"{variant}_{mode}"] = report.to_dict()
             row[f"f1_{mode}"] = report.weighted_f1_mean
             csv_path = run / f"confusion_{variant}_{mode}.csv"
@@ -241,9 +235,9 @@ def cmd_cv(args, run: Path):
 
 
 DEFAULTS = {
-    "seed": 0, "epochs": 500, "batch": 8, "lr": 1e-3, "folds": 5,
-    "out": "runs", "subjects": 141, "preset": "default", "model": "sage",
-    "classes": 13,
+    "seed": TrainConfig.seed, "epochs": TrainConfig.epochs, "batch": TrainConfig.batch_size,
+    "lr": TrainConfig.lr, "folds": TrainConfig.folds, "subjects": GenParams.n_subjects,
+    "classes": ModelConfig.num_classes, "out": "runs", "preset": "default", "model": "sage",
 }
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Edges, Tensor
+from .centerline import CLASSES_11, CLASSES_13
 
 VARIANTS = ("gcn", "gat", "gin", "sage")
 
@@ -59,6 +60,11 @@ class ModelConfig:
             raise ModelError("num_classes must be 11 or 13")
         if self.variant == "gat" and self.hidden_dim % self.gat_heads:
             raise ModelError("hidden_dim must divide evenly across gat_heads")
+
+    @property
+    def classes(self) -> list[str]:
+        """The class list the model predicts, in logit order."""
+        return CLASSES_13 if self.num_classes == 13 else CLASSES_11
 
 
 class GraphStructure(Edges):

@@ -346,6 +346,8 @@ def generate_corpus(params: GenParams) -> tuple[list[SubjectRecord], dict]:
     Subjects are grown GROUP_SIZE at a time; each is the same as
     generate_subject makes it.
     """
+    if params.n_subjects < 1:
+        raise ValueError(f"n_subjects must be >= 1, not {params.n_subjects}")
     seeds = [[params.seed, i] for i in range(params.n_subjects)]
     records = [rec for lo in range(0, len(seeds), GROUP_SIZE)
                for rec in _generate_group(params, seeds[lo : lo + GROUP_SIZE])]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import AdamState, AutodiffError, Tensor, adam_step, backward, softmax_cross_entropy
-from .centerline import CLASSES_11, CLASSES_13, DROPPED_IN_11
+from .centerline import DROPPED_IN_11
 from .graph import SegmentGraph
 from .models import GraphStructure, ModelConfig, TrainedModel, init_model, model_forward
 
@@ -28,7 +28,6 @@ class TrainConfig:
     batch_size: int = 8   # subjects per optimization step
     lr: float = 1e-3
     folds: int = 5
-    class_mode: int = 13
     seed: int = 0
 
     def __post_init__(self):
@@ -38,12 +37,6 @@ class TrainConfig:
             raise TrainingError(f"lr must be finite, not {self.lr!r}")
         if self.folds < 2:
             raise TrainingError("folds must be >= 2")
-        if self.class_mode not in (11, 13):
-            raise TrainingError("class_mode must be 11 or 13")
-
-    @property
-    def classes(self) -> list[str]:
-        return CLASSES_13 if self.class_mode == 13 else CLASSES_11
 
 
 def kfold_split(subject_ids: list[str], k: int, seed: int) -> list[list[str]]:
@@ -61,25 +54,20 @@ def select_classes(
     """Mode 11 drops the nodes labelled in `DROPPED_IN_11` (induced subgraph); 13 is identity."""
     if mode == 13:
         return dataset
-    out = []
-    for sid, sg in dataset:
-        keep = np.array([lb not in DROPPED_IN_11 for lb in sg.labels])
-        if keep.all():
-            out.append((sid, sg))
-            continue
-        idx = np.flatnonzero(keep)
-        out.append(
-            (
-                sid,
-                SegmentGraph(
-                    node_ids=tuple(sg.node_ids[i] for i in idx),
-                    features=sg.features[idx],
-                    adjacency=sg.adjacency[np.ix_(idx, idx)],
-                    labels=tuple(sg.labels[i] for i in idx),
-                ),
-            )
-        )
-    return out
+    return [(sid, _without_dropped(sg)) for sid, sg in dataset]
+
+
+def _without_dropped(sg: SegmentGraph) -> SegmentGraph:
+    """`sg` itself when it has no node to drop, else its induced subgraph."""
+    keep = [i for i, lb in enumerate(sg.labels) if lb not in DROPPED_IN_11]
+    if len(keep) == len(sg.labels):
+        return sg
+    return SegmentGraph(
+        node_ids=tuple(sg.node_ids[i] for i in keep),
+        features=sg.features[keep],
+        adjacency=sg.adjacency[np.ix_(keep, keep)],
+        labels=tuple(sg.labels[i] for i in keep),
+    )
 
 
 #: In train and predict, overflow, invalid and divide raise FloatingPointError, not a warning.
@@ -98,11 +86,11 @@ def _batch(graphs: list[SegmentGraph], classes: list[str]):
 def train(
     model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: list[tuple[str, SegmentGraph]]
 ) -> tuple[TrainedModel, list[float]]:
-    """Train one model; returns it with the per-epoch mean loss trace."""
+    """Train one model on `model_cfg.classes`; returns it with the per-epoch mean loss trace."""
     if not dataset:
         raise TrainingError("empty dataset")
-    classes = train_cfg.classes
-    graphs = [sg for _, sg in dataset]
+    classes = model_cfg.classes
+    graphs = [sg for _, sg in select_classes(dataset, model_cfg.num_classes)]
     if all((sg.label_indices(classes) < 0).all() for sg in graphs):
         raise TrainingError("dataset has no labeled nodes")
     model = init_model(model_cfg)
@@ -132,15 +120,17 @@ def train(
 
 
 @np.errstate(**_FP_FAULTS)
-def predict(model: TrainedModel, dataset, classes: list[str]):
+def predict(model: TrainedModel, dataset):
     """Pooled (preds, labels) over labeled nodes of every subject, in dataset order.
 
-    One forward over the block-diagonal batch of the whole set, on untracked
-    views of the parameters, so no tape is kept.
+    Labels index `model.config.classes`. One forward over the block-diagonal
+    batch on untracked views of the parameters, so no tape is kept.
     """
     if not dataset:
         raise TrainingError("empty dataset")
-    feats, labels, gs = _batch([sg for _, sg in dataset], classes)
+    cfg = model.config
+    graphs = [sg for _, sg in select_classes(dataset, cfg.num_classes)]
+    feats, labels, gs = _batch(graphs, cfg.classes)
     frozen = replace(model, params={k: Tensor(p.data) for k, p in model.params.items()})
     try:
         logits = model_forward(frozen, feats, gs).data
@@ -227,8 +217,7 @@ def run_cv(
     model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: list[tuple[str, SegmentGraph]]
 ) -> MetricsReport:
     """k-fold cross-validation with strict out-of-fold evaluation."""
-    classes = train_cfg.classes
-    dataset = select_classes(dataset, train_cfg.class_mode)
+    classes = model_cfg.classes
     by_id = dict(dataset)
     if len(by_id) != len(dataset):
         raise TrainingError("duplicate subject ids")
@@ -239,7 +228,7 @@ def run_cv(
         train_data = [(sid, g) for sid, g in dataset if sid not in test_set]
         test_data = [(sid, by_id[sid]) for sid in test_ids]
         model, _ = train(model_cfg, train_cfg, train_data)
-        preds, labels = predict(model, test_data, classes)
+        preds, labels = predict(model, test_data)
         fold_f1.append(weighted_f1(preds, labels, len(classes)))
         all_preds.append(preds)
         all_labels.append(labels)

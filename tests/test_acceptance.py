@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coroseg.centerline import CLASSES_13, prepare_subject
+from coroseg.centerline import prepare_subject
 from coroseg.cli import main as cli_main
 from coroseg.graph import (
     build_segment_graph,
@@ -226,7 +226,7 @@ def test_criterion_6_end_to_end_learnability(tmp_path, report):
             TrainConfig(folds=2, seed=0),
             chain,
         )
-        preds, labels = predict(model, chain, CLASSES_13)
+        preds, labels = predict(model, chain)
         score = weighted_f1(preds, labels, 13)
         overfit_scores[variant] = score
         # every prediction correct; the score itself only differs from 1.0

@@ -209,6 +209,14 @@ def test_build_rejects_duplicate_subject_ids(corpus, tmp_path, capsys):
     assert not (tmp_path / "d" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_generate_without_subjects_one_line_error(tmp_path, capsys, count):
+    code = run_cli("generate", "--subjects", count, "--out", str(tmp_path), "--run-name", "g")
+    assert code == 1
+    assert _one_error_line(capsys) == f"error: n_subjects must be >= 1, not {count}"
+    assert not (tmp_path / "g" / "manifest.json").exists()
+
+
 def test_validation_error_exit_code(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -310,7 +318,7 @@ def test_usage_error_exit_code(capsys):
 def test_check_failure_exit_code(corpus, tmp_path, monkeypatch):
     import coroseg.cli as cli
 
-    def broken_audit(report, ids, mode, dataset):
+    def broken_audit(report, dataset):
         raise cli.CheckFailure("forced")
 
     monkeypatch.setattr(cli, "_audit_report", broken_audit)

@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coroseg.centerline import CLASSES_13, prepare_subject
+from coroseg.centerline import CLASSES_11, CLASSES_13, DROPPED_IN_11, prepare_subject
 from coroseg.graph import SegmentGraph, build_segment_graph
-from coroseg.models import ModelConfig
+from coroseg.models import VARIANTS, ModelConfig
+from coroseg.synth import GenParams, generate_corpus
 from coroseg.training import (
     MetricsReport,
     TrainConfig,
@@ -35,6 +36,12 @@ def chain_dataset(n_subjects=10, seed=0):
     return out
 
 
+def generated_dataset(n_subjects=6, seed=0):
+    """Low-noise generator subjects with all 13 classes' labels, unselected."""
+    records, _ = generate_corpus(GenParams.low_noise(n_subjects=n_subjects, seed=seed))
+    return [(rec.subject_id, build_segment_graph(prepare_subject(rec))) for rec in records]
+
+
 def test_config_validation():
     with pytest.raises(TrainingError):
         TrainConfig(epochs=0)
@@ -42,14 +49,42 @@ def test_config_validation():
         TrainConfig(lr=-1e-3)
     with pytest.raises(TrainingError):
         TrainConfig(folds=1)
-    with pytest.raises(TrainingError):
-        TrainConfig(class_mode=12)
     for lr in (float("nan"), float("inf")):
         with pytest.raises(TrainingError, match="lr must be finite"):
             TrainConfig(lr=lr)
     assert TrainConfig(lr=0.0).lr == 0.0
-    assert len(TrainConfig(class_mode=11).classes) == 11
-    assert TrainConfig().classes == CLASSES_13
+
+
+def test_model_config_names_the_classes():
+    assert ModelConfig("gcn").classes == CLASSES_13
+    assert ModelConfig("gcn", num_classes=11).classes == CLASSES_11
+    assert len(CLASSES_11) == 11 and not set(CLASSES_11) & set(DROPPED_IN_11)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_train_selects_the_model_classes(variant):
+    dataset = generated_dataset()
+    assert any(lb in DROPPED_IN_11 for _, sg in dataset for lb in sg.labels)
+    cfg = ModelConfig(variant, hidden_dim=8, num_classes=11, seed=1)
+    tc = TrainConfig(epochs=3, batch_size=2, seed=2)
+    model, trace = train(cfg, tc, dataset)
+    selected, selected_trace = train(cfg, tc, select_classes(dataset, 11))
+    assert trace == selected_trace
+    assert np.array_equal(model.values, selected.values)
+
+
+def test_predict_selects_the_model_classes():
+    dataset = generated_dataset()
+    for num_classes in (11, 13):
+        cfg = ModelConfig("sage", hidden_dim=8, num_classes=num_classes, seed=1)
+        model, _ = train(cfg, TrainConfig(epochs=2), dataset)
+        preds, labels = predict(model, dataset)
+        selected_preds, selected_labels = predict(model, select_classes(dataset, num_classes))
+        assert np.array_equal(preds, selected_preds)
+        assert np.array_equal(labels, selected_labels)
+        kept = [lb for _, sg in dataset for lb in sg.labels if lb in cfg.classes]
+        assert labels.tolist() == [cfg.classes.index(lb) for lb in kept]
+        assert 0.0 <= weighted_f1(preds, labels, num_classes) <= 1.0
 
 
 def test_kfold_141_subjects_sizes():
@@ -207,12 +242,12 @@ def test_predict_pools_labeled_nodes():
     dataset = chain_dataset(2)
     cfg = ModelConfig("gcn", hidden_dim=8, seed=1)
     model, _ = train(cfg, TrainConfig(epochs=2), dataset)
-    preds, labels = predict(model, dataset, CLASSES_13)
+    preds, labels = predict(model, dataset)
     n_labeled = sum(sum(1 for lb in g.labels if lb) for _, g in dataset)
     assert preds.shape == labels.shape == (n_labeled,)
     assert np.all((preds >= 0) & (preds < 13))
     with pytest.raises(TrainingError, match="empty dataset"):
-        predict(model, [], CLASSES_13)
+        predict(model, [])
 
 
 def test_run_cv_bookkeeping():
