@@ -397,14 +397,14 @@ def parameters(arrays: dict[str, np.ndarray]) -> tuple[dict[str, Tensor], np.nda
     return out, values, grads
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Bias-corrected Adam moments, flat in the order of the parameters."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -422,8 +422,8 @@ def adam_step(values: np.ndarray, grads: np.ndarray, state: AdamState):
     # values -= lr m_hat / (sqrt(v_hat) + eps), with m_hat, v_hat bias-corrected.
     # The same roundings in the same order, written into two scratch arrays.
     a, b = g - m, g * g
-    m += np.multiply(a, 1 - state.beta1, out=a)
-    v += np.multiply(np.subtract(b, v, out=b), 1 - state.beta2, out=b)
-    m_hat = np.divide(m, 1 - state.beta1**t, out=a)
-    denom = np.add(np.sqrt(np.divide(v, 1 - state.beta2**t, out=b), out=b), state.eps, out=b)
+    m += np.multiply(a, 1 - ADAM_BETA1, out=a)
+    v += np.multiply(np.subtract(b, v, out=b), 1 - ADAM_BETA2, out=b)
+    m_hat = np.divide(m, 1 - ADAM_BETA1**t, out=a)
+    denom = np.add(np.sqrt(np.divide(v, 1 - ADAM_BETA2**t, out=b), out=b), ADAM_EPS, out=b)
     values -= np.divide(np.multiply(m_hat, state.lr, out=a), denom, out=a)

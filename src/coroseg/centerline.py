@@ -30,8 +30,9 @@ CLASSES_13 = [
 DROPPED_IN_11 = ("L-PLB", "L-PDA")
 CLASSES_11 = [c for c in CLASSES_13 if c not in DROPPED_IN_11]
 
-#: Merge tolerance: 3 voxels at a 0.5 mm voxel spacing, below the 10-voxel
-#: resample spacing so merging cannot collapse distinct junctions.
+#: Resample spacing in voxels; the merge tolerance is 3 voxels at a 0.5 mm voxel
+#: spacing, below it, so merging cannot collapse distinct junctions.
+RESAMPLE_VOXELS = 10
 DEFAULT_MERGE_TOL_MM = 1.5
 
 #: Most points one resample_points call makes, checked before any is made.
@@ -227,8 +228,8 @@ def resample_centerline(cl: Centerline, spacing_mm: float) -> Centerline:
 
 
 def resample_subject(subject: SubjectRecord, spacing_mm: float | None = None) -> SubjectRecord:
-    """Resample every branch as resample_centerline does; default spacing is 10 voxels."""
-    spacing_mm = 10 * subject.voxel_spacing_mm if spacing_mm is None else spacing_mm
+    """Resample every branch as resample_centerline does; default spacing is RESAMPLE_VOXELS."""
+    spacing_mm = RESAMPLE_VOXELS * subject.voxel_spacing_mm if spacing_mm is None else spacing_mm
     points, first, problems = resample_points(subject.points, subject.first, spacing_mm,
                                               subject.branch_ids)
     return replace(subject, points=points, first=first, problems=problems)
@@ -324,7 +325,6 @@ def merge_branch_origins(subject: SubjectRecord, tol_mm: float = DEFAULT_MERGE_T
     return replace(subject, points=points)
 
 
-def prepare_subject(subject: SubjectRecord, spacing_mm: float | None = None,
-                    merge_tol_mm: float = DEFAULT_MERGE_TOL_MM) -> SubjectRecord:
-    """Resample then merge: the canonical preprocessing before graph building."""
-    return merge_branch_origins(resample_subject(subject, spacing_mm), merge_tol_mm)
+def prepare_subject(subject: SubjectRecord) -> SubjectRecord:
+    """Resample then merge, at their defaults: the canonical preprocessing before graph building."""
+    return merge_branch_origins(resample_subject(subject))

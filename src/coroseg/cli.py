@@ -80,6 +80,18 @@ def _settings(args, *keys) -> dict:
     return {key: getattr(args, key) for key in ("seed", *keys)}
 
 
+def _graphs(files):
+    """(subject_id, SegmentGraph) per subject file, made as it is read, in file
+    order; a file fails on its own first error or on a subject_id read before."""
+    seen = set()
+    for f in files:
+        rec = parse_subject(f.read_bytes())
+        if rec.subject_id in seen:
+            raise CenterlineError(f"{f}: duplicate subject_id {rec.subject_id!r}")
+        seen.add(rec.subject_id)
+        yield rec.subject_id, build_segment_graph(prepare_subject(rec))
+
+
 def _load_corpus(corpus_dir: str):
     subj_dir = Path(corpus_dir) / "subjects"
     if not subj_dir.is_dir():
@@ -88,14 +100,7 @@ def _load_corpus(corpus_dir: str):
     files = [f for f in files if f.name not in ("manifest.json", "corpus_manifest.json")]
     if not files:
         raise CenterlineError(f"no subject files under {corpus_dir}")
-    records = [parse_subject(f.read_bytes()) for f in files]
-    return records, files
-
-
-def _build_dataset(records):
-    return [
-        (rec.subject_id, build_segment_graph(prepare_subject(rec))) for rec in records
-    ]
+    return list(_graphs(files)), files
 
 
 def cmd_generate(args, run: Path):
@@ -121,28 +126,24 @@ def cmd_generate(args, run: Path):
 
 def cmd_build(args, run: Path):
     inputs = [Path(f) for f in args.subjects]
-    artifacts = {}
-    for f in inputs:
-        rec = parse_subject(f.read_bytes())
-        if rec.subject_id in artifacts:
-            raise CenterlineError(f"{f}: duplicate subject_id {rec.subject_id!r}")
-        sg = build_segment_graph(prepare_subject(rec))
-        p = artifacts[rec.subject_id] = run / f"{rec.subject_id}.graph.json"
-        p.write_text(segment_graph_to_json(sg))
+    artifacts = []
+    for sid, sg in _graphs(inputs):
+        artifacts.append(run / f"{sid}.graph.json")
+        artifacts[-1].write_text(segment_graph_to_json(sg))
     print(f"wrote {len(artifacts)} segment graphs to {run}")
-    return {"seed": None}, inputs, list(artifacts.values())
+    return {"seed": None}, inputs, artifacts
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        epochs=args.epochs, batch_size=args.batch, lr=args.lr, folds=args.folds, seed=args.seed
-    )
+    """Only cv has --folds; train keeps the default, which it never reads."""
+    return TrainConfig(epochs=args.epochs, batch_size=args.batch, lr=args.lr,
+                       folds=getattr(args, "folds", TrainConfig.folds), seed=args.seed)
 
 
 def cmd_train(args, run: Path):
-    records, files = _load_corpus(args.corpus)
+    dataset, files = _load_corpus(args.corpus)
     model_cfg = ModelConfig(variant=args.model, num_classes=args.classes, seed=args.seed)
-    model, trace = train(model_cfg, _train_config(args), _build_dataset(records))
+    model, trace = train(model_cfg, _train_config(args), dataset)
     ckpt = run / f"{args.model}_{args.classes}.checkpoint.json"
     save_model(model, ckpt)
     trace_path = run / f"{args.model}_{args.classes}.loss_trace.json"
@@ -153,9 +154,9 @@ def cmd_train(args, run: Path):
 
 
 def cmd_eval(args, run: Path):
-    records, files = _load_corpus(args.corpus)
+    dataset, files = _load_corpus(args.corpus)
     model = load_model(args.checkpoint)
-    preds, labels = predict(model, _build_dataset(records))
+    preds, labels = predict(model, dataset)
     if not len(labels):
         raise TrainingError("no labeled nodes to evaluate")
     metrics = {
@@ -197,8 +198,7 @@ def _audit_report(report: MetricsReport, dataset):
 
 
 def cmd_cv(args, run: Path):
-    records, files = _load_corpus(args.corpus)
-    dataset13 = _build_dataset(records)
+    dataset13, files = _load_corpus(args.corpus)
     modes = [11, 13] if args.classes == "both" else [args.classes]
     # train and predict select classes themselves; selecting once per mode here lets
     # the variants share each induced 11-class graph and the structure it keeps
@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--epochs", type=int)
             p.add_argument("--batch", type=int)
             p.add_argument("--lr", type=float)
-            p.add_argument("--folds", type=int)
 
     g = sub.add_parser("generate", help="emit a synthetic labeled corpus")
     g.add_argument("--subjects", type=int)
@@ -320,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--classes", type=_class_mode, choices=[11, 13, "both"])
     c.add_argument("--check", action="store_true",
                    help="audit acceptance invariants; exit 3 on violation")
+    c.add_argument("--folds", type=int)
     common(c, model_flags=True)
     c.set_defaults(func=cmd_cv)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .centerline import LEFT, RIGHT, SubjectRecord, prepare_subject, resample_points
+from .centerline import LEFT, RESAMPLE_VOXELS, RIGHT, SubjectRecord, prepare_subject, resample_points
 from .graph import split_into_segments
 
 
@@ -99,7 +99,7 @@ class GenParams:
 
     @property
     def resample_spacing_mm(self) -> float:
-        return 10 * self.voxel_spacing_mm
+        return RESAMPLE_VOXELS * self.voxel_spacing_mm
 
     @classmethod
     def low_noise(cls, **overrides) -> "GenParams":
@@ -231,34 +231,33 @@ def _draw_branches(rng: np.random.Generator, params: GenParams) -> list[_Draw]:
     return draws
 
 
-def _grow_directions(draws: list[_Draw], curl: bool) -> np.ndarray:
+def _grow_directions(draws: list[_Draw]) -> np.ndarray:
     """Unit tangent after each 1 mm step, (longest branch, branches, 3).
 
     All branches step in lockstep, whichever subject they belong to. Each
-    step rotates the tangent about the bend axis by bend / n, then (if curl)
-    about the curl axis by that step's wobble angle, then renormalises.
-    Steps past a branch's end are padding. Each step's curl matrices are
-    built when it runs, so memory is the returned tangents plus a sine and a
-    cosine per step and branch, never a steps x branches x 3 x 3 stack.
+    step rotates the tangent about the bend axis by bend / n, then about the
+    curl axis by that step's wobble angle, then renormalises. A zero angle
+    (zero wobble, and the padding steps past a branch's end) builds the
+    identity bit for bit. Each step's curl matrices are built when it runs, so
+    memory is the returned tangents plus a sine and a cosine per step and
+    branch, never a steps x branches x 3 x 3 stack.
     """
     lengths = np.array([len(dr.wobble) for dr in draws])
     n_max = int(lengths.max())
     eye, k = np.eye(3), _skew(np.stack([dr.bend_axis for dr in draws]))
     angle = (np.array([dr.bend for dr in draws]) / lengths)[:, None, None]
     bend = eye + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
-    if curl:
-        angles = np.zeros((len(draws), n_max))  # padding angle 0 is the identity
-        angles[np.arange(n_max) < lengths[:, None]] = np.concatenate([dr.wobble for dr in draws])
-        angles = angles.T[:, :, None, None]
-        sin, one_minus_cos = np.sin(angles), 1 - np.cos(angles)
-        k = _skew(np.stack([dr.curl_axis for dr in draws]))
-        kk = k @ k
+    angles = np.zeros((len(draws), n_max))
+    angles[np.arange(n_max) < lengths[:, None]] = np.concatenate([dr.wobble for dr in draws])
+    angles = angles.T[:, :, None, None]
+    sin, one_minus_cos = np.sin(angles), 1 - np.cos(angles)
+    k = _skew(np.stack([dr.curl_axis for dr in draws]))
+    kk = k @ k
     d = np.stack([dr.direction for dr in draws])
     dirs = np.empty((n_max, len(draws), 3))
     for s in range(n_max):
         d = np.matmul(bend, d[:, :, None])[:, :, 0]
-        if curl:
-            d = np.matmul(eye + sin[s] * k + one_minus_cos[s] * kk, d[:, :, None])[:, :, 0]
+        d = np.matmul(eye + sin[s] * k + one_minus_cos[s] * kk, d[:, :, None])[:, :, 0]
         d /= np.sqrt(np.vecdot(d, d))[:, None]
         dirs[s] = d
     return dirs
@@ -281,7 +280,7 @@ def _generate_group(params: GenParams, seeds: list) -> list[SubjectRecord]:
         motions.append((_random_rotation(rng) if params.rotate else np.eye(3), motion_t))
     flat = [dr for subject in draws for dr in subject]
     subject_of = [s for s, subject in enumerate(draws) for _ in subject]
-    dirs = _grow_directions(flat, params.wobble_rad > 0)
+    dirs = _grow_directions(flat)
 
     first = [{} for _ in seeds]  # children attach to their class's first instance
     used_vertices = [{} for _ in seeds]
@@ -321,9 +320,8 @@ def _generate_group(params: GenParams, seeds: list) -> list[SubjectRecord]:
         order = sorted(range(len(subject)),
                        key=lambda b: (sides[b] == RIGHT, subject[b].cls == "RCA"))
         sizes = [len(grown[lo + b]) for b in order]
-        sid = seed[-1] if isinstance(seed, (list, tuple)) else seed
         records.append(SubjectRecord(
-            f"synthetic-{sid:04d}",
+            f"synthetic-{seed[-1]:04d}",
             params.voxel_spacing_mm,
             points=np.concatenate([grown[lo + b] for b in order]) @ motion_r.T + motion_t,
             first=np.cumsum(sizes) - sizes,
@@ -335,8 +333,9 @@ def _generate_group(params: GenParams, seeds: list) -> list[SubjectRecord]:
     return records
 
 
-def generate_subject(params: GenParams, subject_seed) -> SubjectRecord:
-    """One labeled subject: deterministic in (params, subject_seed)."""
+def generate_subject(params: GenParams, subject_seed: list[int]) -> SubjectRecord:
+    """One labeled subject, deterministic in (params, subject_seed); subject_seed
+    is [corpus seed, index], and the index names it."""
     return _generate_group(params, [subject_seed])[0]
 
 

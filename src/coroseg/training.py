@@ -140,15 +140,12 @@ def predict(model: TrainedModel, dataset):
     return np.argmax(logits[mask], axis=1), labels[mask]
 
 
-def confusion_matrix(preds, labels, num_classes: int, normalized: bool = False) -> np.ndarray:
+def confusion_matrix(preds, labels, num_classes: int) -> np.ndarray:
     """Entry (i, j) counts true class i predicted as j."""
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     mat = np.zeros((num_classes, num_classes))
     np.add.at(mat, (labels, preds), 1.0)
-    if normalized:
-        sums = mat.sum(axis=1, keepdims=True)
-        mat = np.divide(mat, sums, out=np.zeros_like(mat), where=sums > 0)
     return mat
 
 
@@ -235,18 +232,21 @@ def run_cv(
     preds = np.concatenate(all_preds)
     labels = np.concatenate(all_labels)
     precision, recall, f1, weights = per_class_metrics(preds, labels, len(classes))
+    confusion = confusion_matrix(preds, labels, len(classes))
+    support = confusion.sum(axis=1, keepdims=True)
     return MetricsReport(
         classes=classes,
         fold_f1=fold_f1,
         fold_test_ids=folds,
         weighted_f1_mean=float(np.mean(fold_f1)),
-        weighted_f1_pooled=weighted_f1(preds, labels, len(classes)),
+        weighted_f1_pooled=float((f1 * weights).sum()),
         precision=precision,
         recall=recall,
         f1=f1,
         class_weights=weights,
-        confusion=confusion_matrix(preds, labels, len(classes)),
-        confusion_normalized=confusion_matrix(preds, labels, len(classes), normalized=True),
+        confusion=confusion,
+        confusion_normalized=np.divide(confusion, support, out=np.zeros_like(confusion),
+                                       where=support > 0),
     )
 
 

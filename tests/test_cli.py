@@ -207,6 +207,34 @@ def test_build_rejects_duplicate_subject_ids(corpus, tmp_path, capsys):
     sid = json.loads(subject.read_text())["subject_id"]
     assert _one_error_line(capsys) == f"error: {copy}: duplicate subject_id {sid!r}"
     assert not (tmp_path / "d" / "manifest.json").exists()
+    # every command that reads a corpus directory reads it the same way
+    subjects = tmp_path / "subjects"
+    subjects.mkdir()
+    for f in sorted((corpus / "subjects").glob("*.json"))[:3]:
+        (subjects / f.name).write_bytes(f.read_bytes())
+    copy = subjects / "zz-copy.json"   # sorts after the file it copies
+    copy.write_bytes(subject.read_bytes())
+    ckpt = tmp_path / "gcn.checkpoint.json"
+    save_model(init_model(ModelConfig("gcn")), ckpt)
+    for name, argv in (
+        ("train", ["train", "--model", "gcn", "--epochs", "1"]),
+        ("eval", ["eval", "--checkpoint", str(ckpt)]),
+        ("cv", ["cv", "--model", "gcn", "--epochs", "1", "--folds", "2"]),
+    ):
+        code = run_cli(*argv, "--corpus", str(subjects), "--out", str(tmp_path), "--run-name", name)
+        assert code == 1, name
+        assert _one_error_line(capsys) == f"error: {copy}: duplicate subject_id {sid!r}"
+        assert not (tmp_path / name / "manifest.json").exists()
+
+
+def test_train_has_no_folds_flag(corpus, tmp_path, capsys):
+    # train never reads the folds; only cv splits the corpus
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train", "--corpus", str(corpus), "--folds", "2",
+                "--out", str(tmp_path), "--run-name", "t")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --folds 2" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

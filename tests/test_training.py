@@ -189,10 +189,6 @@ def test_confusion_matrix_hand_case():
     preds = [0, 1, 1, 1]
     mat = confusion_matrix(preds, labels, 3)
     assert np.array_equal(mat, [[1, 1, 0], [0, 1, 0], [0, 1, 0]])
-    norm = confusion_matrix(preds, labels, 3, normalized=True)
-    assert np.allclose(norm.sum(axis=1), 1.0)
-    empty_row = confusion_matrix([0], [0], 3, normalized=True)
-    assert np.array_equal(empty_row[2], [0, 0, 0])
 
 
 def test_train_lr_zero_leaves_weights_unchanged():
@@ -269,6 +265,23 @@ def test_run_cv_bookkeeping():
     doc = report.to_dict()
     assert set(doc["per_class"]) == set(CLASSES_13)
     assert doc["fold_weighted_f1"] == report.fold_f1
+
+
+def test_run_cv_normalizes_the_confusion_by_row():
+    # a 13-class model on 11-class graphs: the L-PLB and L-PDA rows have no support
+    dataset = select_classes(generated_dataset(6), 11)
+    report = run_cv(ModelConfig("gcn", hidden_dim=8, seed=1), TrainConfig(epochs=2, folds=2),
+                    dataset)
+    support = report.confusion.sum(axis=1)
+    empty = support == 0
+    assert empty[[CLASSES_13.index(c) for c in DROPPED_IN_11]].all()
+    assert np.array_equal(report.confusion_normalized[empty], np.zeros((empty.sum(), 13)))
+    assert np.array_equal(report.confusion_normalized[~empty],
+                          report.confusion[~empty] / support[~empty, None])
+    # the pooled F1 is the one the pooled predictions give
+    labels, preds = np.nonzero(report.confusion)
+    counts = report.confusion[labels, preds].astype(int)
+    assert report.weighted_f1_pooled == weighted_f1(preds.repeat(counts), labels.repeat(counts), 13)
 
 
 def test_run_cv_rejects_duplicate_ids():
