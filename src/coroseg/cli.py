@@ -6,7 +6,8 @@ written last so its presence marks a completed run. Reruns from the same
 configuration produce byte-identical metrics files.
 
 Each ``cmd_*`` function takes the parsed arguments and its run directory and
-returns what the manifest records: ``(config, inputs, artifacts)``.
+returns what the manifest records: ``(config, input_hashes, artifacts)``, the
+hashes taken from the bytes the command read.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 from .centerline import (
@@ -53,8 +57,8 @@ class UsageError(Exception):
     """A bad --config file: exit 2, like a bad flag."""
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()
 
 
 def _execute(args) -> int:
@@ -63,12 +67,12 @@ def _execute(args) -> int:
     name = args.run_name or f"run-{time.strftime('%Y%m%d-%H%M%S')}-s{args.seed}"
     run = Path(args.out) / name
     run.mkdir(parents=True, exist_ok=True)
-    config, inputs, artifacts = args.func(args, run)
+    config, input_hashes, artifacts = args.func(args, run)
     manifest = {
         "command": args.command,
         "config": config,
         "seed": config.get("seed"),
-        "input_hashes": {str(p): _sha256(p) for p in inputs},
+        "input_hashes": input_hashes,
         "artifacts": sorted(str(p.relative_to(run)) for p in artifacts),
         "duration_s": time.time() - started,
     }
@@ -80,16 +84,70 @@ def _settings(args, *keys) -> dict:
     return {key: getattr(args, key) for key in ("seed", *keys)}
 
 
-def _graphs(files):
-    """(subject_id, SegmentGraph) per subject file, made as it is read, in file
-    order; a file fails on its own first error or on a subject_id read before."""
+def _subject_graph(path: Path, to_json: bool = False):
+    """One subject file, read once, as (sha256 of its bytes, subject_id, its
+    SegmentGraph or that graph's JSON text, error). An error is returned, not
+    raised, so a pool worker hands back every file it was given; subject_id is
+    None when the file did not parse."""
+    digest = sid = None
+    try:
+        raw = path.read_bytes()
+        digest = _sha256(raw)
+        rec = parse_subject(raw)
+        sid = rec.subject_id
+        sg = build_segment_graph(prepare_subject(rec))
+        return digest, sid, segment_graph_to_json(sg) if to_json else sg, None
+    except Exception as exc:  # raised again by _in_order, in file order
+        return digest, sid, None, exc
+
+
+def _in_order(files, outcomes):
+    """(file, sha256, subject_id, product) per `_subject_graph` outcome, in file
+    order. A file fails on its own first error: it does not parse, its
+    subject_id was read before, or its graph cannot be built."""
     seen = set()
-    for f in files:
-        rec = parse_subject(f.read_bytes())
-        if rec.subject_id in seen:
-            raise CenterlineError(f"{f}: duplicate subject_id {rec.subject_id!r}")
-        seen.add(rec.subject_id)
-        yield rec.subject_id, build_segment_graph(prepare_subject(rec))
+    for f, (digest, sid, product, error) in zip(files, outcomes):
+        if sid is None:
+            raise error
+        if sid in seen:
+            raise CenterlineError(f"{f}: duplicate subject_id {sid!r}")
+        seen.add(sid)
+        if error is not None:
+            raise error
+        yield f, digest, sid, product
+
+
+def _workers(n_jobs: int) -> int:
+    """One process per CPU this process may use, at most one per job; 1 where a
+    forked pool cannot start (no fork start method, or a daemonic caller)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, n_jobs)
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
+            return 1
+    return workers
+
+
+@contextmanager
+def _ordered_map(fn, jobs: list):
+    """fn over jobs, results in job order: in a fork pool of `_workers` processes,
+    or in-process through map when that is one. When the block exits, jobs not
+    yet started are dropped and no worker is left running."""
+    workers = _workers(len(jobs))
+    if workers == 1:
+        yield map(fn, jobs)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # not multiprocessing.Pool: its terminate() can hang while results fill its pipe
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool.map(fn, jobs, chunksize=-(-len(jobs) // (4 * workers)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _load_corpus(corpus_dir: str):
@@ -100,7 +158,11 @@ def _load_corpus(corpus_dir: str):
     files = [f for f in files if f.name not in ("manifest.json", "corpus_manifest.json")]
     if not files:
         raise CenterlineError(f"no subject files under {corpus_dir}")
-    return list(_graphs(files)), files
+    dataset, hashes = [], {}
+    for f, digest, sid, sg in _in_order(files, map(_subject_graph, files)):
+        dataset.append((sid, sg))
+        hashes[str(f)] = digest
+    return dataset, hashes
 
 
 def cmd_generate(args, run: Path):
@@ -121,17 +183,23 @@ def cmd_generate(args, run: Path):
     artifacts.append(census_path)
     print(f"wrote {len(records)} subjects to {subj_dir}")
     print(f"avg branches {census['avg_branches']:.2f}, avg segments {census['avg_segments']:.2f}")
-    return _settings(args, "subjects", "preset"), [], artifacts
+    return _settings(args, "subjects", "preset"), {}, artifacts
 
 
 def cmd_build(args, run: Path):
-    inputs = [Path(f) for f in args.subjects]
-    artifacts = []
-    for sid, sg in _graphs(inputs):
-        artifacts.append(run / f"{sid}.graph.json")
-        artifacts[-1].write_text(segment_graph_to_json(sg))
+    """Files are converted on every CPU the process may use, and written here in
+    input order, so the outputs do not depend on the worker count."""
+    files = [Path(f) for f in args.subjects]
+    hashes, artifacts = {}, []
+    with _ordered_map(partial(_subject_graph, to_json=True), files) as outcomes:
+        for f, digest, sid, text in _in_order(files, outcomes):
+            if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
+                raise CenterlineError(f"{f}: subject_id {sid!r} cannot name a file")
+            hashes[str(f)] = digest
+            artifacts.append(run / f"{sid}.graph.json")
+            artifacts[-1].write_text(text)
     print(f"wrote {len(artifacts)} segment graphs to {run}")
-    return {"seed": None}, inputs, artifacts
+    return {"seed": None}, hashes, artifacts
 
 
 def _train_config(args) -> TrainConfig:
@@ -141,7 +209,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train(args, run: Path):
-    dataset, files = _load_corpus(args.corpus)
+    dataset, hashes = _load_corpus(args.corpus)
     model_cfg = ModelConfig(variant=args.model, num_classes=args.classes, seed=args.seed)
     model, trace = train(model_cfg, _train_config(args), dataset)
     ckpt = run / f"{args.model}_{args.classes}.checkpoint.json"
@@ -150,12 +218,13 @@ def cmd_train(args, run: Path):
     trace_path.write_text(json.dumps(trace))
     print(f"checkpoint: {ckpt}")
     return (_settings(args, "model", "classes", "epochs", "batch", "lr"),
-            files, [ckpt, trace_path])
+            hashes, [ckpt, trace_path])
 
 
 def cmd_eval(args, run: Path):
-    dataset, files = _load_corpus(args.corpus)
-    model = load_model(args.checkpoint)
+    dataset, hashes = _load_corpus(args.corpus)
+    raw = Path(args.checkpoint).read_bytes()
+    model = load_model(raw)
     preds, labels = predict(model, dataset)
     if not len(labels):
         raise TrainingError("no labeled nodes to evaluate")
@@ -168,7 +237,8 @@ def cmd_eval(args, run: Path):
     out = run / "metrics.json"
     out.write_text(json.dumps(metrics, indent=1, sort_keys=True))
     print(json.dumps(metrics, indent=1, sort_keys=True))
-    return _settings(args, "checkpoint"), files + [Path(args.checkpoint)], [out]
+    hashes[str(Path(args.checkpoint))] = _sha256(raw)
+    return _settings(args, "checkpoint"), hashes, [out]
 
 
 def _write_csv(path: Path, classes, matrix):
@@ -198,7 +268,7 @@ def _audit_report(report: MetricsReport, dataset):
 
 
 def cmd_cv(args, run: Path):
-    dataset13, files = _load_corpus(args.corpus)
+    dataset13, hashes = _load_corpus(args.corpus)
     modes = [11, 13] if args.classes == "both" else [args.classes]
     # train and predict select classes themselves; selecting once per mode here lets
     # the variants share each induced 11-class graph and the structure it keeps
@@ -231,7 +301,7 @@ def cmd_cv(args, run: Path):
     artifacts += [report_json, report_txt]
     print(table)
     return (_settings(args, "model", "classes", "epochs", "batch", "lr", "folds"),
-            files, artifacts)
+            hashes, artifacts)
 
 
 DEFAULTS = {

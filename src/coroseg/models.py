@@ -235,10 +235,12 @@ def save_model(model: TrainedModel, path: str | Path):
     Path(path).write_text(json.dumps(doc, sort_keys=True))
 
 
-def load_model(path: str | Path) -> TrainedModel:
-    """Read a checkpoint; every malformed or incomplete one raises ModelError."""
+def load_model(source: str | Path | bytes) -> TrainedModel:
+    """Read a checkpoint from its path or its bytes; every malformed or
+    incomplete one raises ModelError."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(source.decode("utf-8") if isinstance(source, bytes)
+                         else Path(source).read_text())
     except json.JSONDecodeError as exc:
         raise ModelError(f"malformed checkpoint: {exc}") from exc
     if not isinstance(doc, dict):

@@ -1,10 +1,12 @@
 import json
+import multiprocessing
+import os
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from coroseg.cli import main
+from coroseg.cli import _workers, main
 from coroseg.graph import EMBED_DIM
 from coroseg.models import ModelConfig, init_model, save_model
 
@@ -457,3 +459,82 @@ def test_build_rejects_values_that_are_not_numbers(tmp_path, capsys, field, valu
     subject.write_text(json.dumps({**GOOD_SUBJECT, field: value}))
     assert run_cli("build", str(subject), "--out", str(tmp_path), "--run-name", "x") == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.fixture(scope="module")
+def files20(tmp_path_factory):
+    """20 default-preset subject files: 3 per chunk of a 2-worker build."""
+    base = tmp_path_factory.mktemp("build20")
+    assert run_cli("generate", "--subjects", "20", "--seed", "8",
+                   "--out", str(base), "--run-name", "gen") == 0
+    return sorted((base / "gen" / "subjects").glob("*.json"))
+
+
+def _build_on(cpus, files, out: Path, capsys, monkeypatch):
+    """coroseg build with `cpus` CPUs visible: (exit code, stderr, graph files' bytes)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert _workers(len(files)) == min(cpus, len(files))
+    code = run_cli("build", *map(str, files), "--out", str(out), "--run-name", f"w{cpus}")
+    assert multiprocessing.active_children() == []
+    graphs = {p.name: p.read_bytes() for p in (out / f"w{cpus}").glob("*.graph.json")}
+    return code, capsys.readouterr().err, graphs
+
+
+def test_build_same_bytes_on_one_and_two_workers(files20, tmp_path, capsys, monkeypatch):
+    serial = _build_on(1, files20, tmp_path, capsys, monkeypatch)
+    assert serial[0] == 0 and len(serial[2]) == 20
+    assert _build_on(2, files20, tmp_path, capsys, monkeypatch) == serial
+    manifests = [json.loads((tmp_path / name / "manifest.json").read_text())
+                 for name in ("w1", "w2")]
+    assert manifests[0]["input_hashes"] == manifests[1]["input_hashes"]
+    assert sorted(manifests[0]["input_hashes"]) == sorted(map(str, files20))
+
+
+@pytest.mark.parametrize("fault, at", [
+    ("parse", 5),        # the last of the second 3-file chunk
+    ("build", 4),
+    ("duplicate", 16),   # a copy of file 1, five chunks on
+])
+def test_build_fault_in_a_chunk_matches_serial(files20, tmp_path, capsys, monkeypatch, fault, at):
+    bad = tmp_path / "bad.json"
+    if fault == "parse":
+        bad.write_text("{not json")
+    elif fault == "build":  # parses, then fails (see test_build_fold_back_one_line_error)
+        fold_back = {"id": "a", "side": "left", "points": [[0, 0, 0], [5, 0, 0], [0, 0, 0]]}
+        bad.write_text(json.dumps({**GOOD_SUBJECT, "voxel_spacing_mm": 0.2,
+                                   "branches": [fold_back, GOOD_SUBJECT["branches"][1]]}))
+    else:
+        bad.write_bytes(files20[1].read_bytes())
+    files = [*files20[:at], bad, *files20[at:]]
+    serial = _build_on(1, files, tmp_path, capsys, monkeypatch)
+    code, err, graphs = serial
+    assert code == 1 and len(err.splitlines()) == 1
+    assert sorted(graphs) == sorted(f"{f.stem}.graph.json" for f in files20[:at])
+    assert _build_on(2, files, tmp_path, capsys, monkeypatch) == serial
+    assert not (tmp_path / "w2" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("sid", ["../escaped", "", ".", "..", "a/b", "a\\b", "a\0b"])
+def test_build_rejects_a_subject_id_that_cannot_name_a_file(tmp_path, capsys, sid):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(GOOD_SUBJECT))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**GOOD_SUBJECT, "subject_id": sid}))
+    runs = tmp_path / "runs"
+    code = run_cli("build", str(good), str(bad), "--out", str(runs), "--run-name", "x")
+    assert code == 1
+    assert _one_error_line(capsys) == f"error: {bad}: subject_id {sid!r} cannot name a file"
+    assert sorted(p.name for p in runs.rglob("*")) == ["s1.graph.json", "x"]
+
+
+def test_workers_fall_back_to_one_process(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert [_workers(n) for n in (1, 2, 5)] == [1, 2, 3]
+    with monkeypatch.context() as m:
+        m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert _workers(5) == 1
+    with monkeypatch.context() as m:
+        m.setattr(multiprocessing.current_process(), "daemon", True)
+        assert _workers(5) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _workers(5) == 1
