@@ -6,6 +6,13 @@ class-characteristic directions. Counts are calibrated so the corpus
 reproduces the published per-subject branch/segment averages and class
 imbalance (rare left posterior branches included).
 
+A group of subjects is made in array passes: each subject only draws in its
+draw loop (one rng call per branch for its fixed normals, one for its
+wobble, plus the root or attach draw), the group's branch geometry is then
+finished at once, its tangents grow in lockstep, and the manifest census
+resamples the whole group with one call. Every subject is bit for bit as a
+per-branch loop over its own rng makes it.
+
 Emitted centerlines are pre-resampled so every child start coincides
 bit-exactly with a vertex of its resampled parent. The ingestion pipeline's
 resample + merge is not a no-op on them: resampling an already-resampled
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .centerline import LEFT, RESAMPLE_VOXELS, RIGHT, SubjectRecord, prepare_subject, resample_points
+from .centerline import LEFT, RESAMPLE_VOXELS, RIGHT, SubjectRecord, merge_branch_origins, resample_points
 from .graph import split_into_segments
 
 
@@ -76,9 +83,15 @@ DEFAULT_COUNT_PROBS: dict[str, tuple[float, ...]] = {
 
 #: Subjects that generate_corpus grows together. A group's arrays grow with
 #: it (its tangents are longest branch x branches x 3): they peak near 1.5 MB
-#: for 16 subjects and 13.5 MB for 141. Groups of 8-32 run as fast as one
-#: corpus-wide group.
+#: for 16 subjects and 13.5 MB for 141. One corpus-wide group of 141 runs
+#: about 16% faster, but adds about 12 MB to the ~54 MB peak of a 141-subject
+#: cv run, so groups stay at 16.
 GROUP_SIZE = 16
+
+#: GenParams fields that scale a noise draw: each must be finite and >= 0.
+_NOISE_SCALES = ("direction_jitter_rad", "length_jitter_frac", "attach_jitter_frac",
+                 "bend_jitter_frac", "wobble_rad", "junction_jitter_mm", "translation_range_mm")
+
 
 @dataclass(frozen=True)
 class GenParams:
@@ -96,6 +109,20 @@ class GenParams:
     count_probs: dict[str, tuple[float, ...]] = field(
         default_factory=lambda: dict(DEFAULT_COUNT_PROBS)
     )
+
+    def __post_init__(self):
+        for name in _NOISE_SCALES:
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, not {value!r}")
+        for cls in TEMPLATES:
+            if cls not in self.count_probs:
+                raise ValueError(f"count_probs has no entry for class {cls!r}")
+            probs = np.asarray(self.count_probs[cls], dtype=float).ravel()
+            if not (np.isfinite(probs).all() and (probs >= 0).all()
+                    and 0 < sum(probs.tolist()) < np.inf):
+                raise ValueError(f"count_probs[{cls!r}] must be finite and >= 0 with a "
+                                 f"positive sum, not {self.count_probs[cls]!r}")
 
     @property
     def resample_spacing_mm(self) -> float:
@@ -116,17 +143,6 @@ class GenParams:
         return cls(**defaults)
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
-
-
-def _rotation(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix about a unit axis."""
-    x, y, z = axis
-    k = np.array([[0, -z, y], [z, 0, -x], [-y, x, 0]])
-    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
-
-
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     q = rng.normal(size=4)
     w, x, y, z = q / np.linalg.norm(q)
@@ -139,22 +155,8 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     )
 
 
-def _perpendicular(rng: np.random.Generator, d: np.ndarray) -> np.ndarray:
-    v = rng.normal(size=3)
-    v -= (v @ d) * d
-    n = np.linalg.norm(v)
-    return v / n if n > 1e-9 else _perpendicular(rng, d)
-
-
-def _jitter_direction(rng, d: np.ndarray, angle_scale: float) -> np.ndarray:
-    if angle_scale <= 0:
-        return d
-    axis = _perpendicular(rng, d)
-    return _rotation(axis, rng.normal(0.0, angle_scale)) @ d
-
-
 def _skew(axes: np.ndarray) -> np.ndarray:
-    """Cross-product matrices (..., 3, 3) of axes (..., 3), as `_rotation` builds them."""
+    """Cross-product matrices (..., 3, 3) of axes (..., 3)."""
     x, y, z = np.moveaxis(axes, -1, 0)
     zero = np.zeros_like(x)
     return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(
@@ -162,10 +164,36 @@ def _skew(axes: np.ndarray) -> np.ndarray:
     )
 
 
+def _rodrigues(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Rotation matrices (B, 3, 3) about unit axes (B, 3) by angles (B,)."""
+    k, angles = _skew(axes), angles[:, None, None]
+    return np.eye(3) + np.sin(angles) * k + (1 - np.cos(angles)) * (k @ k)
+
+
+def _perpendiculars(v: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit part of each row of v (B, 3) perpendicular to the unit d (B, 3),
+    and whether it was long enough (norm above 1e-9) to be kept."""
+    v = v - np.vecdot(v, d)[:, None] * d
+    norm = np.sqrt(np.vecdot(v, v))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero norm is not kept
+        return v / norm[:, None], norm > 1e-9
+
+
+def _jitter(params: GenParams, axes: np.ndarray, angles: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Directions d (B, 3) turned about their jitter axes by the drawn angles."""
+    turn = _rodrigues(axes, 0.0 + params.direction_jitter_rad * angles)
+    return np.matmul(turn, d[:, :, None])[:, :, 0]
+
+
+#: Each class's template direction as a unit vector.
+_DIRECTIONS = {cls: np.asarray(tpl.direction) / np.linalg.norm(tpl.direction)
+               for cls, tpl in TEMPLATES.items()}
+
+
 def _attach_index(points: np.ndarray, frac: float, used: set[int]) -> int:
     """Interior vertex nearest the requested fraction, skipping used ones."""
     n = len(points)
-    want = int(np.clip(round(frac * (n - 1)), 1, n - 2))
+    want = min(max(round(frac * (n - 1)), 1), n - 2)
     for offset in range(n):
         for idx in (want - offset, want + offset):
             if 1 <= idx <= n - 2 and idx not in used:
@@ -182,11 +210,10 @@ class _Draw:
     cls: str
     branch_id: str
     anchor: np.ndarray | float  # root start, or attach fraction along the parent
-    direction: np.ndarray
-    bend: float
-    bend_axis: np.ndarray
-    curl_axis: np.ndarray
-    wobble: np.ndarray  # one curl angle per 1 mm step; zeros when wobble_rad is 0
+    #: standard normals: the jitter axis (3) and angle when direction_jitter_rad
+    #: > 0, then length, bend, bend axis (3) and curl axis (3)
+    normals: np.ndarray
+    wobble: np.ndarray  # one standard normal per 1 mm step; zeros when wobble_rad is 0
 
 
 def _depth(cls: str) -> int:
@@ -195,43 +222,89 @@ def _depth(cls: str) -> int:
     return 0 if parent is None else 1 + _depth(parent)
 
 
-def _draw_branches(rng: np.random.Generator, params: GenParams) -> list[_Draw]:
-    """Every branch's random draws, in template order; none depends on geometry."""
+def _count_cdfs(params: GenParams) -> dict[str, np.ndarray]:
+    """Per class, the cdf that rng.choice(len(p), p=p / p.sum()) searches, so
+    one rng.random() and a searchsorted pick the count choice would."""
+    cdfs = {}
+    for cls in TEMPLATES:
+        probs = np.asarray(params.count_probs[cls])
+        cdf = (probs / probs.sum()).cumsum()
+        cdfs[cls] = cdf / cdf[-1]
+    return cdfs
+
+
+def _checked_normals(rng: np.random.Generator, params: GenParams, cls: str) -> np.ndarray:
+    """A branch's normals as a loop over its draws makes them: each axis is
+    checked as it is drawn and drawn again while it lies along the direction,
+    which shifts the rest of the subject's stream."""
+
+    def axis(d):
+        while True:
+            v = rng.standard_normal((1, 3))
+            unit, kept = _perpendiculars(v, d)
+            if kept[0]:
+                return v[0], unit
+
+    d, parts = _DIRECTIONS[cls][None], []
+    if params.direction_jitter_rad > 0:
+        v, unit = axis(d)
+        angle = rng.standard_normal(1)
+        parts += [v, angle]
+        d = _jitter(params, unit, angle, d)
+    parts += [rng.standard_normal(2), axis(d)[0], axis(d)[0]]  # length, bend, the two axes
+    return np.concatenate(parts)
+
+
+def _draw_branches(rng: np.random.Generator, params: GenParams, cdfs: dict[str, np.ndarray],
+                   checked: bool = False) -> list[_Draw]:
+    """Every branch's random draws, in template order, with one rng call for
+    its fixed normals and one for its wobble. rng.normal(0, s, k) is
+    0.0 + s * rng.standard_normal(k) and one call of k draws is k calls of
+    one, so the stream is the per-branch loop's; _finish makes the geometry
+    from the normals, and checked draws them as _checked_normals does."""
+    n_fixed = 12 if params.direction_jitter_rad > 0 else 8
+    spacing = params.resample_spacing_mm
     draws = []
     for cls, tpl in TEMPLATES.items():
-        probs = np.asarray(params.count_probs[cls])
-        count = int(rng.choice(len(probs), p=probs / probs.sum()))
+        count = int(cdfs[cls].searchsorted(rng.random(), side="right"))
         for i in range(count):
             if tpl.parent is None:
                 anchor = np.asarray(tpl.start, dtype=float)
                 if cls != "LM":
-                    anchor = anchor + rng.normal(0, params.junction_jitter_mm, 3)
+                    anchor = anchor + (0.0 + params.junction_jitter_mm * rng.standard_normal(3))
             else:
                 lo, hi = tpl.attach
                 frac = lo + (i + 0.5) * (hi - lo) / count
-                frac += rng.normal(0, params.attach_jitter_frac * max(hi - lo, 0.05))
-                anchor = float(np.clip(frac, 0.02, 0.98))
-            direction = _jitter_direction(
-                rng, _unit(np.asarray(tpl.direction)), params.direction_jitter_rad
-            )
-            length = tpl.length_mm * (1 + rng.normal(0, params.length_jitter_frac))
-            length = max(length, 2.5 * params.resample_spacing_mm)
-            bend = tpl.bend_rad * (1 + rng.normal(0, params.bend_jitter_frac))
+                frac += 0.0 + params.attach_jitter_frac * max(hi - lo, 0.05) * rng.standard_normal()
+                anchor = min(max(frac, 0.02), 0.98)
+            normals = (_checked_normals(rng, params, cls) if checked
+                       else rng.standard_normal(n_fixed))
+            jitter = 0.0 + params.length_jitter_frac * float(normals[-8])
+            length = max(tpl.length_mm * (1 + jitter), 2.5 * spacing)
             n = max(3, int(round(length)))  # 1 mm steps
-            bend_axis = _perpendicular(rng, direction)
-            curl_axis = _perpendicular(rng, direction)
-            if params.wobble_rad > 0:
-                wobble = rng.normal(0.0, params.wobble_rad, n)
-            else:
-                wobble = np.zeros(n)
-            draws.append(_Draw(
-                cls, cls if count == 1 else f"{cls}{i + 1}", anchor, direction,
-                bend, bend_axis, curl_axis, wobble,
-            ))
+            wobble = rng.standard_normal(n) if params.wobble_rad > 0 else np.zeros(n)
+            draws.append(_Draw(cls, cls if count == 1 else f"{cls}{i + 1}", anchor, normals, wobble))
     return draws
 
 
-def _grow_directions(draws: list[_Draw]) -> np.ndarray:
+def _finish(params: GenParams, draws: list[_Draw]):
+    """Each branch's direction, bend angle, bend axis and curl axis from its
+    normals, in array passes over all branches; and which branches drew an
+    axis along their direction, which the loop would have drawn again."""
+    z = np.stack([dr.normals for dr in draws])
+    d = np.stack([_DIRECTIONS[dr.cls] for dr in draws])
+    kept = np.ones(len(draws), bool)
+    if params.direction_jitter_rad > 0:
+        axes, kept = _perpendiculars(z[:, :3], d)
+        d = _jitter(params, axes, z[:, 3], d)
+    bend = np.array([TEMPLATES[dr.cls].bend_rad for dr in draws]) * (
+        1 + (0.0 + params.bend_jitter_frac * z[:, -7]))
+    bend_axes, bend_kept = _perpendiculars(z[:, -6:-3], d)
+    curl_axes, curl_kept = _perpendiculars(z[:, -3:], d)
+    return (d, bend, bend_axes, curl_axes), ~(kept & bend_kept & curl_kept)
+
+
+def _grow_directions(params: GenParams, draws: list[_Draw], geometry) -> np.ndarray:
     """Unit tangent after each 1 mm step, (longest branch, branches, 3).
 
     All branches step in lockstep, whichever subject they belong to. Each
@@ -242,18 +315,16 @@ def _grow_directions(draws: list[_Draw]) -> np.ndarray:
     memory is the returned tangents plus a sine and a cosine per step and
     branch, never a steps x branches x 3 x 3 stack.
     """
+    d, bend_angles, bend_axes, curl_axes = geometry
     lengths = np.array([len(dr.wobble) for dr in draws])
     n_max = int(lengths.max())
-    eye, k = np.eye(3), _skew(np.stack([dr.bend_axis for dr in draws]))
-    angle = (np.array([dr.bend for dr in draws]) / lengths)[:, None, None]
-    bend = eye + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+    eye, bend = np.eye(3), _rodrigues(bend_axes, bend_angles / lengths)
     angles = np.zeros((len(draws), n_max))
     angles[np.arange(n_max) < lengths[:, None]] = np.concatenate([dr.wobble for dr in draws])
-    angles = angles.T[:, :, None, None]
+    angles = (0.0 + params.wobble_rad * angles).T[:, :, None, None]
     sin, one_minus_cos = np.sin(angles), 1 - np.cos(angles)
-    k = _skew(np.stack([dr.curl_axis for dr in draws]))
+    k = _skew(curl_axes)
     kk = k @ k
-    d = np.stack([dr.direction for dr in draws])
     dirs = np.empty((n_max, len(draws), 3))
     for s in range(n_max):
         d = np.matmul(bend, d[:, :, None])[:, :, 0]
@@ -263,24 +334,38 @@ def _grow_directions(draws: list[_Draw]) -> np.ndarray:
     return dirs
 
 
+def _draw_subject(params: GenParams, cdfs: dict[str, np.ndarray], seed, checked: bool = False):
+    """A subject's branch draws and then its rigid motion, from its own rng."""
+    rng = np.random.default_rng(seed)
+    draws = _draw_branches(rng, params, cdfs, checked)
+    motion_t = rng.uniform(-params.translation_range_mm, params.translation_range_mm, 3)
+    return draws, (_random_rotation(rng) if params.rotate else np.eye(3), motion_t)
+
+
 def _generate_group(params: GenParams, seeds: list) -> list[SubjectRecord]:
     """Labeled subjects grown together, each bit for bit as it is alone.
 
-    Three phases: each subject draws every branch's randomness from its own
-    rng in template order; the tangents of all the group's branches grow in
-    lockstep; then branches are placed and resampled one template depth at a
-    time, with one resample_points call per depth for the whole group, so
-    each child starts on a vertex of its resampled parent.
+    Four phases: each subject draws every branch's randomness from its own
+    rng in template order; the branch geometry of the whole group is made
+    from those draws in array passes; the tangents of all the group's
+    branches grow in lockstep; then branches are placed and resampled one
+    template depth at a time, with one resample_points call per depth for
+    the whole group, so each child starts on a vertex of its resampled parent.
     """
-    draws, motions = [], []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        draws.append(_draw_branches(rng, params))
-        motion_t = rng.uniform(-params.translation_range_mm, params.translation_range_mm, 3)
-        motions.append((_random_rotation(rng) if params.rotate else np.eye(3), motion_t))
-    flat = [dr for subject in draws for dr in subject]
-    subject_of = [s for s, subject in enumerate(draws) for _ in subject]
-    dirs = _grow_directions(flat)
+    cdfs = _count_cdfs(params)
+    subjects = [_draw_subject(params, cdfs, seed) for seed in seeds]
+    for checked in (False, True):
+        flat = [dr for draws, _ in subjects for dr in draws]
+        subject_of = [s for s, (draws, _) in enumerate(subjects) for _ in draws]
+        geometry, redrawn = _finish(params, flat)
+        if checked or not redrawn.any():
+            break
+        # Never seen on a real seed: the loop drew such an axis again, which
+        # shifts the rest of its subject's stream, so that subject is drawn
+        # again checking each axis as it is drawn, and the group finished again.
+        for s in {subject_of[b] for b in np.flatnonzero(redrawn).tolist()}:
+            subjects[s] = _draw_subject(params, cdfs, seeds[s], checked=True)
+    dirs = _grow_directions(params, flat, geometry)
 
     first = [{} for _ in seeds]  # children attach to their class's first instance
     used_vertices = [{} for _ in seeds]
@@ -313,7 +398,7 @@ def _generate_group(params: GenParams, seeds: list) -> list[SubjectRecord]:
             first[subject_of[b]].setdefault(flat[b].cls, grown[b])
 
     records, lo = [], 0
-    for seed, subject, (motion_r, motion_t) in zip(seeds, draws, motions):
+    for seed, (subject, (motion_r, motion_t)) in zip(seeds, subjects):
         # File order: LM must be the first left centerline (frame origin) and
         # RCA the last right one (frame control point); the sort is stable.
         sides = [TEMPLATES[dr.cls].side for dr in subject]
@@ -333,6 +418,24 @@ def _generate_group(params: GenParams, seeds: list) -> list[SubjectRecord]:
     return records
 
 
+def _prepared(records: list[SubjectRecord], spacing_mm: float) -> list[SubjectRecord]:
+    """prepare_subject of each record, with one resample_points call for all."""
+    sizes = np.array([len(rec.points) for rec in records])
+    first = np.concatenate([rec.first + lo for rec, lo in zip(records, np.cumsum(sizes) - sizes)])
+    points, rows, problems = resample_points(
+        np.concatenate([rec.points for rec in records]), first, spacing_mm,
+        [bid for rec in records for bid in rec.branch_ids])
+    bounds = np.append(rows, len(points))
+    out, b = [], 0
+    for rec in records:
+        n = len(rec.first)
+        lo, hi = bounds[b], bounds[b + n]
+        out.append(merge_branch_origins(replace(
+            rec, points=points[lo:hi], first=rows[b : b + n] - lo, problems=problems[b : b + n])))
+        b += n
+    return out
+
+
 def generate_subject(params: GenParams, subject_seed: list[int]) -> SubjectRecord:
     """One labeled subject, deterministic in (params, subject_seed); subject_seed
     is [corpus seed, index], and the index names it."""
@@ -343,29 +446,31 @@ def generate_corpus(params: GenParams) -> tuple[list[SubjectRecord], dict]:
     """n_subjects independent subjects plus a per-class census manifest.
 
     Subjects are grown GROUP_SIZE at a time; each is the same as
-    generate_subject makes it.
+    generate_subject makes it. The census counts each subject's segments
+    after prepare_subject, with one resample_points call per group.
     """
     if params.n_subjects < 1:
         raise ValueError(f"n_subjects must be >= 1, not {params.n_subjects}")
     seeds = [[params.seed, i] for i in range(params.n_subjects)]
-    records = [rec for lo in range(0, len(seeds), GROUP_SIZE)
-               for rec in _generate_group(params, seeds[lo : lo + GROUP_SIZE])]
     per_class_branches: dict[str, int] = {c: 0 for c in TEMPLATES}
     per_class_segments: dict[str, int] = {c: 0 for c in TEMPLATES}
-    subjects = []
-    for rec in records:
-        skel = split_into_segments(prepare_subject(rec))
-        for label in rec.labels:
-            per_class_branches[label] += 1
-        for label in skel.labels:
-            per_class_segments[label] += 1
-        subjects.append(
-            {
-                "subject_id": rec.subject_id,
-                "n_branches": len(rec.labels),
-                "n_segments": len(skel.labels),
-            }
-        )
+    records, subjects = [], []
+    for lo in range(0, len(seeds), GROUP_SIZE):
+        group = _generate_group(params, seeds[lo : lo + GROUP_SIZE])
+        records += group
+        for rec, ready in zip(group, _prepared(group, params.resample_spacing_mm)):
+            skel = split_into_segments(ready)
+            for label in rec.labels:
+                per_class_branches[label] += 1
+            for label in skel.labels:
+                per_class_segments[label] += 1
+            subjects.append(
+                {
+                    "subject_id": rec.subject_id,
+                    "n_branches": len(rec.labels),
+                    "n_segments": len(skel.labels),
+                }
+            )
     n = len(records)
     manifest = {
         "params": asdict(replace(params, count_probs=dict(params.count_probs))),

@@ -11,15 +11,7 @@ import pytest
 from coroseg.autodiff import Edges
 from coroseg.centerline import LEFT, RIGHT, Centerline, SubjectRecord, resample_centerline
 from coroseg.graph import GraphBuildError, Segment
-from coroseg.synth import (
-    TEMPLATES,
-    _attach_index,
-    _jitter_direction,
-    _perpendicular,
-    _random_rotation,
-    _rotation,
-    _unit,
-)
+from coroseg.synth import TEMPLATES, _random_rotation
 
 
 def straight_line(start, direction, n_points, step=5.0) -> np.ndarray:
@@ -209,6 +201,45 @@ def split_oracle(subject: SubjectRecord) -> SimpleNamespace:
     return SimpleNamespace(junctions=junctions, segments=tuple(segments))
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
+
+
+def _rotation(axis: np.ndarray, angle: float) -> np.ndarray:
+    """Rodrigues rotation matrix about a unit axis."""
+    x, y, z = axis
+    k = np.array([[0, -z, y], [z, 0, -x], [-y, x, 0]])
+    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+
+
+def _perpendicular(rng: np.random.Generator, d: np.ndarray) -> np.ndarray:
+    """A random unit vector perpendicular to d, drawn again while too short."""
+    v = rng.normal(size=3)
+    v -= (v @ d) * d
+    n = np.linalg.norm(v)
+    return v / n if n > 1e-9 else _perpendicular(rng, d)
+
+
+def _jitter_direction(rng, d: np.ndarray, angle_scale: float) -> np.ndarray:
+    if angle_scale <= 0:
+        return d
+    axis = _perpendicular(rng, d)
+    return _rotation(axis, rng.normal(0.0, angle_scale)) @ d
+
+
+def _attach_index(points: np.ndarray, frac: float, used: set[int]) -> int:
+    """Interior vertex nearest the requested fraction, skipping used ones."""
+    n = len(points)
+    want = int(np.clip(round(frac * (n - 1)), 1, n - 2))
+    for offset in range(n):
+        for idx in (want - offset, want + offset):
+            if 1 <= idx <= n - 2 and idx not in used:
+                used.add(idx)
+                return idx
+    used.add(want)  # all interior vertices taken; accept a shared junction
+    return want
+
+
 def _grow_curve(
     rng: np.random.Generator,
     start: np.ndarray,
@@ -235,7 +266,8 @@ def _grow_curve(
 
 
 def generate_subject_oracle(params, subject_seed) -> SubjectRecord:
-    """The generator as a per-branch, per-step loop: one Rodrigues matrix per
+    """The generator as a per-branch, per-step loop: one rng call per draw,
+    each perpendicular checked as it is drawn, one Rodrigues matrix per
     bend and curl step, one resample per branch. Same rng stream and bits."""
     rng = np.random.default_rng(subject_seed)
     spacing = params.resample_spacing_mm

@@ -1,6 +1,7 @@
 from dataclasses import asdict, replace
 
 import numpy as np
+import pytest
 
 from coroseg.centerline import CLASSES_13, prepare_subject, serialize_subject
 from coroseg.graph import build_segment_graph, split_into_segments
@@ -12,7 +13,12 @@ from coroseg.synth import (
     generate_corpus,
     generate_subject,
 )
-from conftest import generate_subject_oracle, segment_count_oracle, split_oracle
+from conftest import (
+    _jitter_direction,
+    generate_subject_oracle,
+    segment_count_oracle,
+    split_oracle,
+)
 
 SMALL = GenParams(n_subjects=20, seed=7)
 #: No level-2 class: LAD and LCX get no children, so that level is empty.
@@ -188,3 +194,83 @@ def test_corpus_equals_loop_oracle_across_groups():
         expected = [generate_subject_oracle(params, [4, i]) for i in range(n)]
         assert [serialize_subject(r) for r in records] == [serialize_subject(e) for e in expected]
         assert manifest == _census_oracle(params, expected)
+
+
+@pytest.mark.parametrize("name", ["direction_jitter_rad", "length_jitter_frac",
+                                  "attach_jitter_frac", "bend_jitter_frac",
+                                  "wobble_rad", "junction_jitter_mm",
+                                  "translation_range_mm"])
+@pytest.mark.parametrize("value", [-0.1, float("nan"), float("inf")])
+def test_params_reject_bad_noise_scales(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, not {value!r}$"):
+        GenParams(**{name: value})
+    GenParams(**{name: 0.0})
+
+
+@pytest.mark.parametrize("probs", [(0.0, 0.0), (), (-0.5, 1.5), (float("nan"), 1.0),
+                                   (float("inf"), 1.0), (1e308, 1e308)])
+def test_params_reject_bad_count_probs(probs):
+    with pytest.raises(ValueError) as err:
+        GenParams(count_probs=dict(DEFAULT_COUNT_PROBS, S=probs))
+    assert str(err.value).startswith("count_probs['S'] must be finite and >= 0 with a positive sum")
+    assert "\n" not in str(err.value)
+    missing = {c: p for c, p in DEFAULT_COUNT_PROBS.items() if c != "AM"}
+    with pytest.raises(ValueError, match="^count_probs has no entry for class 'AM'$"):
+        GenParams(count_probs=missing)
+
+
+class _ForcedNormals:
+    """A Generator whose standard normals at chosen stream positions take
+    given values; normal() is loc + scale * standard_normal(), as numpy's."""
+
+    def __init__(self, rng, forced):
+        self._rng, self._forced, self._n = rng, forced, 0
+
+    def standard_normal(self, size=None):
+        z = np.array(self._rng.standard_normal(size), dtype=float)
+        flat = z.reshape(-1)
+        for k in range(flat.size):
+            flat[k] = self._forced.get(self._n + k, flat[k])
+        self._n += flat.size
+        return z if size is not None else float(z)
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return loc + scale * self.standard_normal(size)
+
+    def random(self, size=None):
+        return self._rng.random(size)
+
+    def choice(self, *args, **kwargs):
+        return self._rng.choice(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        return self._rng.uniform(*args, **kwargs)
+
+
+def test_axis_drawn_along_the_direction_is_drawn_again_as_the_loop_does(monkeypatch):
+    # No real seed draws such an axis. LM comes first and draws no anchor, so
+    # its normals start the stream: with jitter, the jitter axis (0-2), angle,
+    # length, bend, bend axis (6-8) and curl axis (9-11); without, length,
+    # bend, bend axis (2-4) and curl axis (5-7). Each forced axis lies along
+    # LM's direction, so the loop draws it again from the next three positions.
+    # LM's direction after its jitter in subject [2, 1], replayed by the oracle:
+    replay = np.random.default_rng([2, 1])
+    replay.random()  # LM's count
+    jittered = _jitter_direction(replay, np.array([0.0, 0.0, 1.0]), GenParams().direction_jitter_rad)
+    cases = [
+        (GenParams(n_subjects=3, seed=2), {0: 0.0, 1: 0.0, 2: 1.5, 3: 0.0, 4: 0.0, 5: -2.0}),
+        (GenParams(n_subjects=3, seed=2), dict(zip((6, 7, 8), 2.0 * jittered))),
+        (GenParams(n_subjects=3, seed=2, direction_jitter_rad=0.0),
+         {2: 0.0, 3: 0.0, 4: 3.0, 8: 0.0, 9: 0.0, 10: -1.0}),
+    ]
+    default_rng = np.random.default_rng
+    for params, forced in cases:
+        # only the middle subject of the group draws a parallel axis
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _ForcedNormals(
+            default_rng(seed), forced if list(seed) == [2, 1] else {}))
+        records, _ = generate_corpus(params)
+        expected = [generate_subject_oracle(params, [2, i]) for i in range(3)]
+        assert [serialize_subject(r) for r in records] == [serialize_subject(e) for e in expected]
+        monkeypatch.undo()
+        # the forced draws change the subject they are forced in
+        assert serialize_subject(records[1]) != serialize_subject(generate_subject(params, [2, 1]))
