@@ -5,8 +5,8 @@ tagged with its coronary tree side and an optional anatomical class label. A
 SubjectRecord holds a subject as arrays from parse to graph, checked once when
 made; errors name the first failing branch in file order. Parsing, resampling
 and merging take a fixed number of array operations whatever the branch count,
-and give every branch the bits a loop over branches would. Centerline is one
-branch: the input form of hand-built subjects, and a view of a record's rows.
+and give every branch the bits a loop over branches would. Centerline is a
+read-only view of one branch's rows.
 """
 
 from __future__ import annotations
@@ -47,26 +47,12 @@ class CenterlineError(ValueError):
 
 @dataclass(frozen=True)
 class Centerline:
-    """One vessel branch: an ordered polyline with side and optional label."""
+    """One vessel branch of a SubjectRecord: a view of its rows."""
 
     branch_id: str
     side: str
     points: np.ndarray  # (n, 3) float64, millimeters
-    label: str | None = None
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        object.__setattr__(self, "points", pts)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise CenterlineError(f"branch {self.branch_id!r}: points must be (n, 3)")
-        if len(pts) < 2:
-            raise CenterlineError(f"branch {self.branch_id!r}: centerline too short")
-        if not np.isfinite(pts).all():
-            raise CenterlineError(f"branch {self.branch_id!r}: non-finite coordinates")
-        if (pts[1:] == pts[:-1]).all(axis=1).any():
-            raise CenterlineError(f"branch {self.branch_id!r}: consecutive duplicate points")
-        if self.side not in (LEFT, RIGHT):
-            raise CenterlineError(f"branch {self.branch_id!r}: bad side {self.side!r}")
+    label: str | None
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -84,18 +70,11 @@ class SubjectRecord:
     owner: np.ndarray = field(init=False, repr=False)  # (P,) the branch of each row
     right: np.ndarray = field(init=False, repr=False)  # (B,) True on the right side
 
-    def __init__(self, subject_id: str, voxel_spacing_mm: float, centerlines=None, *,
-                 points=(), first=(), branch_ids=(), sides=(), labels=(), problems=None):
-        """From Centerline objects, or from arrays laid out as above; centerlines
-        win, so dataclasses.replace(record, centerlines=...) works. Checked once:
-        each branch in file order for its entry in problems (a message or None),
-        as Centerline checks it, and for arc-length overflow; then the subject."""
-        if centerlines is not None:
-            cls = tuple(centerlines)
-            sizes = [len(cl.points) for cl in cls]
-            points = np.concatenate([cl.points for cl in cls] or [np.empty((0, 3))])
-            first, branch_ids = np.cumsum(sizes) - sizes, [cl.branch_id for cl in cls]
-            sides, labels = [cl.side for cl in cls], [cl.label for cl in cls]
+    def __init__(self, subject_id: str, voxel_spacing_mm: float, *, points, first, branch_ids,
+                 sides, labels, problems=None):
+        """From arrays laid out as above. Checked once: each branch in file
+        order for its entry in problems (a message or None), then its rows;
+        then the subject."""
         points, bounds = np.asarray(points, np.float64), np.append(np.asarray(first, np.intp), len(points))
         points.flags.writeable = False
         sizes, n = bounds[1:] - bounds[:-1], len(bounds) - 1
@@ -106,17 +85,12 @@ class SubjectRecord:
             labels=tuple(labels), owner=owner, right=np.array([s == RIGHT for s in sides], bool))
         # one pass over the arrays, and only a subject that fails it is checked
         # per branch; below 1e150 per coordinate no arc length can overflow
-        if (any(problems or ()) or sizes.min(initial=2) < 2 or not np.isfinite(points).all()
+        if (any(problems or ()) or points.shape[1:] != (3,) or sizes.min(initial=2) < 2
+                or not np.isfinite(points).all()
                 or np.abs(points).max(initial=0) > 1e150
                 or ((points[1:] == points[:-1]).all(axis=1) & (owner[1:] == owner[:-1])).any()
                 or not {LEFT, RIGHT}.issuperset(self.sides)):
-            for problem, cl in zip(problems or [None] * n, self.centerlines):
-                if problem:
-                    raise CenterlineError(problem)
-                Centerline(cl.branch_id, cl.side, cl.points, cl.label)  # raises as it checks
-                with np.errstate(over="ignore"):
-                    if not np.isfinite(np.linalg.norm(np.diff(cl.points, axis=0), axis=1).cumsum()[-1]):
-                        raise CenterlineError(f"branch {cl.branch_id!r}: arc length overflows")
+            _check_branches(self, problems or [None] * n)
         if not (np.isfinite(voxel_spacing_mm) and voxel_spacing_mm > 0):
             raise CenterlineError("voxel_spacing_mm must be finite and positive")
         if LEFT not in self.sides or RIGHT not in self.sides:
@@ -124,15 +98,38 @@ class SubjectRecord:
         if len(set(self.branch_ids)) != n:
             raise CenterlineError("duplicate branch ids")
 
+    def _branches(self):
+        """(branch_id, side, rows, label) per branch, in file order."""
+        bounds = np.append(self.first, len(self.points)).tolist()
+        rows = (self.points[i:j] for i, j in zip(bounds, bounds[1:]))
+        return zip(self.branch_ids, self.sides, rows, self.labels)
+
     @cached_property
     def centerlines(self) -> tuple[Centerline, ...]:
-        """One Centerline per branch viewing its checked rows, built on first read."""
-        bounds = np.append(self.first, len(self.points)).tolist()
-        views = tuple(object.__new__(Centerline) for _ in self.first)
-        for b, view in enumerate(views):
-            view.__dict__.update(branch_id=self.branch_ids[b], side=self.sides[b],
-                                 points=self.points[bounds[b]:bounds[b + 1]], label=self.labels[b])
-        return views
+        """One Centerline per branch viewing its rows, built on first read."""
+        return tuple(Centerline(*branch) for branch in self._branches())
+
+
+def _check_branches(subject: SubjectRecord, problems) -> None:
+    """Raise for the first branch in file order that fails: its entry in
+    problems, else the first of its rows' checks that fails."""
+    for problem, (branch_id, side, pts, _) in zip(problems, subject._branches()):
+        if problem:
+            raise CenterlineError(problem)
+        name = f"branch {branch_id!r}"
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise CenterlineError(f"{name}: points must be (n, 3)")
+        if len(pts) < 2:
+            raise CenterlineError(f"{name}: centerline too short")
+        if not np.isfinite(pts).all():
+            raise CenterlineError(f"{name}: non-finite coordinates")
+        if (pts[1:] == pts[:-1]).all(axis=1).any():
+            raise CenterlineError(f"{name}: consecutive duplicate points")
+        if side not in (LEFT, RIGHT):
+            raise CenterlineError(f"{name}: bad side {side!r}")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.linalg.norm(np.diff(pts, axis=0), axis=1).cumsum()[-1]):
+                raise CenterlineError(f"{name}: arc length overflows")
 
 
 def parse_subject(raw: bytes | str) -> SubjectRecord:
@@ -209,26 +206,14 @@ def _stop(i: int, b, shape, branch_id: str) -> str | None:
 
 def serialize_subject(subject: SubjectRecord) -> str:
     """Canonical JSON form; parse(serialize(s)) reproduces s exactly."""
-    branches = [{"id": cl.branch_id, "side": cl.side, "points": cl.points.tolist(),
-                 **({"label": cl.label} if cl.label else {})} for cl in subject.centerlines]
+    branches = [{"id": branch_id, "side": side, "points": pts.tolist(), **({"label": label} if label else {})}
+                for branch_id, side, pts, label in subject._branches()]
     return json.dumps({"subject_id": subject.subject_id, "voxel_spacing_mm": subject.voxel_spacing_mm,
                        "branches": branches}, indent=1)
 
 
-def resample_centerline(cl: Centerline, spacing_mm: float) -> Centerline:
-    """Resample so consecutive gaps equal spacing_mm, final gap in (0, spacing].
-
-    First and last input points are preserved exactly; interpolated points
-    lie on the piecewise-linear input curve.
-    """
-    points, _, problems = resample_points(cl.points, np.zeros(1, np.intp), spacing_mm, [cl.branch_id])
-    if problems[0]:
-        raise CenterlineError(problems[0])
-    return Centerline(cl.branch_id, cl.side, points, cl.label)
-
-
 def resample_subject(subject: SubjectRecord, spacing_mm: float | None = None) -> SubjectRecord:
-    """Resample every branch as resample_centerline does; default spacing is RESAMPLE_VOXELS."""
+    """Resample every branch with resample_points; default spacing is RESAMPLE_VOXELS."""
     spacing_mm = RESAMPLE_VOXELS * subject.voxel_spacing_mm if spacing_mm is None else spacing_mm
     points, first, problems = resample_points(subject.points, subject.first, spacing_mm,
                                               subject.branch_ids)
@@ -236,9 +221,11 @@ def resample_subject(subject: SubjectRecord, spacing_mm: float | None = None) ->
 
 
 def resample_points(points: np.ndarray, first: np.ndarray, spacing_mm: float, branch_ids=None):
-    """Resample branches laid out end to end, branch b from row first[b], as
-    resample_centerline does, with one array operation per step whatever their
-    count. Returns the new points and first rows and, per branch, why it
+    """Resample branches laid out end to end, branch b from row first[b], so
+    consecutive gaps equal spacing_mm and each final gap is in (0, spacing_mm],
+    with one array operation per step whatever their count. First and last
+    points are kept exactly; interpolated points lie on the piecewise-linear
+    input curve. Returns the new points and first rows and, per branch, why it
     cannot be resampled or None; such a branch keeps just its end points.
     Messages name branches by branch_ids, or by index. The output is checked
     against MAX_RESAMPLED_POINTS before it is made, and temporaries are

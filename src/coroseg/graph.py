@@ -72,10 +72,6 @@ class SkeletonGraph:
         return tuple(Segment(sid, self.points[i : j + 1], js, je, label) for sid, label, (i, j), (js, je)
                      in zip(self.segment_ids, self.labels, spans, ends))
 
-    @cached_property
-    def junctions(self) -> dict[int, np.ndarray]:
-        return dict(enumerate(self.points[self.junction_rows]))
-
 
 @dataclass(frozen=True)
 class SegmentGraph:

@@ -115,14 +115,19 @@ class GenParams:
             value = getattr(self, name)
             if not 0 <= value < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, not {value!r}")
-        for cls in TEMPLATES:
+        probs = {}
+        for cls, tpl in TEMPLATES.items():
             if cls not in self.count_probs:
                 raise ValueError(f"count_probs has no entry for class {cls!r}")
-            probs = np.asarray(self.count_probs[cls], dtype=float).ravel()
-            if not (np.isfinite(probs).all() and (probs >= 0).all()
-                    and 0 < sum(probs.tolist()) < np.inf):
+            probs[cls] = np.asarray(self.count_probs[cls], dtype=float).ravel()
+            if not (np.isfinite(probs[cls]).all() and (probs[cls] >= 0).all()
+                    and 0 < sum(probs[cls].tolist()) < np.inf):
                 raise ValueError(f"count_probs[{cls!r}] must be finite and >= 0 with a "
                                  f"positive sum, not {self.count_probs[cls]!r}")
+            # a child attaches to its parent's first branch, so it needs one
+            if tpl.parent and probs[tpl.parent][0] > 0 and (probs[cls][1:] > 0).any():
+                raise ValueError(f"count_probs[{cls!r}] can draw a branch where its parent "
+                                 f"{tpl.parent!r} draws none")
 
     @property
     def resample_spacing_mm(self) -> float:

@@ -2,16 +2,31 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from coroseg.autodiff import Edges
-from coroseg.centerline import LEFT, RIGHT, Centerline, SubjectRecord, resample_centerline
+from coroseg.centerline import LEFT, RIGHT, SubjectRecord
 from coroseg.graph import GraphBuildError, Segment
 from coroseg.synth import TEMPLATES, _random_rotation
+
+
+def make_subject(branches, subject_id: str = "s", voxel_spacing_mm: float = 0.5) -> SubjectRecord:
+    """A SubjectRecord from (id, side, points) or (id, side, points, label)
+    tuples, in file order."""
+    ids, sides, arrays, labels = zip(*[(*b, None)[:4] for b in branches])
+    arrays = [np.asarray(p, dtype=np.float64) for p in arrays]
+    sizes = [len(a) for a in arrays]
+    return SubjectRecord(subject_id, voxel_spacing_mm, points=np.concatenate(arrays),
+                         first=np.cumsum(sizes) - sizes, branch_ids=ids, sides=sides, labels=labels)
+
+
+def with_points(subject: SubjectRecord, arrays) -> SubjectRecord:
+    """subject with branch b's points replaced by arrays[b]."""
+    return make_subject(zip(subject.branch_ids, subject.sides, arrays, subject.labels),
+                        subject.subject_id, subject.voxel_spacing_mm)
 
 
 def straight_line(start, direction, n_points, step=5.0) -> np.ndarray:
@@ -35,21 +50,18 @@ def random_polyline(rng: np.random.Generator, start, n_points, step=5.0) -> np.n
 
 def random_tree_subject(rng: np.random.Generator, max_branches: int = 20) -> SubjectRecord:
     """Random two-sided tree with child starts placed exactly on parent vertices."""
-    branches: list[Centerline] = []
+    branches = []
     for side, origin in ((LEFT, (0.0, 0.0, 0.0)), (RIGHT, (60.0, 0.0, 0.0))):
-        root = Centerline(
-            f"{side}-root", side, random_polyline(rng, origin, rng.integers(5, 12))
-        )
-        side_branches = [root]
+        side_branches = [(f"{side}-root", side, random_polyline(rng, origin, rng.integers(5, 12)))]
         n_children = rng.integers(0, max(1, (max_branches - 2) // 2) + 1)
         for c in range(n_children):
-            parent = side_branches[rng.integers(0, len(side_branches))]
-            k = int(rng.integers(1, len(parent.points) - 1))
-            pts = random_polyline(rng, parent.points[k], rng.integers(3, 9))
-            pts[0] = parent.points[k]  # bit-exact attachment
-            side_branches.append(Centerline(f"{side}-c{c}", side, pts))
+            parent = side_branches[rng.integers(0, len(side_branches))][2]
+            k = int(rng.integers(1, len(parent) - 1))
+            pts = random_polyline(rng, parent[k], rng.integers(3, 9))
+            pts[0] = parent[k]  # bit-exact attachment
+            side_branches.append((f"{side}-c{c}", side, pts))
         branches.extend(side_branches)
-    return SubjectRecord("random-tree", 0.5, branches)
+    return make_subject(branches, "random-tree")
 
 
 def segment_count_oracle(subject: SubjectRecord) -> int:
@@ -94,9 +106,9 @@ def line_graph_oracle(skel) -> np.ndarray:
     return adj
 
 
-def resample_oracle(cl: Centerline, spacing_mm: float) -> np.ndarray:
-    """Per-point loop: one searchsorted and one interpolation per target."""
-    pts = cl.points
+def resample_oracle(pts: np.ndarray, spacing_mm: float) -> np.ndarray:
+    """One branch's points resampled by a per-point loop: one searchsorted
+    and one interpolation per target."""
     steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(steps)])
     total = cum[-1]
@@ -271,9 +283,9 @@ def generate_subject_oracle(params, subject_seed) -> SubjectRecord:
     bend and curl step, one resample per branch. Same rng stream and bits."""
     rng = np.random.default_rng(subject_seed)
     spacing = params.resample_spacing_mm
-    branches: dict[str, list[Centerline]] = {}
+    branches: dict[str, list[tuple]] = {}  # (id, side, points, label) per branch
     used_vertices: dict[str, set[int]] = {}
-    order: dict[str, list[Centerline]] = {LEFT: [], RIGHT: []}
+    order: dict[str, list[tuple]] = {LEFT: [], RIGHT: []}
 
     for cls, tpl in TEMPLATES.items():
         probs = np.asarray(params.count_probs[cls])
@@ -285,15 +297,15 @@ def generate_subject_oracle(params, subject_seed) -> SubjectRecord:
                 if cls != "LM":
                     start = start + rng.normal(0, params.junction_jitter_mm, 3)
             else:
-                parent = branches[tpl.parent][0]
+                parent = branches[tpl.parent][0][2]
                 lo, hi = tpl.attach
                 frac = lo + (i + 0.5) * (hi - lo) / count
                 frac += rng.normal(0, params.attach_jitter_frac * max(hi - lo, 0.05))
                 idx = _attach_index(
-                    parent.points, float(np.clip(frac, 0.02, 0.98)),
+                    parent, float(np.clip(frac, 0.02, 0.98)),
                     used_vertices.setdefault(tpl.parent, set()),
                 )
-                start = parent.points[idx].copy()
+                start = parent[idx].copy()
             direction = _jitter_direction(
                 rng, _unit(np.asarray(tpl.direction)), params.direction_jitter_rad
             )
@@ -301,36 +313,23 @@ def generate_subject_oracle(params, subject_seed) -> SubjectRecord:
             length = max(length, 2.5 * spacing)
             bend = tpl.bend_rad * (1 + rng.normal(0, params.bend_jitter_frac))
             raw = _grow_curve(rng, start, direction, length, bend, params.wobble_rad)
-            cl = resample_centerline(
-                Centerline(
-                    branch_id=cls if count == 1 else f"{cls}{i + 1}",
-                    side=tpl.side,
-                    points=raw,
-                    label=cls,
-                ),
-                spacing,
-            )
             # resampling preserves the first point, so the attachment vertex
             # stays bit-exact on the parent
-            instances.append(cl)
+            branch_id = cls if count == 1 else f"{cls}{i + 1}"
+            instances.append((branch_id, tpl.side, resample_oracle(raw, spacing), cls))
         branches[cls] = instances
         order[tpl.side].extend(instances)
 
     # File order: LM must be the first left centerline (frame origin) and
     # RCA the last right one (frame control point).
-    right = [cl for cl in order[RIGHT] if cl.label != "RCA"] + branches["RCA"]
-    centerlines = order[LEFT] + right
+    right = [b for b in order[RIGHT] if b[3] != "RCA"] + branches["RCA"]
 
     motion_t = rng.uniform(-params.translation_range_mm, params.translation_range_mm, 3)
     motion_r = _random_rotation(rng) if params.rotate else np.eye(3)
-    centerlines = [
-        replace(cl, points=cl.points @ motion_r.T + motion_t) for cl in centerlines
-    ]
     sid = subject_seed[-1] if isinstance(subject_seed, (list, tuple)) else subject_seed
-    return SubjectRecord(
-        subject_id=f"synthetic-{sid:04d}",
-        voxel_spacing_mm=params.voxel_spacing_mm,
-        centerlines=centerlines,
+    return make_subject(
+        [(bid, side, pts @ motion_r.T + motion_t, label) for bid, side, pts, label in order[LEFT] + right],
+        f"synthetic-{sid:04d}", params.voxel_spacing_mm,
     )
 
 
@@ -451,17 +450,16 @@ def chain_subject() -> SubjectRecord:
     rca = straight_line((35, -10, 3), (0.4, -0.6, 0.6), 9)
     am = straight_line(rca[-1], (0.8, -0.4, 0.3), 6)
     rpda = straight_line(am[-1], (-0.3, -0.4, -0.8), 5)
-    return SubjectRecord(
-        "chain",
-        0.5,
+    return make_subject(
         [
-            Centerline("LM", LEFT, lm, "LM"),
-            Centerline("LAD", LEFT, lad, "LAD"),
-            Centerline("S", LEFT, s, "S"),
-            Centerline("RCA", RIGHT, rca, "RCA"),
-            Centerline("AM", RIGHT, am, "AM"),
-            Centerline("R-PDA", RIGHT, rpda, "R-PDA"),
+            ("LM", LEFT, lm, "LM"),
+            ("LAD", LEFT, lad, "LAD"),
+            ("S", LEFT, s, "S"),
+            ("RCA", RIGHT, rca, "RCA"),
+            ("AM", RIGHT, am, "AM"),
+            ("R-PDA", RIGHT, rpda, "R-PDA"),
         ],
+        "chain",
     )
 
 
@@ -471,14 +469,8 @@ def two_branch_subject() -> SubjectRecord:
     b = straight_line(a[2], (1, 0, 0), 4)
     b[0] = a[2]
     r = straight_line((50, 0, 0), (0, 1, 0), 4)
-    return SubjectRecord(
-        "two-branch",
-        0.5,
-        [
-            Centerline("A", LEFT, a, "LM"),
-            Centerline("B", LEFT, b, "LAD"),
-            Centerline("R", RIGHT, r, "RCA"),
-        ],
+    return make_subject(
+        [("A", LEFT, a, "LM"), ("B", LEFT, b, "LAD"), ("R", RIGHT, r, "RCA")], "two-branch"
     )
 
 
@@ -497,14 +489,8 @@ def random_rigid_motion(rng: np.random.Generator):
 
 
 def transform_subject(subject: SubjectRecord, rot: np.ndarray, trans) -> SubjectRecord:
-    from dataclasses import replace
-
-    return replace(
-        subject,
-        centerlines=tuple(
-            replace(cl, points=cl.points @ rot.T + np.asarray(trans))
-            for cl in subject.centerlines
-        ),
+    return with_points(
+        subject, [cl.points @ rot.T + np.asarray(trans) for cl in subject.centerlines]
     )
 
 

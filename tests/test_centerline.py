@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,20 +9,25 @@ from coroseg.centerline import (
     CLASSES_13,
     DEFAULT_MERGE_TOL_MM,
     MAX_RESAMPLED_POINTS,
-    Centerline,
     CenterlineError,
     SubjectRecord,
     merge_branch_origins,
     parse_subject,
     prepare_subject,
-    resample_centerline,
     resample_points,
     resample_subject,
     serialize_subject,
 )
 from coroseg.graph import build_segment_graph
 from coroseg.synth import GenParams, generate_corpus, generate_subject
-from conftest import merge_oracle, random_tree_subject, resample_oracle, straight_line
+from conftest import (
+    make_subject,
+    merge_oracle,
+    random_tree_subject,
+    resample_oracle,
+    straight_line,
+    with_points,
+)
 
 MINIMAL = {
     "subject_id": "s1",
@@ -121,7 +125,14 @@ def test_parse_malformed_json():
 
 def test_duplicate_consecutive_points_rejected():
     with pytest.raises(CenterlineError, match="duplicate"):
-        Centerline("a", "left", [[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+        make_subject([("a", "left", [[0, 0, 0], [0, 0, 0], [0, 0, 1]])])
+
+
+def test_record_rejects_points_that_are_not_rows_of_three():
+    # the one-pass check took (P, 2) points, and resampling then failed
+    # with a numpy shape mismatch
+    with pytest.raises(CenterlineError, match=r"^branch 'a': points must be \(n, 3\)$"):
+        make_subject([("a", "left", [[0, 0], [0, 5]]), ("b", "right", [[9, 0], [9, 5]])])
 
 
 def _random_record(rng, idx):
@@ -130,8 +141,8 @@ def _random_record(rng, idx):
         for b in range(rng.integers(1, 4)):
             pts = np.cumsum(rng.uniform(0.5, 3.0, size=(rng.integers(2, 8), 3)), axis=0)
             label = rng.choice(["LM", "LAD", "RCA", None])
-            branches.append(Centerline(f"{side}{b}", side, pts, label))
-    return SubjectRecord(f"r{idx}", float(rng.uniform(0.2, 1.0)), branches)
+            branches.append((f"{side}{b}", side, pts, label))
+    return make_subject(branches, f"r{idx}", float(rng.uniform(0.2, 1.0)))
 
 
 def test_serialize_roundtrip_100_random(rng):
@@ -147,10 +158,18 @@ def test_serialize_roundtrip_100_random(rng):
             assert np.array_equal(a.points, b.points)
 
 
+def _resample(points, spacing_mm: float, branch_id: str = "a") -> np.ndarray:
+    """One branch through resample_points; raises why it cannot be resampled."""
+    out, _, problems = resample_points(np.asarray(points, np.float64), np.zeros(1, np.intp),
+                                       spacing_mm, [branch_id])
+    if problems[0]:
+        raise CenterlineError(problems[0])
+    return out
+
+
 def test_resample_straight_line():
-    cl = Centerline("a", "left", [[0, 0, 0], [0, 0, 10]])
-    out = resample_centerline(cl, 5.0)
-    assert np.allclose(out.points, [[0, 0, 0], [0, 0, 5], [0, 0, 10]])
+    out = _resample([[0, 0, 0], [0, 0, 10]], 5.0)
+    assert np.allclose(out, [[0, 0, 0], [0, 0, 5], [0, 0, 10]])
 
 
 def test_default_spacing_is_ten_voxels():
@@ -161,7 +180,7 @@ def test_default_spacing_is_ten_voxels():
 def test_resample_quarter_circle_against_dense_oracle():
     theta = np.linspace(0, np.pi / 2, 100_000)
     pts = np.column_stack([20 * np.cos(theta), 20 * np.sin(theta), np.zeros_like(theta)])
-    out = resample_centerline(Centerline("q", "left", pts), 5.0).points
+    out = _resample(pts, 5.0)
 
     # independent oracle: pure-python cumulative arc-length lookup
     cum = [0.0]
@@ -183,9 +202,9 @@ def test_resample_quarter_circle_against_dense_oracle():
 
 
 def test_resample_short_curve_keeps_endpoints():
-    cl = Centerline("a", "left", [[0, 0, 0], [0, 0, 2]])
-    out = resample_centerline(cl, 5.0)
-    assert np.array_equal(out.points, cl.points)
+    pts = [[0, 0, 0], [0, 0, 2]]
+    out = _resample(pts, 5.0)
+    assert np.array_equal(out, pts)
 
 
 def test_resample_idempotent_exact_on_straight_curves(rng):
@@ -196,11 +215,11 @@ def test_resample_idempotent_exact_on_straight_curves(rng):
         d /= np.linalg.norm(d)
         stations = np.cumsum(rng.uniform(0.5, 4.0, size=rng.integers(3, 20)))
         pts = np.array([i * d for i in np.concatenate([[0.0], stations])])
-        once = resample_centerline(Centerline("a", "left", pts), 5.0)
-        twice = resample_centerline(once, 5.0)
-        assert len(once.points) == len(twice.points)
-        g1 = np.linalg.norm(np.diff(once.points, axis=0), axis=1)
-        g2 = np.linalg.norm(np.diff(twice.points, axis=0), axis=1)
+        once = _resample(pts, 5.0)
+        twice = _resample(once, 5.0)
+        assert len(once) == len(twice)
+        g1 = np.linalg.norm(np.diff(once, axis=0), axis=1)
+        g2 = np.linalg.norm(np.diff(twice, axis=0), axis=1)
         assert np.allclose(g1, g2, atol=1e-9)
 
 
@@ -214,13 +233,13 @@ def test_resample_idempotent_on_smooth_curves(rng):
         t = np.linspace(0, theta, n)
         r = rng.uniform(30, 80)
         pts = np.column_stack([r * np.cos(t), r * np.sin(t), rng.uniform(0.1, 1) * t])
-        once = resample_centerline(Centerline("a", "left", pts), 5.0)
-        twice = resample_centerline(once, 5.0)
-        assert abs(len(once.points) - len(twice.points)) <= 1
-        for p in twice.points:
-            assert _point_to_polyline_distance(p, once.points) < 1e-9
-        g1 = np.linalg.norm(np.diff(once.points, axis=0), axis=1)
-        g2 = np.linalg.norm(np.diff(twice.points, axis=0), axis=1)
+        once = _resample(pts, 5.0)
+        twice = _resample(once, 5.0)
+        assert abs(len(once) - len(twice)) <= 1
+        for p in twice:
+            assert _point_to_polyline_distance(p, once) < 1e-9
+        g1 = np.linalg.norm(np.diff(once, axis=0), axis=1)
+        g2 = np.linalg.norm(np.diff(twice, axis=0), axis=1)
         assert np.all(np.abs(g2[: len(g1) - 1] - g1[: len(g2) - 1]) < 0.05)
 
 
@@ -236,25 +255,21 @@ def _point_to_polyline_distance(p, pts):
 def test_resampled_points_lie_on_input_curve(rng):
     for _ in range(10):
         pts = np.cumsum(rng.uniform(0.3, 2.0, size=(20, 3)), axis=0)
-        out = resample_centerline(Centerline("a", "left", pts), 5.0)
-        for p in out.points:
+        out = _resample(pts, 5.0)
+        for p in out:
             assert _point_to_polyline_distance(p, pts) < 1e-9
 
 
 #: A right tree far from every left branch used below.
-FAR_RIGHT = Centerline("r", "right", straight_line((100, 0, 0), (1, 0, 0), 3))
+FAR_RIGHT = ("r", "right", straight_line((100, 0, 0), (1, 0, 0), 3))
 
 
 def test_merge_attached_child_unchanged():
-    subject = SubjectRecord(
-        "s",
-        0.5,
-        [
-            Centerline("a", "left", straight_line((0, 0, 0), (0, 0, 1), 5)),
-            Centerline("b", "left", straight_line((0, 0, 10), (1, 0, 0), 4)),
-            FAR_RIGHT,
-        ],
-    )
+    subject = make_subject([
+        ("a", "left", straight_line((0, 0, 0), (0, 0, 1), 5)),
+        ("b", "left", straight_line((0, 0, 10), (1, 0, 0), 4)),
+        FAR_RIGHT,
+    ])
     merged = merge_branch_origins(subject, 1.0)
     assert np.array_equal(merged.centerlines[1].points[0], [0, 0, 10])
 
@@ -262,10 +277,7 @@ def test_merge_attached_child_unchanged():
 def test_merge_snaps_nearby_start():
     parent = straight_line((0, 0, 0), (0, 0, 1), 5)
     child = straight_line((0.3, 0, 10), (1, 0, 0), 4)
-    subject = SubjectRecord(
-        "s", 0.5,
-        [Centerline("a", "left", parent), Centerline("b", "left", child), FAR_RIGHT],
-    )
+    subject = make_subject([("a", "left", parent), ("b", "left", child), FAR_RIGHT])
     merged = merge_branch_origins(subject, 1.0)
     assert np.array_equal(merged.centerlines[1].points[0], parent[2])
     # only the start point moved
@@ -276,9 +288,7 @@ def test_merge_snaps_nearby_start():
 def test_merge_never_joins_sides():
     left = straight_line((0, 0, 0), (0, 0, 1), 5)
     right = straight_line((0.3, 0, 10), (1, 0, 0), 4)
-    subject = SubjectRecord(
-        "s", 0.5, [Centerline("a", "left", left), Centerline("b", "right", right)]
-    )
+    subject = make_subject([("a", "left", left), ("b", "right", right)])
     merged = merge_branch_origins(subject, 1.0)
     assert np.array_equal(merged.centerlines[1].points, right)
 
@@ -303,8 +313,8 @@ def test_merge_random_jittered_trees(rng):
             pts = cl.points.copy()
             if not cl.branch_id.endswith("root"):
                 pts[0] = pts[0] + rng.uniform(-0.5, 0.5, 3)
-            jittered.append(Centerline(cl.branch_id, cl.side, pts, cl.label))
-        merged = merge_branch_origins(SubjectRecord("s", 0.5, jittered), 1.5)
+            jittered.append((cl.branch_id, cl.side, pts, cl.label))
+        merged = merge_branch_origins(make_subject(jittered), 1.5)
         all_points = {
             (cl.branch_id, tuple(p)) for cl in merged.centerlines for p in cl.points
         }
@@ -322,23 +332,19 @@ def test_merge_random_jittered_trees(rng):
 def _oracle_subjects(rng) -> list[SubjectRecord]:
     """Random trees, and synthetic subjects raw and densified to 0.5 mm."""
     records, _ = generate_corpus(GenParams(n_subjects=8, seed=3))
-    dense = [
-        replace(rec, centerlines=tuple(
-            replace(cl, points=resample_oracle(cl, 0.5)) for cl in rec.centerlines
-        ))
-        for rec in records
-    ]
+    dense = [with_points(rec, [resample_oracle(cl.points, 0.5) for cl in rec.centerlines])
+             for rec in records]
     return [random_tree_subject(rng, max_branches=14) for _ in range(30)] + records + dense
 
 
 def test_resample_bit_identical_to_loop_oracle(rng):
     for subject in _oracle_subjects(rng):
         for spacing in (0.5, 5.0, 7.3):
-            expected = [resample_oracle(cl, spacing) for cl in subject.centerlines]
+            expected = [resample_oracle(cl.points, spacing) for cl in subject.centerlines]
             whole = resample_subject(subject, spacing).centerlines
             assert all(np.array_equal(cl.points, e) for cl, e in zip(whole, expected))
             for cl, e in zip(subject.centerlines, expected):
-                assert np.array_equal(resample_centerline(cl, spacing).points, e)
+                assert np.array_equal(_resample(cl.points, spacing), e)
 
 
 def test_resample_points_takes_no_branches():
@@ -353,11 +359,10 @@ def test_merge_bit_identical_to_loop_oracle(rng):
     for subject in _oracle_subjects(rng):
         # every start moved by up to 0.5 mm per axis, so merges happen and
         # later starts can land on earlier moved ones
-        jittered = replace(subject, centerlines=tuple(
-            replace(cl, points=np.vstack([cl.points[:1] + rng.uniform(-0.5, 0.5, 3),
-                                          cl.points[1:]]))
+        jittered = with_points(subject, [
+            np.vstack([cl.points[:1] + rng.uniform(-0.5, 0.5, 3), cl.points[1:]])
             for cl in subject.centerlines
-        ))
+        ])
         for tol in (0.5, 1.5, 4.0):
             merged = merge_branch_origins(jittered, tol)
             expected = merge_oracle(jittered, tol)
@@ -366,18 +371,18 @@ def test_merge_bit_identical_to_loop_oracle(rng):
 
 
 def test_merge_tie_breaks_to_lower_branch_then_lower_point():
-    b = Centerline("b", "left", straight_line((2, 0, 0), (0, 0, 1), 5))
-    a = Centerline("a", "left", straight_line((0, 0, 0), (0, 0, 1), 5))
+    b = ("b", "left", straight_line((2, 0, 0), (0, 0, 1), 5))
+    a = ("a", "left", straight_line((0, 0, 0), (0, 0, 1), 5))
     # 1 mm from b[1] and a[1]; 2.5 mm from both neighbours along each line
-    c = Centerline("c", "left", straight_line((1, 0, 5), (1, 0, 0), 3))
-    subject = SubjectRecord("s", 0.5, [b, a, c, FAR_RIGHT])
+    c = ("c", "left", straight_line((1, 0, 5), (1, 0, 0), 3))
+    subject = make_subject([b, a, c, FAR_RIGHT])
     merged = merge_branch_origins(subject, 1.5)
-    assert np.array_equal(merged.centerlines[2].points[0], b.points[1])
+    assert np.array_equal(merged.centerlines[2].points[0], b[2][1])
     assert np.array_equal(merged.centerlines[2].points[0], merge_oracle(subject, 1.5)[2][0])
     # within one branch: equidistant from a[1] and a[2], b out of reach
-    d = Centerline("d", "left", straight_line((-0.5, 0, 7.5), (-1, 0, 0), 3))
-    merged = merge_branch_origins(SubjectRecord("s", 0.5, [b, a, d, FAR_RIGHT]), 2.6)
-    assert np.array_equal(merged.centerlines[2].points[0], a.points[1])
+    d = ("d", "left", straight_line((-0.5, 0, 7.5), (-1, 0, 0), 3))
+    merged = merge_branch_origins(make_subject([b, a, d, FAR_RIGHT]), 2.6)
+    assert np.array_equal(merged.centerlines[2].points[0], a[2][1])
 
 
 def _grid_subject(draw) -> SubjectRecord:
@@ -388,12 +393,12 @@ def _grid_subject(draw) -> SubjectRecord:
     so a target can fall on a segment of length 0.
     """
     step = st.tuples(st.integers(0, 2), st.sampled_from([-3, -2, -1, 1, 2, 3, 1e-200]))
-    branches: list[Centerline] = []
+    branches = []
     for b in range(draw(st.integers(2, 7))):
         side = ("left", "right")[b] if b < 2 else draw(st.sampled_from(["left", "right"]))
-        same_side = [cl for cl in branches if cl.side == side]
+        same_side = [pts for _, s, pts in branches if s == side]
         if same_side and draw(st.booleans()):
-            parent = draw(st.sampled_from(same_side)).points
+            parent = draw(st.sampled_from(same_side))
             start = parent[draw(st.integers(0, len(parent) - 1))]
             start = start + draw(st.sampled_from([0.0, 0.25, 0.5])) * np.array([1.0, 1.0, 0.0])
         else:
@@ -404,22 +409,42 @@ def _grid_subject(draw) -> SubjectRecord:
             p[axis] += length
             if not np.array_equal(p, pts[-1]):
                 pts.append(p)
-        branches.append(Centerline(f"{side}{b}", side, np.array(pts)))
-    return SubjectRecord("grid", 0.5, branches)
+        branches.append((f"{side}{b}", side, np.array(pts)))
+    return make_subject(branches, "grid")
+
+
+def _branch_oracle(branch_id: str, side: str, points) -> np.ndarray:
+    """points as float64, or the error of the first per-branch check they
+    fail, each check a loop of its own."""
+    pts = np.asarray(points, dtype=np.float64)
+    name = f"branch {branch_id!r}"
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise CenterlineError(f"{name}: points must be (n, 3)")
+    if len(pts) < 2:
+        raise CenterlineError(f"{name}: centerline too short")
+    if not all(np.isfinite(x) for x in pts.flat):
+        raise CenterlineError(f"{name}: non-finite coordinates")
+    if any(np.array_equal(p, q) for p, q in zip(pts[:-1], pts[1:])):
+        raise CenterlineError(f"{name}: consecutive duplicate points")
+    if side not in ("left", "right"):
+        raise CenterlineError(f"{name}: bad side {side!r}")
+    return pts
 
 
 def _oracle_outcome(subject: SubjectRecord, arrays: list[np.ndarray]):
-    """The oracle's arrays, or the error the first invalid branch raises."""
+    """The oracle's (id, side, points, label) branches, or the error the
+    first invalid branch raises."""
     try:
-        return [Centerline(cl.branch_id, cl.side, a, cl.label)
+        return [(cl.branch_id, cl.side, _branch_oracle(cl.branch_id, cl.side, a), cl.label)
                 for cl, a in zip(subject.centerlines, arrays)]
     except CenterlineError as exc:
         return str(exc)
 
 
 def _outcome(fn, *args):
+    """fn's record, or the message of the error it raises."""
     try:
-        return list(fn(*args).centerlines)
+        return fn(*args)
     except CenterlineError as exc:
         return str(exc)
 
@@ -427,7 +452,7 @@ def _outcome(fn, *args):
 def _same(got, expected) -> bool:
     if isinstance(got, str) or isinstance(expected, str):
         return got == expected
-    return all(np.array_equal(a.points, b.points) for a, b in zip(got, expected))
+    return all(np.array_equal(cl.points, b[2]) for cl, b in zip(got.centerlines, expected))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -440,12 +465,11 @@ def test_whole_subject_kernel_matches_loop_oracles(data, spacing, tol):
     subject = _grid_subject(data.draw)
     resampled = _outcome(resample_subject, subject, spacing)
     expected = _oracle_outcome(
-        subject, [resample_oracle(cl, spacing) for cl in subject.centerlines]
+        subject, [resample_oracle(cl.points, spacing) for cl in subject.centerlines]
     )
     assert _same(resampled, expected)
     if isinstance(resampled, str):
         return
-    resampled = SubjectRecord("grid", 0.5, resampled)
     assert _same(
         _outcome(merge_branch_origins, resampled, tol),
         _oracle_outcome(resampled, merge_oracle(resampled, tol)),
@@ -501,7 +525,7 @@ def test_resampling_is_bounded_before_it_allocates(far):
         with pytest.raises(CenterlineError, match=message):
             prepare_subject(_subject(MINIMAL["branches"][0], branch))
         with pytest.raises(CenterlineError, match=message):
-            resample_centerline(Centerline("f", "left", branch["points"]), 2.0)
+            _resample(branch["points"], 2.0, "f")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -543,23 +567,55 @@ def test_parse_names_first_bad_branch(branches, message):
         _subject(*branches)
 
 
+#: Changes to a valid branch "x" that fail each per-branch check, in the order
+#: they are checked, with the message when it is branch 1 of the file.
+BRANCH_FAILURES = [
+    ({"label": "XYZ"}, "branch 1: unknown label 'XYZ'"),
+    ({"points": [[0, 0], [0, 5]]}, "branch 'x': points must be (n, 3)"),
+    ({"points": [[0, 0, 0]]}, "branch 1: centerline too short"),
+    ({"points": [[0, 0, 0], [0, float("nan"), 5]]}, "branch 'x': non-finite coordinates"),
+    ({"points": [[0, 0, 0], [0, 0, 5], [0, 0, 5]]}, "branch 'x': consecutive duplicate points"),
+    ({"side": "middle"}, "branch 'x': bad side 'middle'"),
+    ({"points": OVERFLOW["points"]}, "branch 'x': arc length overflows"),
+]
+
+
+@pytest.mark.parametrize("k", range(len(BRANCH_FAILURES)),
+                         ids=[m.split(": ", 1)[1] for _, m in BRANCH_FAILURES])
+def test_parse_bytes_name_first_failing_branch_in_file_order(k):
+    # branch 1 fails check k; later branches fail every other check, the
+    # earlier checks last, so file order and not check order picks the message
+    change, message = BRANCH_FAILURES[k]
+    others = [c for j, (c, _) in enumerate(BRANCH_FAILURES) if j != k]
+    ok = {"side": "left", "points": [[0, 0, 0], [0, 0, 5], [5, 0, 5]]}
+    later = [{**ok, "id": f"y{j}", **c} for j, c in enumerate(reversed(others))]
+    raw = json.dumps({
+        "subject_id": "s", "voxel_spacing_mm": 0.5,
+        "branches": [MINIMAL["branches"][0], {**ok, "id": "x", **change}, *later,
+                     MINIMAL["branches"][1]],
+    }).encode()
+    with pytest.raises(CenterlineError) as exc:
+        parse_subject(raw)
+    assert str(exc.value) == message
+
+
 def test_merge_names_first_bad_branch():
     # each child's start snaps onto the parent vertex equal to its own
     # second point
-    parent = Centerline("p", "left", straight_line((0, 0, 0), (1, 0, 0), 4))
-    first = Centerline("c1", "left", [[5.5, 0, 0], [5, 0, 0], [5, 5, 0]])
-    second = Centerline("c2", "left", [[10.5, 0, 0], [10, 0, 0], [10, 5, 0]])
-    subject = SubjectRecord("s", 0.5, [parent, second, first, FAR_RIGHT])
+    parent = ("p", "left", straight_line((0, 0, 0), (1, 0, 0), 4))
+    first = ("c1", "left", [[5.5, 0, 0], [5, 0, 0], [5, 5, 0]])
+    second = ("c2", "left", [[10.5, 0, 0], [10, 0, 0], [10, 5, 0]])
+    subject = make_subject([parent, second, first, FAR_RIGHT])
     with pytest.raises(CenterlineError, match=r"^branch 'c2': consecutive duplicate points$"):
         merge_branch_origins(subject, 1.0)
-    subject = SubjectRecord("s", 0.5, [parent, first, second, FAR_RIGHT])
+    subject = make_subject([parent, first, second, FAR_RIGHT])
     with pytest.raises(CenterlineError, match=r"^branch 'c1': consecutive duplicate points$"):
         merge_branch_origins(subject, 1.0)
 
 
-def _parse_oracle(doc: dict) -> list[Centerline]:
-    """Each branch decoded alone and built as a Centerline, in file order."""
-    centerlines = []
+def _parse_oracle(doc: dict) -> list[tuple]:
+    """Each branch decoded alone and checked as (id, side, points, label), in file order."""
+    branches = []
     for i, b in enumerate(doc["branches"]):
         try:
             pts = np.asarray(b["points"])
@@ -572,30 +628,32 @@ def _parse_oracle(doc: dict) -> list[Centerline]:
             raise CenterlineError(f"branch {i}: centerline too short")
         if b.get("label") is not None and b["label"] not in CLASSES_13:
             raise CenterlineError(f"branch {i}: unknown label {b['label']!r}")
-        cl = Centerline(str(b["id"]), str(b["side"]), pts, b.get("label"))
+        bid, side = str(b["id"]), str(b["side"])
+        pts = _branch_oracle(bid, side, pts)
         with np.errstate(over="ignore"):
-            if not np.isfinite(np.cumsum(np.linalg.norm(np.diff(cl.points, axis=0), axis=1))[-1]):
-                raise CenterlineError(f"branch {cl.branch_id!r}: arc length overflows")
-        centerlines.append(cl)
-    return centerlines
+            if not np.isfinite(np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))[-1]):
+                raise CenterlineError(f"branch {bid!r}: arc length overflows")
+        branches.append((bid, side, pts, b.get("label")))
+    return branches
 
 
-def _prepare_oracle(centerlines: list[Centerline], voxel: float) -> list[Centerline]:
-    """Resample and merge one branch at a time, rebuilding every Centerline."""
+def _prepare_oracle(branches: list[tuple], voxel: float) -> list[tuple]:
+    """Resample and merge one branch at a time, checking every branch again."""
     resampled, made = [], 0
-    for cl in centerlines:
-        total = np.cumsum(np.linalg.norm(np.diff(cl.points, axis=0), axis=1))[-1]
+    for bid, side, pts, label in branches:
+        total = np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))[-1]
         if not 0 < total < np.inf:
             problem = "zero-length curve" if not total > 0 else "arc length overflows"
-            raise CenterlineError(f"branch {cl.branch_id!r}: {problem}")
+            raise CenterlineError(f"branch {bid!r}: {problem}")
         made += max(np.floor((total - 1e-9 * 10 * voxel) / (10 * voxel)), 0) + 2
         if made > MAX_RESAMPLED_POINTS:
             raise CenterlineError(
-                f"branch {cl.branch_id!r}: resampling makes more than {MAX_RESAMPLED_POINTS} points")
-        points = resample_oracle(cl, 10 * voxel)
-        resampled.append(Centerline(cl.branch_id, cl.side, points, cl.label))
-    merged = merge_oracle(SubjectRecord("s", voxel, resampled), DEFAULT_MERGE_TOL_MM)
-    return [Centerline(cl.branch_id, cl.side, p, cl.label) for cl, p in zip(resampled, merged)]
+                f"branch {bid!r}: resampling makes more than {MAX_RESAMPLED_POINTS} points")
+        points = _branch_oracle(bid, side, resample_oracle(pts, 10 * voxel))
+        resampled.append((bid, side, points, label))
+    merged = merge_oracle(make_subject(resampled, "s", voxel), DEFAULT_MERGE_TOL_MM)
+    return [(bid, side, _branch_oracle(bid, side, p), label)
+            for (bid, side, _, label), p in zip(resampled, merged)]
 
 
 #: Out 7.5 mm and back: at a 5 mm spacing, targets 5 and 10 mm meet.
@@ -637,9 +695,8 @@ def test_array_path_errors_match_per_branch_oracle(subject, mutations):
     assert _same(parsed, expected)
     if isinstance(parsed, str):
         return
-    record = parse_subject(raw)
-    assert _same(_outcome(prepare_subject, record),
-                 _raised(_prepare_oracle, expected, record.voxel_spacing_mm))
+    assert _same(_outcome(prepare_subject, parsed),
+                 _raised(_prepare_oracle, expected, parsed.voxel_spacing_mm))
 
 
 def _raised(oracle, *args):

@@ -1,10 +1,9 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from coroseg.centerline import Centerline, SubjectRecord, prepare_subject
+from coroseg.centerline import prepare_subject
 from coroseg.graph import (
     EMBED_DIM,
     GraphBuildError,
@@ -20,6 +19,7 @@ from coroseg.synth import GenParams, generate_corpus
 from conftest import (
     junction_oracle,
     line_graph_oracle,
+    make_subject,
     random_rigid_motion,
     random_tree_subject,
     resample_oracle,
@@ -28,6 +28,7 @@ from conftest import (
     straight_line,
     transform_subject,
     two_branch_subject,
+    with_points,
 )
 
 
@@ -36,7 +37,7 @@ def test_split_two_branch_subject():
     ids = [s.segment_id for s in skel.segments]
     # branch A is cut once where B attaches, B and R stay whole
     assert ids == ["A#0", "A#1", "B#0", "R#0"]
-    assert len(skel.junctions) == 6
+    assert len(skel.junction_rows) == 6
     a0, a1, b0, _ = skel.segments
     assert a0.end_junction == a1.start_junction == b0.start_junction
     assert np.array_equal(np.vstack([a0.points, a1.points[1:]]), two_branch_subject().centerlines[0].points)
@@ -48,46 +49,39 @@ def test_split_counts_vs_oracle_random_trees(rng):
         skel = split_into_segments(subject)
         assert len(skel.segments) == segment_count_oracle(subject)
         expected = {tuple(np.asarray(p)) for p in junction_oracle(subject)}
-        got = {tuple(p) for p in skel.junctions.values()}
+        got = {tuple(p) for p in skel.points[skel.junction_rows]}
         assert got == expected
 
 
 def test_split_rejects_dangling_branch():
-    subject = SubjectRecord(
-        "s",
-        0.5,
-        [
-            Centerline("a", "left", straight_line((0, 0, 0), (0, 0, 1), 4)),
-            Centerline("floater", "left", straight_line((99, 99, 0), (1, 0, 0), 4)),
-            Centerline("r", "right", straight_line((50, 0, 0), (0, 1, 0), 4)),
-        ],
-    )
+    subject = make_subject([
+        ("a", "left", straight_line((0, 0, 0), (0, 0, 1), 4)),
+        ("floater", "left", straight_line((99, 99, 0), (1, 0, 0), 4)),
+        ("r", "right", straight_line((50, 0, 0), (0, 1, 0), 4)),
+    ])
     with pytest.raises(GraphBuildError, match="dangling"):
         split_into_segments(subject)
 
 
 def _assert_same_split(subject):
     new, old = split_into_segments(subject), split_oracle(subject)
+    junctions = new.points[new.junction_rows]
     assert [s.segment_id for s in new.segments] == [s.segment_id for s in old.segments]
     assert [s.label for s in new.segments] == [s.label for s in old.segments]
     for s, o in zip(new.segments, old.segments):
         assert np.array_equal(s.points, o.points)
-        assert tuple(new.junctions[s.start_junction]) == tuple(old.junctions[o.start_junction])
-        assert tuple(new.junctions[s.end_junction]) == tuple(old.junctions[o.end_junction])
-    assert len(new.junctions) == len(old.junctions)
-    assert {tuple(p) for p in new.junctions.values()} == {
+        assert tuple(junctions[s.start_junction]) == tuple(old.junctions[o.start_junction])
+        assert tuple(junctions[s.end_junction]) == tuple(old.junctions[o.end_junction])
+    assert len(junctions) == len(old.junctions)
+    assert {tuple(p) for p in junctions} == {
         tuple(p) for p in old.junctions.values()}
     assert np.array_equal(line_graph_adjacency(new), line_graph_oracle(old))
 
 
 def test_split_matches_loop_oracle(rng):
     records, _ = generate_corpus(GenParams(n_subjects=8, seed=3))
-    dense = [
-        replace(rec, centerlines=tuple(
-            replace(cl, points=resample_oracle(cl, 0.5)) for cl in rec.centerlines
-        ))
-        for rec in records
-    ]
+    dense = [with_points(rec, [resample_oracle(cl.points, 0.5) for cl in rec.centerlines])
+             for rec in records]
     trees = [random_tree_subject(rng, max_branches=14) for _ in range(30)]
     for subject in trees + [prepare_subject(rec) for rec in records + dense]:
         _assert_same_split(subject)
@@ -98,9 +92,7 @@ def test_split_treats_negative_zero_as_zero():
     b = straight_line((0, 0, 0), (1, 0, 0), 3)
     b[0] = [-0.0, 0.0, -0.0]
     r = straight_line((50, 0, 0), (0, 1, 0), 3)
-    subject = SubjectRecord("negzero", 0.5, [
-        Centerline("A", "left", a), Centerline("B", "left", b), Centerline("R", "right", r),
-    ])
+    subject = make_subject([("A", "left", a), ("B", "left", b), ("R", "right", r)], "negzero")
     skel = split_into_segments(subject)
     assert [s.segment_id for s in skel.segments] == ["A#0", "A#1", "B#0", "R#0"]
     assert skel.segments[0].end_junction == skel.segments[2].start_junction
@@ -108,10 +100,10 @@ def test_split_treats_negative_zero_as_zero():
 
 
 TRIANGLE = [
-    Centerline("A", "left", [[0, 0, 0], [0, 0, 5], [0, 0, 10]]),
-    Centerline("B", "left", [[0, 0, 5], [5, 0, 5], [0, 0, 0]]),
+    ("A", "left", [[0, 0, 0], [0, 0, 5], [0, 0, 10]]),
+    ("B", "left", [[0, 0, 5], [5, 0, 5], [0, 0, 0]]),
 ]
-RIGHT_TREE = Centerline("R", "right", straight_line((50, 0, 0), (0, 1, 0), 4))
+RIGHT_TREE = ("R", "right", straight_line((50, 0, 0), (0, 1, 0), 4))
 
 
 @pytest.mark.parametrize(
@@ -120,22 +112,22 @@ RIGHT_TREE = Centerline("R", "right", straight_line((50, 0, 0), (0, 1, 0), 4))
         # each start lies on the other branch: three segments, three junctions
         (TRIANGLE, "not a tree: left side has 3 segments on 3 junctions"),
         # the same cycle beside a separate branch: counts fit, connectivity fails
-        (TRIANGLE + [Centerline("F", "left", [[99, 99, 0], [99, 99, 5]])],
+        (TRIANGLE + [("F", "left", [[99, 99, 0], [99, 99, 5]])],
          "not a tree: left side has 4 segments on 5 junctions"),
     ],
 )
 def test_split_rejects_side_that_is_not_one_tree(branches, message):
-    subject = SubjectRecord("s", 0.5, [*branches, RIGHT_TREE])
+    subject = make_subject([*branches, RIGHT_TREE])
     with pytest.raises(GraphBuildError, match=message):
         split_into_segments(subject)
 
 
 def test_split_keeps_sides_apart_at_a_shared_point():
     # R starts exactly on a vertex of L: the two trees must still not meet
-    subject = SubjectRecord("cross", 0.5, [
-        Centerline("L", "left", [[0, 0, 0], [0, 0, 5], [0, 0, 10], [0, 0, 15]]),
-        Centerline("R", "right", [[0, 0, 10], [5, 0, 10], [10, 0, 10]]),
-    ])
+    subject = make_subject([
+        ("L", "left", [[0, 0, 0], [0, 0, 5], [0, 0, 10], [0, 0, 15]]),
+        ("R", "right", [[0, 0, 10], [5, 0, 10], [10, 0, 10]]),
+    ], "cross")
     skel = split_into_segments(subject)
     assert [s.segment_id for s in skel.segments] == ["L#0", "R#0"]
     assert np.array_equal(line_graph_adjacency(skel), [[0, 0], [0, 0]])
@@ -148,9 +140,7 @@ def test_split_keeps_sides_apart_at_a_shared_point():
 def test_split_two_branches_sharing_an_ostium():
     lad = straight_line((0, 0, 0), (0, 0, 1), 4)
     lcx = straight_line((0, 0, 0), (1, 0, 0), 4)
-    subject = SubjectRecord("ostium", 0.5, [
-        Centerline("LAD", "left", lad), Centerline("LCX", "left", lcx), RIGHT_TREE,
-    ])
+    subject = make_subject([("LAD", "left", lad), ("LCX", "left", lcx), RIGHT_TREE], "ostium")
     skel = split_into_segments(subject)
     assert [s.segment_id for s in skel.segments] == ["LAD#0", "LCX#0", "R#0"]
     assert np.array_equal(line_graph_adjacency(skel), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
@@ -203,14 +193,10 @@ def test_reference_frame_orthonormal_right_handed(rng):
 
 def test_reference_frame_degenerate_control():
     # control point along the z-axis leaves the y-axis undefined
-    subject = SubjectRecord(
-        "s",
-        0.5,
-        [
-            Centerline("a", "left", straight_line((0, 0, 0), (0, 0, 1), 4)),
-            Centerline("r", "right", [[0, 0, 40], [1, 0, 41], [0, 0, 90]]),
-        ],
-    )
+    subject = make_subject([
+        ("a", "left", straight_line((0, 0, 0), (0, 0, 1), 4)),
+        ("r", "right", [[0, 0, 40], [1, 0, 41], [0, 0, 90]]),
+    ])
     with pytest.raises(GraphBuildError, match="degenerate"):
         build_reference_frame(subject)
 
@@ -289,16 +275,9 @@ def test_embeddings_invariant_to_rigid_motion(rng):
 
 
 def test_embeddings_invariant_to_uniform_rescale(rng):
-    from dataclasses import replace
-
     subject = random_tree_subject(rng, max_branches=10)
     base = build_segment_graph(subject)
-    scaled = replace(
-        subject,
-        centerlines=tuple(
-            replace(cl, points=cl.points * 3.0) for cl in subject.centerlines
-        ),
-    )
+    scaled = with_points(subject, [cl.points * 3.0 for cl in subject.centerlines])
     out = build_segment_graph(scaled)
     assert np.max(np.abs(out.features - base.features)) < 1e-9
 

@@ -219,6 +219,19 @@ def test_params_reject_bad_count_probs(probs):
         GenParams(count_probs=missing)
 
 
+@pytest.mark.parametrize("cls, probs, child", [("LAD", (0.5, 0.5), "R"), ("LM", (1.0, 0.0), "LAD")])
+def test_params_reject_a_child_that_can_outlive_its_parent(cls, probs, child):
+    # generate_corpus stopped with a bare KeyError on these
+    message = f"^count_probs\\[{child!r}\\] can draw a branch where its parent {cls!r} draws none$"
+    with pytest.raises(ValueError, match=message):
+        GenParams(count_probs=dict(DEFAULT_COUNT_PROBS, **{cls: probs}))
+    # a parent that can draw no branch is fine when none of its children can
+    no_children = {c: (1.0,) for c, tpl in TEMPLATES.items() if tpl.parent == "LAD"}
+    generate_corpus(GenParams(n_subjects=4, count_probs=dict(DEFAULT_COUNT_PROBS, LAD=(0.5, 0.5),
+                                                             **no_children)))
+    GenParams(), GenParams.low_noise()
+
+
 class _ForcedNormals:
     """A Generator whose standard normals at chosen stream positions take
     given values; normal() is loc + scale * standard_normal(), as numpy's."""
