@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Edges, Tensor
-from .centerline import CLASSES_11, CLASSES_13
+from .centerline import CLASSES_11, CLASSES_13, _numbers
 
 VARIANTS = ("gcn", "gat", "gin", "sage")
 
@@ -52,6 +52,8 @@ class ModelConfig:
                 raise ModelError(f"config field {f.name!r} must be {f.type}, not {value!r}")
             if f.type == "float" and not math.isfinite(value):
                 raise ModelError(f"config field {f.name!r} must be finite, not {value!r}")
+        if self.seed < 0:
+            raise ModelError(f"seed must be >= 0, not {self.seed}")
         if self.variant not in VARIANTS:
             raise ModelError(f"unknown variant {self.variant!r}")
         if min(self.in_dim, self.hidden_dim, self.gat_heads) <= 0:
@@ -245,8 +247,9 @@ def load_model(source: str | Path | bytes) -> TrainedModel:
         raise ModelError(f"malformed checkpoint: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelError("checkpoint must be a JSON object")
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ModelError(f"unsupported checkpoint version {doc.get('format_version')}")
+    version = doc.get("format_version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise ModelError(f"unsupported checkpoint version {version!r}")
     config, weights = doc.get("config"), doc.get("weights")
     if not isinstance(config, dict) or not isinstance(weights, dict):
         raise ModelError("checkpoint needs a 'config' object and a 'weights' object")
@@ -260,9 +263,10 @@ def load_model(source: str | Path | bytes) -> TrainedModel:
     for name, w in weights.items():
         if name not in model.params:
             raise ModelError(f"unexpected weight {name!r}")
+        arr = _numbers(w.get("values")) if isinstance(w, dict) else None
         try:
-            arr = np.asarray(w["values"], dtype=np.float64).reshape(w["shape"])
-        except (TypeError, KeyError, ValueError) as exc:
+            arr = arr.reshape(w["shape"])
+        except (AttributeError, TypeError, KeyError, ValueError) as exc:
             raise ModelError(f"weight {name!r} needs numeric 'values' and a 'shape'") from exc
         if arr.shape != model.params[name].shape:
             raise ModelError(f"shape mismatch for weight {name!r}")

@@ -111,6 +111,8 @@ class GenParams:
     )
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         for name in _NOISE_SCALES:
             value = getattr(self, name)
             if not 0 <= value < np.inf:

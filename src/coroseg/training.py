@@ -31,12 +31,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size, self.folds) <= 0 or self.lr < 0:
-            raise TrainingError("config values must be positive")
-        if not math.isfinite(self.lr):
-            raise TrainingError(f"lr must be finite, not {self.lr!r}")
-        if self.folds < 2:
-            raise TrainingError("folds must be >= 2")
+        for name, least in (("epochs", 1), ("batch_size", 1), ("folds", 2), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise TrainingError(f"{name} must be >= {least}, not {getattr(self, name)}")
+        if not 0 <= self.lr < math.inf:
+            raise TrainingError(f"lr must be finite and >= 0, not {self.lr!r}")
 
 
 def kfold_split(subject_ids: list[str], k: int, seed: int) -> list[list[str]]:

@@ -285,6 +285,33 @@ def test_merge_snaps_nearby_start():
     assert np.array_equal(merged.centerlines[0].points, parent)
 
 
+def test_merge_later_start_ignores_an_earlier_start_s_old_position():
+    a = ("a", "left", straight_line((0, 0, 0), (0, 0, 1), 5))
+    # b's start is 1 mm from a[1] and moves there; c's start was 1.2 mm from
+    # b's old start, and 2.2 mm from every point after the move
+    b = ("b", "left", straight_line((1, 0, 5), (1, 0, 0), 3))
+    c = ("c", "left", straight_line((2.2, 0, 5), (0, 1, 0), 3))
+    subject = make_subject([a, b, c, FAR_RIGHT])
+    merged = merge_branch_origins(subject, 1.5)
+    assert np.array_equal(merged.centerlines[1].points[0], [0, 0, 5])
+    assert np.array_equal(merged.centerlines[2].points, c[2])
+    expected = merge_oracle(subject, 1.5)
+    assert all(np.array_equal(cl.points, e) for cl, e in zip(merged.centerlines, expected))
+
+
+def test_merge_start_moved_onto_a_later_branch_is_seen_by_its_start():
+    # a's start moves 0.71 mm onto b[3]; b's start, 2.12 mm from a's old
+    # start, is then 1.41 mm from a's moved start, the same bits as b[3]
+    a = ("a", "left", straight_line((1.5, 1.5, 0), (0, 0, 1), 3))
+    b = ("b", "left", [[0, 0, 0], [5, 0, 0], [5, 5, 0], [1, 1, 0]])
+    subject = make_subject([a, b, FAR_RIGHT])
+    merged = merge_branch_origins(subject, 1.5)
+    assert np.array_equal(merged.centerlines[0].points[0], [1, 1, 0])
+    assert np.array_equal(merged.centerlines[1].points, [[1, 1, 0], [5, 0, 0], [5, 5, 0], [1, 1, 0]])
+    expected = merge_oracle(subject, 1.5)
+    assert all(np.array_equal(cl.points, e) for cl, e in zip(merged.centerlines, expected))
+
+
 def test_merge_never_joins_sides():
     left = straight_line((0, 0, 0), (0, 0, 1), 5)
     right = straight_line((0.3, 0, 10), (1, 0, 0), 4)

@@ -247,6 +247,20 @@ def test_generate_without_subjects_one_line_error(tmp_path, capsys, count):
     assert not (tmp_path / "g" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("generate",),
+    ("train", "--model", "gcn", "--epochs", "1"),
+    ("cv", "--model", "gcn", "--epochs", "1", "--folds", "3"),
+])
+def test_negative_seed_one_line_error(corpus, tmp_path, capsys, argv):
+    if argv[0] != "generate":
+        argv += ("--corpus", str(corpus))
+    code = run_cli(*argv, "--seed", "-1", "--out", str(tmp_path), "--run-name", "s")
+    assert code == 1
+    assert _one_error_line(capsys) == "error: seed must be >= 0, not -1"
+    assert not (tmp_path / "s" / "manifest.json").exists()
+
+
 def test_validation_error_exit_code(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -379,6 +393,15 @@ def _gat(weight=None, **config):
     return edit
 
 
+def _weight(name, index, value):
+    """Edit that sets entry index of weight name's values to value."""
+    def edit(doc):
+        values = list(doc["weights"][name]["values"])
+        values[index] = value
+        return {**doc, "weights": {**doc["weights"], name: {**doc["weights"][name], "values": values}}}
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -391,6 +414,11 @@ def _gat(weight=None, **config):
          "config field 'leaky_slope' must be float"),
         (_gat(leaky_slope=float("nan")), "config field 'leaky_slope' must be finite"),
         (_gat(weight=1e300), "non-finite value in the forward pass"),
+        # a JSON boolean or string among the weight values is not a number
+        (_weight("b1", 0, True), "weight 'b1' needs numeric 'values'"),
+        (_weight("w2", 3, "0.25"), "weight 'w2' needs numeric 'values'"),
+        (lambda d: {**d, "format_version": True}, "unsupported checkpoint version True"),
+        (lambda d: {**d, "format_version": 1.0}, "unsupported checkpoint version 1.0"),
     ],
 )
 def test_eval_bad_checkpoint_one_line_error(corpus, tmp_path, capsys, edit, message):

@@ -34,6 +34,7 @@ def _random_adjacency(rng, n):
         ({"variant": "gcn", "hidden_dim": 0}, "positive"),
         ({"variant": "gcn", "num_classes": 12}, "11 or 13"),
         ({"variant": "gat", "hidden_dim": 9, "gat_heads": 2}, "divide evenly"),
+        ({"variant": "gcn", "seed": -1}, "^seed must be >= 0, not -1$"),
     ],
 )
 def test_config_validation(kwargs, message):

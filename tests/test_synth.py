@@ -207,6 +207,14 @@ def test_params_reject_bad_noise_scales(name, value):
     GenParams(**{name: 0.0})
 
 
+def test_params_reject_a_negative_seed():
+    # numpy's default_rng stopped on it with "expected non-negative integer"
+    with pytest.raises(ValueError, match="^seed must be >= 0, not -1$"):
+        GenParams(seed=-1)
+    with pytest.raises(ValueError, match="^seed must be >= 0, not -1$"):
+        GenParams.low_noise(seed=-1)
+
+
 @pytest.mark.parametrize("probs", [(0.0, 0.0), (), (-0.5, 1.5), (float("nan"), 1.0),
                                    (float("inf"), 1.0), (1e308, 1e308)])
 def test_params_reject_bad_count_probs(probs):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -53,6 +54,17 @@ def test_config_validation():
         with pytest.raises(TrainingError, match="lr must be finite"):
             TrainConfig(lr=lr)
     assert TrainConfig(lr=0.0).lr == 0.0
+    # each message names the field, its rule and the value
+    for kwargs, message in (
+        ({"epochs": 0}, "epochs must be >= 1, not 0"),
+        ({"batch_size": -2}, "batch_size must be >= 1, not -2"),
+        ({"folds": 1}, "folds must be >= 2, not 1"),
+        ({"seed": -1}, "seed must be >= 0, not -1"),
+        ({"lr": -1e-3}, "lr must be finite and >= 0, not -0.001"),
+        ({"lr": float("nan")}, "lr must be finite and >= 0, not nan"),
+    ):
+        with pytest.raises(TrainingError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**kwargs)
 
 
 def test_model_config_names_the_classes():
