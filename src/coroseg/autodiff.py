@@ -64,8 +64,6 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Sum gradient over axes that were broadcast in the forward op."""
-    if g.shape == shape:
-        return g
     out = g
     if shape[0] == 1 and g.shape[0] != 1:
         out = out.sum(axis=0, keepdims=True)
@@ -366,15 +364,9 @@ def backward(loss: Tensor):
             node.grad += g
         if node._backward is None:
             continue
-        # A backward returns fresh arrays or views of g (add, _unbroadcast,
-        # concat_cols, transpose). A view is copied before it is stored: a
-        # later += into it would write through to g, which add also hands
-        # to its other parent.
         for parent, pg in zip(node._parents, node._backward(g)):
             if id(parent) in grads:
-                grads[id(parent)] += pg
-            elif np.may_share_memory(pg, g):
-                grads[id(parent)] = pg.copy()
+                grads[id(parent)] = grads[id(parent)] + pg
             else:
                 grads[id(parent)] = pg
 
@@ -418,12 +410,6 @@ def adam_step(values: np.ndarray, grads: np.ndarray, state: AdamState):
         state.m, state.v = np.zeros_like(values), np.zeros_like(values)
     state.t += 1
     t, m, v, g = state.t, state.m, state.v, grads
-    # m += (1 - beta1) (g - m); v += (1 - beta2) (g g - v);
-    # values -= lr m_hat / (sqrt(v_hat) + eps), with m_hat, v_hat bias-corrected.
-    # The same roundings in the same order, written into two scratch arrays.
-    a, b = g - m, g * g
-    m += np.multiply(a, 1 - ADAM_BETA1, out=a)
-    v += np.multiply(np.subtract(b, v, out=b), 1 - ADAM_BETA2, out=b)
-    m_hat = np.divide(m, 1 - ADAM_BETA1**t, out=a)
-    denom = np.add(np.sqrt(np.divide(v, 1 - ADAM_BETA2**t, out=b), out=b), ADAM_EPS, out=b)
-    values -= np.divide(np.multiply(m_hat, state.lr, out=a), denom, out=a)
+    m += (1 - ADAM_BETA1) * (g - m)
+    v += (1 - ADAM_BETA2) * (g * g - v)
+    values -= state.lr * (m / (1 - ADAM_BETA1**t)) / (np.sqrt(v / (1 - ADAM_BETA2**t)) + ADAM_EPS)

@@ -3,10 +3,10 @@
 A subject file holds one ordered 3D polyline per vessel branch, in millimeters,
 tagged with its coronary tree side and an optional anatomical class label. A
 SubjectRecord holds a subject as arrays from parse to graph, checked once when
-made; errors name the first failing branch in file order. Parsing, resampling
-and merging take a fixed number of array operations whatever the branch count,
-and give every branch the bits a loop over branches would. Centerline is a
-read-only view of one branch's rows.
+made; errors name the first failing branch in file order. Parsing and
+resampling take a fixed number of array operations whatever the branch count,
+and merging one distance pass per start; all give every branch the bits a
+loop over branches would. Centerline is a read-only view of one branch's rows.
 """
 
 from __future__ import annotations
@@ -294,21 +294,15 @@ def merge_branch_origins(subject: SubjectRecord, tol_mm: float = DEFAULT_MERGE_T
     if tol_mm <= 0:
         raise CenterlineError("merge tolerance must be positive")
     points, first, owner, right = subject.points.copy(), subject.first, subject.owner, subject.right
-    # dist[i, m]: start i to point m, inf on i's own branch and the other side
-    dist = np.linalg.norm(points - points[first][:, None], axis=2)
-    dist[(owner == np.arange(len(first))[:, None]) | (right[owner] != right[:, None])] = np.inf
+    # masked[i, m]: point m is on start i's own branch or on the other side
+    masked = (owner == np.arange(len(first))[:, None]) | (right[owner] != right[:, None])
     for i, start in enumerate(first.tolist()):
+        dist = np.linalg.norm(points - points[start], axis=1)
+        dist[masked[i]] = np.inf
         # the first minimum is on the lowest branch, then the lowest point
-        k = int(np.argmin(dist[i]))
-        if dist[i, k] <= tol_mm:
-            # Later starts see this move: point k holds the same bits, so its
-            # column already holds their distances, except on k's own branch,
-            # whose row masks it.
+        k = int(np.argmin(dist))
+        if dist[k] <= tol_mm:
             points[start] = points[k]
-            dist[i + 1:, start] = dist[i + 1:, k]
-            o = owner[k]
-            if o > i:
-                dist[o, start] = np.linalg.norm(points[[start]] - points[first[o]], axis=1)[0]
     return replace(subject, points=points)
 
 
