@@ -263,9 +263,8 @@ def load_model(source: str | Path | bytes) -> TrainedModel:
     for name, w in weights.items():
         if name not in model.params:
             raise ModelError(f"unexpected weight {name!r}")
-        arr = _numbers(w.get("values")) if isinstance(w, dict) else None
-        try:
-            arr = arr.reshape(w["shape"])
+        try:  # _numbers gives None for values that are not all numbers
+            arr = _numbers(w["values"]).reshape(w["shape"])
         except (AttributeError, TypeError, KeyError, ValueError) as exc:
             raise ModelError(f"weight {name!r} needs numeric 'values' and a 'shape'") from exc
         if arr.shape != model.params[name].shape:
