@@ -357,9 +357,7 @@ def backward(loss: Tensor):
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+        g = grads.pop(id(node))
         if node.requires_grad:
             node.grad += g
         if node._backward is None:

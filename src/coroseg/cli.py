@@ -204,7 +204,7 @@ def cmd_build(args, run: Path):
 
 def _train_config(args) -> TrainConfig:
     """Only cv has --folds; train keeps the default, which it never reads."""
-    return TrainConfig(epochs=args.epochs, batch_size=args.batch, lr=args.lr,
+    return TrainConfig(epochs=args.epochs, batch=args.batch, lr=args.lr,
                        folds=getattr(args, "folds", TrainConfig.folds), seed=args.seed)
 
 
@@ -305,7 +305,7 @@ def cmd_cv(args, run: Path):
 
 
 DEFAULTS = {
-    "seed": TrainConfig.seed, "epochs": TrainConfig.epochs, "batch": TrainConfig.batch_size,
+    "seed": TrainConfig.seed, "epochs": TrainConfig.epochs, "batch": TrainConfig.batch,
     "lr": TrainConfig.lr, "folds": TrainConfig.folds, "subjects": GenParams.n_subjects,
     "classes": ModelConfig.num_classes, "out": "runs", "preset": "default", "model": "sage",
 }

@@ -26,6 +26,10 @@ VARIANTS = ("gcn", "gat", "gin", "sage")
 
 CHECKPOINT_VERSION = 1
 
+#: Largest in_dim and hidden_dim, 16x the default width: at 1024 and 1024 the
+#: largest model, sage, holds 6,308,877 parameters, 48 MiB per flat buffer.
+MAX_WIDTH = 1024
+
 #: Accepted value types per ModelConfig annotation; bool is never a number.
 _FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}
 
@@ -58,6 +62,9 @@ class ModelConfig:
             raise ModelError(f"unknown variant {self.variant!r}")
         if min(self.in_dim, self.hidden_dim, self.gat_heads) <= 0:
             raise ModelError("dims and gat_heads must be positive")
+        for name in ("in_dim", "hidden_dim"):
+            if (value := getattr(self, name)) > MAX_WIDTH:
+                raise ModelError(f"config field {name!r} must be <= {MAX_WIDTH}, not {value}")
         if self.num_classes not in (11, 13):
             raise ModelError("num_classes must be 11 or 13")
         if self.variant == "gat" and self.hidden_dim % self.gat_heads:

@@ -11,7 +11,9 @@ draw loop (one rng call per branch for its fixed normals, one for its
 wobble, plus the root or attach draw), the group's branch geometry is then
 finished at once, its tangents grow in lockstep, and the manifest census
 resamples the whole group with one call. Every subject is bit for bit as a
-per-branch loop over its own rng makes it.
+per-branch loop over its own rng makes it. An axis drawn along its branch's
+direction, which no real seed draws, raises one ValueError line naming the
+subject and the branch.
 
 Emitted centerlines are pre-resampled so every child start coincides
 bit-exactly with a vertex of its resampled parent. The ingestion pipeline's
@@ -240,35 +242,12 @@ def _count_cdfs(params: GenParams) -> dict[str, np.ndarray]:
     return cdfs
 
 
-def _checked_normals(rng: np.random.Generator, params: GenParams, cls: str) -> np.ndarray:
-    """A branch's normals as a loop over its draws makes them: each axis is
-    checked as it is drawn and drawn again while it lies along the direction,
-    which shifts the rest of the subject's stream."""
-
-    def axis(d):
-        while True:
-            v = rng.standard_normal((1, 3))
-            unit, kept = _perpendiculars(v, d)
-            if kept[0]:
-                return v[0], unit
-
-    d, parts = _DIRECTIONS[cls][None], []
-    if params.direction_jitter_rad > 0:
-        v, unit = axis(d)
-        angle = rng.standard_normal(1)
-        parts += [v, angle]
-        d = _jitter(params, unit, angle, d)
-    parts += [rng.standard_normal(2), axis(d)[0], axis(d)[0]]  # length, bend, the two axes
-    return np.concatenate(parts)
-
-
-def _draw_branches(rng: np.random.Generator, params: GenParams, cdfs: dict[str, np.ndarray],
-                   checked: bool = False) -> list[_Draw]:
+def _draw_branches(rng: np.random.Generator, params: GenParams, cdfs: dict[str, np.ndarray]) -> list[_Draw]:
     """Every branch's random draws, in template order, with one rng call for
     its fixed normals and one for its wobble. rng.normal(0, s, k) is
     0.0 + s * rng.standard_normal(k) and one call of k draws is k calls of
     one, so the stream is the per-branch loop's; _finish makes the geometry
-    from the normals, and checked draws them as _checked_normals does."""
+    from the normals."""
     n_fixed = 12 if params.direction_jitter_rad > 0 else 8
     spacing = params.resample_spacing_mm
     draws = []
@@ -284,8 +263,7 @@ def _draw_branches(rng: np.random.Generator, params: GenParams, cdfs: dict[str, 
                 frac = lo + (i + 0.5) * (hi - lo) / count
                 frac += 0.0 + params.attach_jitter_frac * max(hi - lo, 0.05) * rng.standard_normal()
                 anchor = min(max(frac, 0.02), 0.98)
-            normals = (_checked_normals(rng, params, cls) if checked
-                       else rng.standard_normal(n_fixed))
+            normals = rng.standard_normal(n_fixed)
             jitter = 0.0 + params.length_jitter_frac * float(normals[-8])
             length = max(tpl.length_mm * (1 + jitter), 2.5 * spacing)
             n = max(3, int(round(length)))  # 1 mm steps
@@ -297,7 +275,7 @@ def _draw_branches(rng: np.random.Generator, params: GenParams, cdfs: dict[str, 
 def _finish(params: GenParams, draws: list[_Draw]):
     """Each branch's direction, bend angle, bend axis and curl axis from its
     normals, in array passes over all branches; and which branches drew an
-    axis along their direction, which the loop would have drawn again."""
+    axis along their direction, which has no perpendicular part to turn about."""
     z = np.stack([dr.normals for dr in draws])
     d = np.stack([_DIRECTIONS[dr.cls] for dr in draws])
     kept = np.ones(len(draws), bool)
@@ -341,10 +319,10 @@ def _grow_directions(params: GenParams, draws: list[_Draw], geometry) -> np.ndar
     return dirs
 
 
-def _draw_subject(params: GenParams, cdfs: dict[str, np.ndarray], seed, checked: bool = False):
+def _draw_subject(params: GenParams, cdfs: dict[str, np.ndarray], seed):
     """A subject's branch draws and then its rigid motion, from its own rng."""
     rng = np.random.default_rng(seed)
-    draws = _draw_branches(rng, params, cdfs, checked)
+    draws = _draw_branches(rng, params, cdfs)
     motion_t = rng.uniform(-params.translation_range_mm, params.translation_range_mm, 3)
     return draws, (_random_rotation(rng) if params.rotate else np.eye(3), motion_t)
 
@@ -361,17 +339,13 @@ def _generate_group(params: GenParams, seeds: list) -> list[SubjectRecord]:
     """
     cdfs = _count_cdfs(params)
     subjects = [_draw_subject(params, cdfs, seed) for seed in seeds]
-    for checked in (False, True):
-        flat = [dr for draws, _ in subjects for dr in draws]
-        subject_of = [s for s, (draws, _) in enumerate(subjects) for _ in draws]
-        geometry, redrawn = _finish(params, flat)
-        if checked or not redrawn.any():
-            break
-        # Never seen on a real seed: the loop drew such an axis again, which
-        # shifts the rest of its subject's stream, so that subject is drawn
-        # again checking each axis as it is drawn, and the group finished again.
-        for s in {subject_of[b] for b in np.flatnonzero(redrawn).tolist()}:
-            subjects[s] = _draw_subject(params, cdfs, seeds[s], checked=True)
+    flat = [dr for draws, _ in subjects for dr in draws]
+    subject_of = [s for s, (draws, _) in enumerate(subjects) for _ in draws]
+    geometry, along = _finish(params, flat)
+    if along.any():  # never drawn on a real seed: about 5e-19 per axis
+        b = int(np.flatnonzero(along)[0])
+        raise ValueError(f"synthetic-{seeds[subject_of[b]][-1]:04d}: branch {flat[b].branch_id!r} "
+                         "drew an axis along its direction")
     dirs = _grow_directions(params, flat, geometry)
 
     first = [{} for _ in seeds]  # children attach to their class's first instance

@@ -25,13 +25,13 @@ class TrainingError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 500
-    batch_size: int = 8   # subjects per optimization step
+    batch: int = 8        # subjects per optimization step
     lr: float = 1e-3
     folds: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("epochs", 1), ("batch_size", 1), ("folds", 2), ("seed", 0)):
+        for name, least in (("epochs", 1), ("batch", 1), ("folds", 2), ("seed", 0)):
             if getattr(self, name) < least:
                 raise TrainingError(f"{name} must be >= {least}, not {getattr(self, name)}")
         if not 0 <= self.lr < math.inf:
@@ -99,8 +99,8 @@ def train(
     for epoch in range(train_cfg.epochs):
         order = rng.permutation(len(graphs))
         losses = []
-        for start in range(0, len(graphs), train_cfg.batch_size):
-            chunk = [graphs[i] for i in order[start : start + train_cfg.batch_size]]
+        for start in range(0, len(graphs), train_cfg.batch):
+            chunk = [graphs[i] for i in order[start : start + train_cfg.batch]]
             feats, labels, gs = _batch(chunk, classes)
             mask = labels >= 0
             if not mask.any():
@@ -114,7 +114,7 @@ def train(
             except (AutodiffError, FloatingPointError) as exc:
                 raise TrainingError(f"non-finite value at epoch {epoch}: {exc}") from exc
             losses.append(float(loss.data[0, 0]))
-        trace.append(float(np.mean(losses)) if losses else float("nan"))
+        trace.append(float(np.mean(losses)))
     return model, trace
 
 

@@ -225,11 +225,13 @@ def _rotation(axis: np.ndarray, angle: float) -> np.ndarray:
 
 
 def _perpendicular(rng: np.random.Generator, d: np.ndarray) -> np.ndarray:
-    """A random unit vector perpendicular to d, drawn again while too short."""
+    """A random unit vector perpendicular to d; raises when the draw lies along d."""
     v = rng.normal(size=3)
     v -= (v @ d) * d
     n = np.linalg.norm(v)
-    return v / n if n > 1e-9 else _perpendicular(rng, d)
+    if n <= 1e-9:
+        raise ValueError("drew an axis along its direction")
+    return v / n
 
 
 def _jitter_direction(rng, d: np.ndarray, angle_scale: float) -> np.ndarray:

@@ -86,6 +86,11 @@ def test_add_mul_broadcast_gradients(rng):
         lambda a, s: sum_all(ad.mul(a, s)),
         [rng.normal(size=(4, 3)), rng.normal(size=(1, 1))],
     )
+    a, b = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2)))
+    with pytest.raises(AutodiffError, match=r"^add shape mismatch \(2, 3\) \+ \(3, 2\)$"):
+        ad.add(a, b)
+    with pytest.raises(AutodiffError, match=r"^mul shape mismatch \(2, 3\) \* \(3, 2\)$"):
+        ad.mul(a, b)
 
 
 def test_bias_row_gradient_is_column_sum(rng):

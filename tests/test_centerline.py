@@ -76,6 +76,8 @@ def test_parse_one_point_branch():
         (lambda d: d["branches"][0].pop("points"), "missing points"),
         (lambda d: d.update(voxel_spacing_mm=0.0), "positive"),
         (lambda d: d["branches"].pop(1), "left and one right"),
+        (lambda d: d.update(branches=[]), "^branches must be a non-empty list$"),
+        (lambda d: d["branches"][1].update(id="a"), "^duplicate branch ids$"),
     ],
 )
 def test_parse_invalid(mutate, message):
@@ -83,6 +85,11 @@ def test_parse_invalid(mutate, message):
     mutate(doc)
     with pytest.raises(CenterlineError, match=message):
         parse_subject(json.dumps(doc))
+
+
+def test_parse_top_level_array():
+    with pytest.raises(CenterlineError, match="^top-level value must be an object$"):
+        parse_subject(json.dumps([MINIMAL]))
 
 
 @pytest.mark.parametrize(
@@ -283,6 +290,8 @@ def test_merge_snaps_nearby_start():
     # only the start point moved
     assert np.array_equal(merged.centerlines[1].points[1:], child[1:])
     assert np.array_equal(merged.centerlines[0].points, parent)
+    with pytest.raises(CenterlineError, match="^merge tolerance must be positive$"):
+        merge_branch_origins(subject, 0)
 
 
 def test_merge_later_start_ignores_an_earlier_start_s_old_position():

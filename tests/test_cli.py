@@ -261,6 +261,15 @@ def test_negative_seed_one_line_error(corpus, tmp_path, capsys, argv):
     assert not (tmp_path / "s" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_batch_below_one_names_the_flag(corpus, tmp_path, capsys, command):
+    code = run_cli(command, "--corpus", str(corpus), "--model", "gcn", "--epochs", "1",
+                   "--batch", "0", "--out", str(tmp_path), "--run-name", "b")
+    assert code == 1
+    assert _one_error_line(capsys) == "error: batch must be >= 1, not 0"
+    assert not (tmp_path / "b" / "manifest.json").exists()
+
+
 def test_validation_error_exit_code(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -419,6 +428,9 @@ def _weight(name, index, value):
         (_weight("w2", 3, "0.25"), "weight 'w2' needs numeric 'values'"),
         (lambda d: {**d, "format_version": True}, "unsupported checkpoint version True"),
         (lambda d: {**d, "format_version": 1.0}, "unsupported checkpoint version 1.0"),
+        # refused before any weight is allocated (48 x 2**40 floats at the first layer)
+        (lambda d: {**d, "config": {**d["config"], "hidden_dim": 2**40}},
+         "config field 'hidden_dim' must be <= 1024, not 1099511627776"),
     ],
 )
 def test_eval_bad_checkpoint_one_line_error(corpus, tmp_path, capsys, edit, message):

@@ -35,6 +35,7 @@ def _random_adjacency(rng, n):
         ({"variant": "gcn", "num_classes": 12}, "11 or 13"),
         ({"variant": "gat", "hidden_dim": 9, "gat_heads": 2}, "divide evenly"),
         ({"variant": "gcn", "seed": -1}, "^seed must be >= 0, not -1$"),
+        ({"variant": "gcn", "in_dim": 1025}, "^config field 'in_dim' must be <= 1024, not 1025$"),
     ],
 )
 def test_config_validation(kwargs, message):
@@ -333,5 +334,11 @@ def test_checkpoint_version_and_weight_guards(tmp_path):
             **doc["weights"], "b1": {"shape": [1, 8], "values": values}}}))
         with pytest.raises(ModelError, match=message):
             load_model(path)
+    path.write_text(json.dumps({**doc, "weights": {
+        **doc["weights"], "b1": {**doc["weights"]["b1"], "shape": [8, 1]}}}))
+    with pytest.raises(ModelError, match="^shape mismatch for weight 'b1'$"):
+        load_model(path)
+    with pytest.raises(ModelError, match="^malformed checkpoint: "):
+        load_model(b"not JSON")
     with pytest.raises(ModelError, match="must be positive"):
         ModelConfig("gat", gat_heads=0)

@@ -160,6 +160,14 @@ def test_generator_bit_identical_to_loop_oracle():
     rec = generate_subject(GenParams(count_probs=no_level_2), [5, 0])
     assert [cl.label for cl in rec.centerlines][:3] == ["LM", "LAD", "LCX"]
     assert len([cl for cl in rec.centerlines if cl.side == "left"]) == 3
+    # two LADs and an LCX on an LM of two interior vertices: once every interior
+    # vertex is used, a child shares a junction (subjects 0-2; subject 3's LM has three)
+    two_lads = GenParams(count_probs=dict(DEFAULT_COUNT_PROBS, LAD=(0, 0, 1)))
+    for i in range(4):
+        rec = generate_subject(two_lads, [1, i])
+        assert serialize_subject(rec) == serialize_subject(generate_subject_oracle(two_lads, [1, i]))
+        lm, lad1, _, lcx = rec.centerlines[:4]
+        assert (len(lm.points) == 4) == np.array_equal(lad1.points[0], lcx.points[0])
 
 
 def _census_oracle(params, records) -> dict:
@@ -268,30 +276,29 @@ class _ForcedNormals:
         return self._rng.uniform(*args, **kwargs)
 
 
-def test_axis_drawn_along_the_direction_is_drawn_again_as_the_loop_does(monkeypatch):
-    # No real seed draws such an axis. LM comes first and draws no anchor, so
-    # its normals start the stream: with jitter, the jitter axis (0-2), angle,
-    # length, bend, bend axis (6-8) and curl axis (9-11); without, length,
-    # bend, bend axis (2-4) and curl axis (5-7). Each forced axis lies along
-    # LM's direction, so the loop draws it again from the next three positions.
+def test_axis_drawn_along_the_direction_raises_as_the_loop_does(monkeypatch):
+    # No real seed draws such an axis (about 5e-19 per axis). LM comes first
+    # and draws no anchor, so its normals start the stream: with jitter, the
+    # jitter axis (0-2), angle, length, bend, bend axis (6-8) and curl axis
+    # (9-11); without, length, bend, bend axis (2-4) and curl axis (5-7). Each
+    # case forces an axis along LM's direction, so the loop oracle raises too.
     # LM's direction after its jitter in subject [2, 1], replayed by the oracle:
     replay = np.random.default_rng([2, 1])
     replay.random()  # LM's count
     jittered = _jitter_direction(replay, np.array([0.0, 0.0, 1.0]), GenParams().direction_jitter_rad)
     cases = [
-        (GenParams(n_subjects=3, seed=2), {0: 0.0, 1: 0.0, 2: 1.5, 3: 0.0, 4: 0.0, 5: -2.0}),
+        (GenParams(n_subjects=3, seed=2), {0: 0.0, 1: 0.0, 2: 1.5}),
         (GenParams(n_subjects=3, seed=2), dict(zip((6, 7, 8), 2.0 * jittered))),
-        (GenParams(n_subjects=3, seed=2, direction_jitter_rad=0.0),
-         {2: 0.0, 3: 0.0, 4: 3.0, 8: 0.0, 9: 0.0, 10: -1.0}),
+        (GenParams(n_subjects=3, seed=2, direction_jitter_rad=0.0), {2: 0.0, 3: 0.0, 4: 3.0}),
     ]
+    message = "^synthetic-0001: branch 'LM' drew an axis along its direction$"
     default_rng = np.random.default_rng
     for params, forced in cases:
         # only the middle subject of the group draws a parallel axis
         monkeypatch.setattr(np.random, "default_rng", lambda seed: _ForcedNormals(
             default_rng(seed), forced if list(seed) == [2, 1] else {}))
-        records, _ = generate_corpus(params)
-        expected = [generate_subject_oracle(params, [2, i]) for i in range(3)]
-        assert [serialize_subject(r) for r in records] == [serialize_subject(e) for e in expected]
+        with pytest.raises(ValueError, match=message):
+            generate_corpus(params)
+        with pytest.raises(ValueError, match="drew an axis along its direction"):
+            generate_subject_oracle(params, [2, 1])
         monkeypatch.undo()
-        # the forced draws change the subject they are forced in
-        assert serialize_subject(records[1]) != serialize_subject(generate_subject(params, [2, 1]))

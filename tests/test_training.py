@@ -57,7 +57,7 @@ def test_config_validation():
     # each message names the field, its rule and the value
     for kwargs, message in (
         ({"epochs": 0}, "epochs must be >= 1, not 0"),
-        ({"batch_size": -2}, "batch_size must be >= 1, not -2"),
+        ({"batch": -2}, "batch must be >= 1, not -2"),
         ({"folds": 1}, "folds must be >= 2, not 1"),
         ({"seed": -1}, "seed must be >= 0, not -1"),
         ({"lr": -1e-3}, "lr must be finite and >= 0, not -0.001"),
@@ -78,7 +78,7 @@ def test_train_selects_the_model_classes(variant):
     dataset = generated_dataset()
     assert any(lb in DROPPED_IN_11 for _, sg in dataset for lb in sg.labels)
     cfg = ModelConfig(variant, hidden_dim=8, num_classes=11, seed=1)
-    tc = TrainConfig(epochs=3, batch_size=2, seed=2)
+    tc = TrainConfig(epochs=3, batch=2, seed=2)
     model, trace = train(cfg, tc, dataset)
     selected, selected_trace = train(cfg, tc, select_classes(dataset, 11))
     assert trace == selected_trace
@@ -220,7 +220,7 @@ def test_train_lr_zero_leaves_weights_unchanged():
 def test_train_deterministic(rng):
     dataset = chain_dataset(4)
     cfg = ModelConfig("gin", hidden_dim=8, seed=5)
-    tc = TrainConfig(epochs=4, batch_size=2, seed=3)
+    tc = TrainConfig(epochs=4, batch=2, seed=3)
     m1, t1 = train(cfg, tc, dataset)
     m2, t2 = train(cfg, tc, dataset)
     assert t1 == t2
@@ -244,6 +244,18 @@ def test_train_input_errors(rng):
         train(cfg, TrainConfig(), [("u", unlabeled)])
     with pytest.raises(TrainingError, match=r"non-finite value at epoch \d: overflow"):
         train(cfg, TrainConfig(epochs=3, lr=1e308), chain_dataset(2))
+
+
+def test_train_skips_a_batch_with_no_labeled_node(rng):
+    # at batch 1 each unlabeled graph is a batch of its own and takes no step,
+    # so training matches the labeled graph alone bit for bit
+    labeled = chain_dataset(1)
+    unlabeled = [(f"u{i}", _graph_with_labels([None] * 3, rng)) for i in range(3)]
+    cfg, tc = ModelConfig("gcn", hidden_dim=8, seed=1), TrainConfig(epochs=3, batch=1)
+    model, trace = train(cfg, tc, labeled + unlabeled)
+    alone, alone_trace = train(cfg, tc, labeled)
+    assert trace == alone_trace
+    assert np.array_equal(model.values, alone.values)
 
 
 def test_predict_pools_labeled_nodes():
