@@ -98,6 +98,11 @@ class SubjectRecord:
         if len(set(self.branch_ids)) != n:
             raise CenterlineError("duplicate branch ids")
 
+    def __setstate__(self, state):
+        """Unpickled, as from a pool worker: pickling drops the read-only flag."""
+        self.__dict__.update(state)
+        self.points.flags.writeable = False
+
     def _branches(self):
         """(branch_id, side, rows, label) per branch, in file order."""
         bounds = np.append(self.first, len(self.points)).tolist()

@@ -7,7 +7,8 @@ configuration produce byte-identical metrics files.
 
 Each ``cmd_*`` function takes the parsed arguments and its run directory and
 returns what the manifest records: ``(config, input_hashes, artifacts)``, the
-hashes taken from the bytes the command read.
+hashes taken from the bytes the command read. `build` and the corpus loading
+of `train`, `eval` and `cv` convert subject files in a `pool.ordered_map`.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from .centerline import (
 )
 from .graph import GraphBuildError, build_segment_graph, segment_graph_to_json
 from .models import VARIANTS, ModelConfig, load_model, save_model
+from .pool import WorkerDied, ordered_map
 from .synth import GenParams, generate_corpus
 from .training import (
     MetricsReport,
@@ -117,40 +117,9 @@ def _in_order(files, outcomes):
         yield f, digest, sid, product
 
 
-def _workers(n_jobs: int) -> int:
-    """One process per CPU this process may use, at most one per job; 1 where a
-    forked pool cannot start (no fork start method, or a daemonic caller)."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, n_jobs)
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
-            return 1
-    return workers
-
-
-@contextmanager
-def _ordered_map(fn, jobs: list):
-    """fn over jobs, results in job order: in a fork pool of `_workers` processes,
-    or in-process through map when that is one. When the block exits, jobs not
-    yet started are dropped and no worker is left running."""
-    workers = _workers(len(jobs))
-    if workers == 1:
-        yield map(fn, jobs)
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # not multiprocessing.Pool: its terminate() can hang while results fill its pipe
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        yield pool.map(fn, jobs, chunksize=-(-len(jobs) // (4 * workers)))
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _load_corpus(corpus_dir: str):
+    """Every subject file under corpus_dir as (subject_id, SegmentGraph), in
+    file order, and each file's sha256; built in a `pool.ordered_map`."""
     subj_dir = Path(corpus_dir) / "subjects"
     if not subj_dir.is_dir():
         subj_dir = Path(corpus_dir)
@@ -159,9 +128,10 @@ def _load_corpus(corpus_dir: str):
     if not files:
         raise CenterlineError(f"no subject files under {corpus_dir}")
     dataset, hashes = [], {}
-    for f, digest, sid, sg in _in_order(files, map(_subject_graph, files)):
-        dataset.append((sid, sg))
-        hashes[str(f)] = digest
+    with ordered_map(_subject_graph, files, len(files)) as outcomes:
+        for f, digest, sid, sg in _in_order(files, outcomes):
+            dataset.append((sid, sg))
+            hashes[str(f)] = digest
     return dataset, hashes
 
 
@@ -187,11 +157,11 @@ def cmd_generate(args, run: Path):
 
 
 def cmd_build(args, run: Path):
-    """Files are converted on every CPU the process may use, and written here in
-    input order, so the outputs do not depend on the worker count."""
+    """Files are converted in a `pool.ordered_map` and written here in input
+    order, so the outputs do not depend on the worker count."""
     files = [Path(f) for f in args.subjects]
     hashes, artifacts = {}, []
-    with _ordered_map(partial(_subject_graph, to_json=True), files) as outcomes:
+    with ordered_map(partial(_subject_graph, to_json=True), files, len(files)) as outcomes:
         for f, digest, sid, text in _in_order(files, outcomes):
             if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
                 raise CenterlineError(f"{f}: subject_id {sid!r} cannot name a file")
@@ -407,7 +377,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CenterlineError, GraphBuildError, TrainingError, OSError, ValueError) as exc:
+    except (CenterlineError, GraphBuildError, TrainingError, WorkerDied, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

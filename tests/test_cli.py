@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from coroseg.cli import _workers, main
+from coroseg import cli
+from coroseg.cli import main
 from coroseg.graph import EMBED_DIM
 from coroseg.models import ModelConfig, init_model, save_model
+from coroseg.pool import workers
 
 
 def run_cli(*argv):
@@ -502,10 +504,11 @@ def test_build_rejects_values_that_are_not_numbers(tmp_path, capsys, field, valu
 
 
 @pytest.fixture(scope="module")
-def files20(tmp_path_factory):
-    """20 default-preset subject files: 3 per chunk of a 2-worker build."""
-    base = tmp_path_factory.mktemp("build20")
-    assert run_cli("generate", "--subjects", "20", "--seed", "8",
+def files64(tmp_path_factory):
+    """64 default-preset subject files, the fewest a 2-worker build takes: 8
+    per chunk, 9 once a bad file is added."""
+    base = tmp_path_factory.mktemp("build64")
+    assert run_cli("generate", "--subjects", "64", "--seed", "8",
                    "--out", str(base), "--run-name", "gen") == 0
     return sorted((base / "gen" / "subjects").glob("*.json"))
 
@@ -513,29 +516,31 @@ def files20(tmp_path_factory):
 def _build_on(cpus, files, out: Path, capsys, monkeypatch):
     """coroseg build with `cpus` CPUs visible: (exit code, stderr, graph files' bytes)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    assert _workers(len(files)) == min(cpus, len(files))
+    assert workers(len(files)) == min(cpus, len(files) // 32)
     code = run_cli("build", *map(str, files), "--out", str(out), "--run-name", f"w{cpus}")
     assert multiprocessing.active_children() == []
     graphs = {p.name: p.read_bytes() for p in (out / f"w{cpus}").glob("*.graph.json")}
     return code, capsys.readouterr().err, graphs
 
 
-def test_build_same_bytes_on_one_and_two_workers(files20, tmp_path, capsys, monkeypatch):
-    serial = _build_on(1, files20, tmp_path, capsys, monkeypatch)
-    assert serial[0] == 0 and len(serial[2]) == 20
-    assert _build_on(2, files20, tmp_path, capsys, monkeypatch) == serial
+def test_build_same_bytes_on_one_and_two_workers(files64, tmp_path, capsys, monkeypatch):
+    serial = _build_on(1, files64, tmp_path, capsys, monkeypatch)
+    assert serial[0] == 0 and len(serial[2]) == 64
+    assert _build_on(2, files64, tmp_path, capsys, monkeypatch) == serial
     manifests = [json.loads((tmp_path / name / "manifest.json").read_text())
                  for name in ("w1", "w2")]
     assert manifests[0]["input_hashes"] == manifests[1]["input_hashes"]
-    assert sorted(manifests[0]["input_hashes"]) == sorted(map(str, files20))
+    assert sorted(manifests[0]["input_hashes"]) == sorted(map(str, files64))
 
 
 @pytest.mark.parametrize("fault, at", [
-    ("parse", 5),        # the last of the second 3-file chunk
+    ("parse", 5),        # in the first 9-file chunk, jobs after it in the pool
     ("build", 4),
-    ("duplicate", 16),   # a copy of file 1, five chunks on
+    ("duplicate", 16),   # a copy of file 1, in the second chunk
+    ("parse", 35),       # the last of the fourth chunk
+    ("build", 40),
 ])
-def test_build_fault_in_a_chunk_matches_serial(files20, tmp_path, capsys, monkeypatch, fault, at):
+def test_build_fault_in_a_chunk_matches_serial(files64, tmp_path, capsys, monkeypatch, fault, at):
     bad = tmp_path / "bad.json"
     if fault == "parse":
         bad.write_text("{not json")
@@ -544,12 +549,12 @@ def test_build_fault_in_a_chunk_matches_serial(files20, tmp_path, capsys, monkey
         bad.write_text(json.dumps({**GOOD_SUBJECT, "voxel_spacing_mm": 0.2,
                                    "branches": [fold_back, GOOD_SUBJECT["branches"][1]]}))
     else:
-        bad.write_bytes(files20[1].read_bytes())
-    files = [*files20[:at], bad, *files20[at:]]
+        bad.write_bytes(files64[1].read_bytes())
+    files = [*files64[:at], bad, *files64[at:]]
     serial = _build_on(1, files, tmp_path, capsys, monkeypatch)
     code, err, graphs = serial
     assert code == 1 and len(err.splitlines()) == 1
-    assert sorted(graphs) == sorted(f"{f.stem}.graph.json" for f in files20[:at])
+    assert sorted(graphs) == sorted(f"{f.stem}.graph.json" for f in files64[:at])
     assert _build_on(2, files, tmp_path, capsys, monkeypatch) == serial
     assert not (tmp_path / "w2" / "manifest.json").exists()
 
@@ -568,13 +573,54 @@ def test_build_rejects_a_subject_id_that_cannot_name_a_file(tmp_path, capsys, si
 
 
 def test_workers_fall_back_to_one_process(monkeypatch):
+    # one worker per 32 subjects, at most one per CPU
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert [_workers(n) for n in (1, 2, 5)] == [1, 2, 3]
+    assert [workers(n) for n in (1, 63, 64, 95, 96, 10**6)] == [1, 1, 2, 2, 3, 3]
     with monkeypatch.context() as m:
         m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert _workers(5) == 1
+        assert workers(500) == 1
     with monkeypatch.context() as m:
         m.setattr(multiprocessing.current_process(), "daemon", True)
-        assert _workers(5) == 1
+        assert workers(500) == 1
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert _workers(5) == 1
+    assert workers(500) == 1
+
+
+def test_build_worker_that_dies_one_line_error(files64, tmp_path, capsys, monkeypatch):
+    prepare = cli.prepare_subject
+
+    def die_on_3(rec):  # only in a pool worker: the parent would end the test run
+        if rec.subject_id == "synthetic-0003" and multiprocessing.parent_process() is not None:
+            os._exit(9)
+        return prepare(rec)
+
+    monkeypatch.setattr(cli, "prepare_subject", die_on_3)
+    code, err, _ = _build_on(2, files64, tmp_path, capsys, monkeypatch)
+    assert code == 1
+    assert err.splitlines() == ["error: a worker process ended without a result"]
+    assert not (tmp_path / "w2" / "manifest.json").exists()
+
+
+def test_cv_same_report_on_one_and_two_workers(tmp_path, capsys, monkeypatch):
+    assert run_cli("generate", "--subjects", "64", "--seed", "2", "--preset", "low-noise",
+                   "--out", str(tmp_path), "--run-name", "gen") == 0
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert workers(64) == cpus
+        assert run_cli("cv", "--corpus", str(tmp_path / "gen"), "--model", "gcn",
+                       "--classes", "both", "--epochs", "2", "--folds", "3",
+                       "--out", str(tmp_path), "--run-name", f"cv{cpus}") == 0
+        assert multiprocessing.active_children() == []
+        run = tmp_path / f"cv{cpus}"
+        outputs.append({p.name: p.read_bytes() for p in run.iterdir() if p.name != "manifest.json"})
+    assert sorted(outputs[0]) == ["confusion_gcn_11.csv", "confusion_gcn_13.csv",
+                                  "report.json", "report.txt"]
+    assert outputs[1] == outputs[0]
+
+
+def test_generate_over_the_subject_cap_one_line_error(tmp_path, capsys):
+    code = run_cli("generate", "--subjects", str(10**12), "--out", str(tmp_path), "--run-name", "g")
+    assert code == 1
+    assert _one_error_line(capsys) == "error: n_subjects must be <= 100000, not 1000000000000"
+    assert not (tmp_path / "g" / "manifest.json").exists()

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -5,9 +7,11 @@ import pytest
 
 from coroseg.centerline import CLASSES_13, prepare_subject, serialize_subject
 from coroseg.graph import build_segment_graph, split_into_segments
+from coroseg.pool import workers
 from coroseg.synth import (
     DEFAULT_COUNT_PROBS,
     GROUP_SIZE,
+    MAX_SUBJECTS,
     TEMPLATES,
     GenParams,
     generate_corpus,
@@ -223,6 +227,26 @@ def test_params_reject_a_negative_seed():
         GenParams.low_noise(seed=-1)
 
 
+def test_params_cap_the_subject_count():
+    GenParams(n_subjects=MAX_SUBJECTS)
+    with pytest.raises(ValueError, match=f"^n_subjects must be <= {MAX_SUBJECTS}, not {MAX_SUBJECTS + 1}$"):
+        GenParams(n_subjects=MAX_SUBJECTS + 1)
+
+
+@pytest.mark.parametrize("params", [GenParams(n_subjects=141, seed=0),
+                                    GenParams.low_noise(n_subjects=70, seed=3)])
+def test_corpus_same_on_one_and_two_workers(monkeypatch, params):
+    made = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert workers(params.n_subjects) == cpus
+        records, census = generate_corpus(params)
+        assert multiprocessing.active_children() == []
+        assert not any(rec.points.flags.writeable for rec in records)
+        made.append(([serialize_subject(rec) for rec in records], census))
+    assert made[1] == made[0]
+
+
 @pytest.mark.parametrize("probs", [(0.0, 0.0), (), (-0.5, 1.5), (float("nan"), 1.0),
                                    (float("inf"), 1.0), (1e308, 1e308)])
 def test_params_reject_bad_count_probs(probs):
@@ -302,3 +326,17 @@ def test_axis_drawn_along_the_direction_raises_as_the_loop_does(monkeypatch):
         with pytest.raises(ValueError, match="drew an axis along its direction"):
             generate_subject_oracle(params, [2, 1])
         monkeypatch.undo()
+
+
+def test_axis_along_the_direction_in_a_later_group_raises_on_two_workers(monkeypatch):
+    # subjects 40 and 60 are in the third and fourth of five groups, which go
+    # to different pool jobs; the first in subject order is reported
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _ForcedNormals(
+        default_rng(seed), {0: 0.0, 1: 0.0, 2: 1.5} if list(seed) in ([2, 40], [2, 60]) else {}))
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert workers(70) == cpus
+        with pytest.raises(ValueError, match="^synthetic-0040: branch 'LM' drew an axis along its direction$"):
+            generate_corpus(GenParams(n_subjects=70, seed=2))
+        assert multiprocessing.active_children() == []
