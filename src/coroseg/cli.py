@@ -48,6 +48,13 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_CHECK = 3
 
+#: Subject loads (`pool.LOADS_PER_WORKER`) that one `build` file counts for. A
+#: build job also writes graph JSON: on a 2-CPU VM it took 3.0 ms for a
+#: default-preset file and 5.6 ms for one at 0.5 mm spacing, against 1.7 ms to
+#: load a default-preset file, and two workers first paid off on a fresh
+#: `coroseg build` of 13-16 files at 0.5 mm. At 5, 13 files start a pool.
+BUILD_FILE_LOADS = 5
+
 
 class CheckFailure(RuntimeError):
     pass
@@ -161,7 +168,8 @@ def cmd_build(args, run: Path):
     order, so the outputs do not depend on the worker count."""
     files = [Path(f) for f in args.subjects]
     hashes, artifacts = {}, []
-    with ordered_map(partial(_subject_graph, to_json=True), files, len(files)) as outcomes:
+    with ordered_map(partial(_subject_graph, to_json=True), files,
+                     BUILD_FILE_LOADS * len(files)) as outcomes:
         for f, digest, sid, text in _in_order(files, outcomes):
             if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
                 raise CenterlineError(f"{f}: subject_id {sid!r} cannot name a file")

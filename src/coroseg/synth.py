@@ -458,7 +458,7 @@ def generate_corpus(params: GenParams) -> tuple[list[SubjectRecord], dict]:
     # not again in the pool workers of every call (12-20 ms each)
     import numpy.random  # noqa: F401
 
-    seeds =[[params.seed, i] for i in range(params.n_subjects)]
+    seeds = [[params.seed, i] for i in range(params.n_subjects)]
     groups = [seeds[lo : lo + GROUP_SIZE] for lo in range(0, len(seeds), GROUP_SIZE)]
     per_class_branches: dict[str, int] = {c: 0 for c in TEMPLATES}
     per_class_segments: dict[str, int] = {c: 0 for c in TEMPLATES}

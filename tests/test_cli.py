@@ -504,11 +504,10 @@ def test_build_rejects_values_that_are_not_numbers(tmp_path, capsys, field, valu
 
 
 @pytest.fixture(scope="module")
-def files64(tmp_path_factory):
-    """64 default-preset subject files, the fewest a 2-worker build takes: 8
-    per chunk, 9 once a bad file is added."""
-    base = tmp_path_factory.mktemp("build64")
-    assert run_cli("generate", "--subjects", "64", "--seed", "8",
+def files20(tmp_path_factory):
+    """20 default-preset subject files: 3 per chunk of a 2-worker build."""
+    base = tmp_path_factory.mktemp("build20")
+    assert run_cli("generate", "--subjects", "20", "--seed", "8",
                    "--out", str(base), "--run-name", "gen") == 0
     return sorted((base / "gen" / "subjects").glob("*.json"))
 
@@ -516,31 +515,29 @@ def files64(tmp_path_factory):
 def _build_on(cpus, files, out: Path, capsys, monkeypatch):
     """coroseg build with `cpus` CPUs visible: (exit code, stderr, graph files' bytes)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    assert workers(len(files)) == min(cpus, len(files) // 32)
+    assert workers(cli.BUILD_FILE_LOADS * len(files)) == cpus
     code = run_cli("build", *map(str, files), "--out", str(out), "--run-name", f"w{cpus}")
     assert multiprocessing.active_children() == []
     graphs = {p.name: p.read_bytes() for p in (out / f"w{cpus}").glob("*.graph.json")}
     return code, capsys.readouterr().err, graphs
 
 
-def test_build_same_bytes_on_one_and_two_workers(files64, tmp_path, capsys, monkeypatch):
-    serial = _build_on(1, files64, tmp_path, capsys, monkeypatch)
-    assert serial[0] == 0 and len(serial[2]) == 64
-    assert _build_on(2, files64, tmp_path, capsys, monkeypatch) == serial
+def test_build_same_bytes_on_one_and_two_workers(files20, tmp_path, capsys, monkeypatch):
+    serial = _build_on(1, files20, tmp_path, capsys, monkeypatch)
+    assert serial[0] == 0 and len(serial[2]) == 20
+    assert _build_on(2, files20, tmp_path, capsys, monkeypatch) == serial
     manifests = [json.loads((tmp_path / name / "manifest.json").read_text())
                  for name in ("w1", "w2")]
     assert manifests[0]["input_hashes"] == manifests[1]["input_hashes"]
-    assert sorted(manifests[0]["input_hashes"]) == sorted(map(str, files64))
+    assert sorted(manifests[0]["input_hashes"]) == sorted(map(str, files20))
 
 
 @pytest.mark.parametrize("fault, at", [
-    ("parse", 5),        # in the first 9-file chunk, jobs after it in the pool
+    ("parse", 5),        # the last of the second 3-file chunk
     ("build", 4),
-    ("duplicate", 16),   # a copy of file 1, in the second chunk
-    ("parse", 35),       # the last of the fourth chunk
-    ("build", 40),
+    ("duplicate", 16),   # a copy of file 1, five chunks on
 ])
-def test_build_fault_in_a_chunk_matches_serial(files64, tmp_path, capsys, monkeypatch, fault, at):
+def test_build_fault_in_a_chunk_matches_serial(files20, tmp_path, capsys, monkeypatch, fault, at):
     bad = tmp_path / "bad.json"
     if fault == "parse":
         bad.write_text("{not json")
@@ -549,12 +546,12 @@ def test_build_fault_in_a_chunk_matches_serial(files64, tmp_path, capsys, monkey
         bad.write_text(json.dumps({**GOOD_SUBJECT, "voxel_spacing_mm": 0.2,
                                    "branches": [fold_back, GOOD_SUBJECT["branches"][1]]}))
     else:
-        bad.write_bytes(files64[1].read_bytes())
-    files = [*files64[:at], bad, *files64[at:]]
+        bad.write_bytes(files20[1].read_bytes())
+    files = [*files20[:at], bad, *files20[at:]]
     serial = _build_on(1, files, tmp_path, capsys, monkeypatch)
     code, err, graphs = serial
     assert code == 1 and len(err.splitlines()) == 1
-    assert sorted(graphs) == sorted(f"{f.stem}.graph.json" for f in files64[:at])
+    assert sorted(graphs) == sorted(f"{f.stem}.graph.json" for f in files20[:at])
     assert _build_on(2, files, tmp_path, capsys, monkeypatch) == serial
     assert not (tmp_path / "w2" / "manifest.json").exists()
 
@@ -573,9 +570,10 @@ def test_build_rejects_a_subject_id_that_cannot_name_a_file(tmp_path, capsys, si
 
 
 def test_workers_fall_back_to_one_process(monkeypatch):
-    # one worker per 32 subjects, at most one per CPU
+    # one worker per 32 subject loads, at most one per CPU; a build file counts 5
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     assert [workers(n) for n in (1, 63, 64, 95, 96, 10**6)] == [1, 1, 2, 2, 3, 3]
+    assert [workers(cli.BUILD_FILE_LOADS * n) for n in (12, 13)] == [1, 2]
     with monkeypatch.context() as m:
         m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert workers(500) == 1
@@ -586,7 +584,7 @@ def test_workers_fall_back_to_one_process(monkeypatch):
     assert workers(500) == 1
 
 
-def test_build_worker_that_dies_one_line_error(files64, tmp_path, capsys, monkeypatch):
+def test_build_worker_that_dies_one_line_error(files20, tmp_path, capsys, monkeypatch):
     prepare = cli.prepare_subject
 
     def die_on_3(rec):  # only in a pool worker: the parent would end the test run
@@ -595,7 +593,7 @@ def test_build_worker_that_dies_one_line_error(files64, tmp_path, capsys, monkey
         return prepare(rec)
 
     monkeypatch.setattr(cli, "prepare_subject", die_on_3)
-    code, err, _ = _build_on(2, files64, tmp_path, capsys, monkeypatch)
+    code, err, _ = _build_on(2, files20, tmp_path, capsys, monkeypatch)
     assert code == 1
     assert err.splitlines() == ["error: a worker process ended without a result"]
     assert not (tmp_path / "w2" / "manifest.json").exists()
