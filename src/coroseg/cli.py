@@ -9,6 +9,10 @@ Each ``cmd_*`` function takes the parsed arguments and its run directory and
 returns what the manifest records: ``(config, input_hashes, artifacts)``, the
 hashes taken from the bytes the command read. `build` and the corpus loading
 of `train`, `eval` and `cv` convert subject files in a `pool.ordered_map`.
+
+An error ends in one line on stderr and an exit code: 2 for a bad flag or a
+--config file that cannot be read, has an unknown key, or a value of the
+wrong type or outside its flag's choices; 1 for any other bad input.
 """
 
 from __future__ import annotations
@@ -21,19 +25,12 @@ import time
 from functools import partial
 from pathlib import Path
 
-from .centerline import (
-    DROPPED_IN_11,
-    CenterlineError,
-    parse_subject,
-    prepare_subject,
-    serialize_subject,
-)
+from .centerline import CenterlineError, parse_subject, prepare_subject, serialize_subject
 from .graph import GraphBuildError, build_segment_graph, segment_graph_to_json
 from .models import VARIANTS, ModelConfig, load_model, save_model
 from .pool import WorkerDied, ordered_map
 from .synth import GenParams, generate_corpus
 from .training import (
-    MetricsReport,
     TrainConfig,
     TrainingError,
     predict,
@@ -46,7 +43,6 @@ from .training import (
 
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
-EXIT_CHECK = 3
 
 #: Subject loads (`pool.LOADS_PER_WORKER`) that one `build` file counts for. A
 #: build job also writes graph JSON: on a 2-CPU VM it took 3.0 ms for a
@@ -54,10 +50,6 @@ EXIT_CHECK = 3
 #: load a default-preset file, and two workers first paid off on a fresh
 #: `coroseg build` of 13-16 files at 0.5 mm. At 5, 13 files start a pool.
 BUILD_FILE_LOADS = 5
-
-
-class CheckFailure(RuntimeError):
-    pass
 
 
 class UsageError(Exception):
@@ -226,25 +218,6 @@ def _write_csv(path: Path, classes, matrix):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _audit_report(report: MetricsReport, dataset):
-    """Acceptance invariants; raises CheckFailure on any violation."""
-    flat = [sid for fold in report.fold_test_ids for sid in fold]
-    if sorted(flat) != sorted(sid for sid, _ in dataset):
-        raise CheckFailure("folds do not partition the subject set")
-    if len(set(flat)) != len(flat):
-        raise CheckFailure("folds overlap")
-    sizes = sorted(len(f) for f in report.fold_test_ids)
-    if max(sizes) - min(sizes) > 1:
-        raise CheckFailure("fold sizes differ by more than one")
-    if abs(report.class_weights.sum() - 1.0) > 1e-12:
-        raise CheckFailure("class weights do not sum to 1")
-    if not (0.0 <= report.weighted_f1_mean <= 1.0):
-        raise CheckFailure("weighted F1 out of range")
-    removed = set(DROPPED_IN_11).difference(report.classes)   # empty for 13 classes
-    if any(lb in removed for _, sg in dataset for lb in sg.labels):
-        raise CheckFailure("11-class dataset still contains removed classes")
-
-
 def cmd_cv(args, run: Path):
     dataset13, hashes = _load_corpus(args.corpus)
     modes = [11, 13] if args.classes == "both" else [args.classes]
@@ -261,8 +234,6 @@ def cmd_cv(args, run: Path):
         for mode in modes:
             model_cfg = ModelConfig(variant=variant, num_classes=mode, seed=args.seed)
             report = run_cv(model_cfg, train_cfg, datasets[mode])
-            if args.check:
-                _audit_report(report, datasets[mode])
             reports[f"{variant}_{mode}"] = report.to_dict()
             row[f"f1_{mode}"] = report.weighted_f1_mean
             csv_path = run / f"confusion_{variant}_{mode}.csv"
@@ -307,8 +278,15 @@ def _read_config(path: str) -> dict:
 
 
 def _resolve(args):
-    """Precedence: explicit flags > config file > built-in defaults."""
+    """Precedence: explicit flags > config file > built-in defaults. A config
+    value must be one of its flag's choices, as the flag's own value must."""
     file_cfg = _read_config(args.config) if getattr(args, "config", None) else {}
+    for key, choices in args.choices.items():
+        value = file_cfg.get(key)
+        if key in file_cfg and value not in choices:
+            allowed = ", ".join(str(c) for c in choices if type(c) is type(value))
+            raise UsageError(f"--config {args.config}: {key} must be one of {allowed}, "
+                             f"not {value!r}")
     for key, default in DEFAULTS.items():
         if getattr(args, key, None) is None and hasattr(args, key):
             setattr(args, key, file_cfg.get(key, default))
@@ -327,7 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_flags=False):
+    def common(p, *choice_flags, model_flags=False):
+        """The flags every command has; `choice_flags` are the command's own
+        flags with choices, which its --config values must also keep to."""
+        p.set_defaults(choices={flag.dest: flag.choices for flag in choice_flags})
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="base output directory (default: runs)")
         p.add_argument("--run-name", help="fixed run directory name (default: timestamped)")
@@ -339,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="emit a synthetic labeled corpus")
     g.add_argument("--subjects", type=int)
-    g.add_argument("--preset", choices=["default", "low-noise"])
-    common(g)
+    preset = g.add_argument("--preset", choices=["default", "low-noise"])
+    common(g, preset)
     g.set_defaults(func=cmd_generate)
 
     b = sub.add_parser("build", help="convert subject files to segment graphs")
@@ -350,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train one model on a corpus")
     t.add_argument("--corpus", required=True)
-    t.add_argument("--model", choices=VARIANTS)
-    t.add_argument("--classes", type=int, choices=[11, 13])
-    common(t, model_flags=True)
+    model = t.add_argument("--model", choices=VARIANTS)
+    classes = t.add_argument("--classes", type=int, choices=[11, 13])
+    common(t, model, classes, model_flags=True)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
@@ -363,12 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("cv", help="cross-validated model comparison report")
     c.add_argument("--corpus", required=True)
-    c.add_argument("--model", choices=[*VARIANTS, "all"])
-    c.add_argument("--classes", type=_class_mode, choices=[11, 13, "both"])
-    c.add_argument("--check", action="store_true",
-                   help="audit acceptance invariants; exit 3 on violation")
+    model = c.add_argument("--model", choices=[*VARIANTS, "all"])
+    classes = c.add_argument("--classes", type=_class_mode, choices=[11, 13, "both"])
     c.add_argument("--folds", type=int)
-    common(c, model_flags=True)
+    common(c, model, classes, model_flags=True)
     c.set_defaults(func=cmd_cv)
 
     return parser
@@ -379,9 +358,6 @@ def main(argv=None) -> int:
     try:
         _resolve(args)
         return _execute(args)
-    except CheckFailure as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -148,18 +148,18 @@ def confusion_matrix(preds, labels, num_classes: int) -> np.ndarray:
     return mat
 
 
-def per_class_metrics(preds, labels, num_classes: int):
-    """Precision, recall, F1, and support-fraction weight per class.
+def per_class_metrics(confusion: np.ndarray):
+    """Precision, recall, F1, and support-fraction weight per class of a confusion matrix.
 
     Classes with zero precision + recall get F1 = 0; zero-support classes
     get weight 0 (synthetic folds may miss rare classes).
     """
-    if len(labels) == 0:
+    if not confusion.any():
         raise TrainingError("empty input")
-    mat = confusion_matrix(preds, labels, num_classes)
-    tp = np.diag(mat)
-    pred_totals = mat.sum(axis=0)
-    support = mat.sum(axis=1)
+    num_classes = len(confusion)
+    tp = np.diag(confusion)
+    pred_totals = confusion.sum(axis=0)
+    support = confusion.sum(axis=1)
     precision = np.divide(tp, pred_totals, out=np.zeros(num_classes), where=pred_totals > 0)
     recall = np.divide(tp, support, out=np.zeros(num_classes), where=support > 0)
     pr = precision + recall
@@ -168,10 +168,22 @@ def per_class_metrics(preds, labels, num_classes: int):
     return precision, recall, f1, weights
 
 
+def weighted_f1_from_confusion(confusion: np.ndarray) -> float:
+    """Support-weighted mean of the per-class F1 scores of a confusion matrix.
+
+    Each class adds its F1 times its support, at most the support itself, so
+    the score is at most 1 and exactly 1.0 for a perfect prediction. The
+    weights `per_class_metrics` reports can sum to 1 + 2**-52, so they are not
+    used here.
+    """
+    _, _, f1, _ = per_class_metrics(confusion)
+    support = confusion.sum(axis=1)
+    return float((f1 * support).sum() / support.sum())
+
+
 def weighted_f1(preds, labels, num_classes: int) -> float:
     """Support-weighted mean of per-class F1 scores."""
-    _, _, f1, weights = per_class_metrics(preds, labels, num_classes)
-    return float((f1 * weights).sum())
+    return weighted_f1_from_confusion(confusion_matrix(preds, labels, num_classes))
 
 
 @dataclass
@@ -230,15 +242,15 @@ def run_cv(
         all_labels.append(labels)
     preds = np.concatenate(all_preds)
     labels = np.concatenate(all_labels)
-    precision, recall, f1, weights = per_class_metrics(preds, labels, len(classes))
     confusion = confusion_matrix(preds, labels, len(classes))
+    precision, recall, f1, weights = per_class_metrics(confusion)
     support = confusion.sum(axis=1, keepdims=True)
     return MetricsReport(
         classes=classes,
         fold_f1=fold_f1,
         fold_test_ids=folds,
         weighted_f1_mean=float(np.mean(fold_f1)),
-        weighted_f1_pooled=float((f1 * weights).sum()),
+        weighted_f1_pooled=weighted_f1_from_confusion(confusion),
         precision=precision,
         recall=recall,
         f1=f1,

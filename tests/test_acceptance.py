@@ -224,8 +224,8 @@ def test_criterion_6_end_to_end_learnability(tmp_path, report):
         preds, labels = predict(model, chain)
         score = weighted_f1(preds, labels, 13)
         overfit_scores[variant] = score
-        # every prediction correct; the score itself only differs from 1.0
-        # by the rounding of the class-weight summation
+        # every prediction correct, and then weighted_f1 is exactly 1.0
+        # (test_weighted_f1_in_unit_interval_and_one_when_perfect)
         overfit_ok &= bool(np.array_equal(preds, labels)) and abs(score - 1.0) < 1e-12
 
     # comparative report, all four variants and both class modes, in one run

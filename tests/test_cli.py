@@ -2,13 +2,15 @@ import json
 import multiprocessing
 import os
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from coroseg import cli
+from coroseg.centerline import CLASSES_11, CLASSES_13, DROPPED_IN_11, parse_subject, prepare_subject
 from coroseg.cli import main
-from coroseg.graph import EMBED_DIM
+from coroseg.graph import EMBED_DIM, build_segment_graph
 from coroseg.models import ModelConfig, init_model, save_model
 from coroseg.pool import workers
 
@@ -85,7 +87,6 @@ def test_cv_all_models_report_shape(corpus, tmp_path):
     code = run_cli(
         "cv", "--corpus", str(corpus), "--model", "all", "--classes", "both",
         "--epochs", "2", "--folds", "3", "--out", str(tmp_path), "--run-name", "cv",
-        "--check",
     )
     assert code == 0
     run = tmp_path / "cv"
@@ -103,6 +104,30 @@ def test_cv_all_models_report_shape(corpus, tmp_path):
         for c in (11, 13):
             csv = (run / f"confusion_{m}_{c}.csv").read_text().strip().splitlines()
             assert len(csv) == c + 1
+    records = [parse_subject(f.read_bytes()) for f in sorted((corpus / "subjects").glob("*.json"))]
+    ids = sorted(rec.subject_id for rec in records)
+    labels = [lb for rec in records for lb in build_segment_graph(prepare_subject(rec)).labels]
+    for key, d in report["details"].items():
+        folds = d["fold_test_subjects"]
+        # 1. the folds partition the corpus's subject ids
+        assert sorted(sid for fold in folds for sid in fold) == ids
+        # 2. no fold overlaps another
+        assert all(not set(a) & set(b) for a, b in combinations(folds, 2))
+        # 3. fold sizes differ by at most one
+        assert max(map(len, folds)) - min(map(len, folds)) <= 1
+        # 4. per-class weights sum to 1
+        assert abs(sum(c["weight"] for c in d["per_class"].values()) - 1.0) <= 1e-12
+        # 5. fold, mean and pooled F1 lie in [0, 1]
+        assert all(0.0 <= f <= 1.0 for f in
+                   [*d["fold_weighted_f1"], d["weighted_f1_mean"], d["weighted_f1_pooled"]])
+        # 6. the 11-class confusion counts the corpus nodes outside DROPPED_IN_11,
+        # the 13-class one every node, each row those of its class
+        mode = int(key.rsplit("_", 1)[1])
+        classes = CLASSES_11 if mode == 11 else CLASSES_13
+        kept = [lb for lb in labels if mode == 13 or lb not in DROPPED_IN_11]
+        assert d["classes"] == classes
+        assert sum(map(sum, d["confusion"])) == len(kept)
+        assert [sum(row) for row in d["confusion"]] == [kept.count(c) for c in classes]
 
 
 def test_cv_builds_each_structure_once(corpus, tmp_path, monkeypatch):
@@ -370,21 +395,6 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
-def test_check_failure_exit_code(corpus, tmp_path, monkeypatch):
-    import coroseg.cli as cli
-
-    def broken_audit(report, dataset):
-        raise cli.CheckFailure("forced")
-
-    monkeypatch.setattr(cli, "_audit_report", broken_audit)
-    code = run_cli(
-        "cv", "--corpus", str(corpus), "--model", "gcn", "--classes", "13",
-        "--epochs", "1", "--folds", "3", "--check",
-        "--out", str(tmp_path), "--run-name", "cf",
-    )
-    assert code == 3
-
-
 def _one_error_line(capsys) -> str:
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
@@ -469,13 +479,19 @@ def test_eval_unlabeled_corpus_names_the_cause(corpus, tmp_path, capsys):
         ('{"epoch": 5}', "unknown key 'epoch'"),
         ("[5]", "must be a JSON object"),
         ("{not json", "Expecting property name"),
+        # a value outside its flag's choices, even where a flag overrides it
+        ('{"preset": "bogus"}', "preset must be one of default, low-noise, not 'bogus'"),
+        ('{"classes": 12}', "classes must be one of 11, 13, not 12"),
+        ('{"model": "all"}', "model must be one of gcn, gat, gin, sage, not 'all'"),
     ],
 )
 def test_bad_config_file_exits_2_with_one_line(corpus, tmp_path, capsys, text, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
-    code = run_cli("train", "--corpus", str(corpus), "--model", "gcn", "--classes", "13",
-                   "--config", str(cfg), "--out", str(tmp_path), "--run-name", "c")
+    # --preset is a generate flag; every other key is read by train too
+    argv = (["generate", "--subjects", "1"] if "preset" in text else
+            ["train", "--corpus", str(corpus), "--model", "gcn", "--classes", "13"])
+    code = run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path), "--run-name", "c")
     assert code == 2
     assert message in _one_error_line(capsys)
     assert not (tmp_path / "c").exists()

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coroseg.centerline import CLASSES_11, CLASSES_13, DROPPED_IN_11, prepare_subject
 from coroseg.graph import SegmentGraph, build_segment_graph
@@ -177,7 +178,7 @@ def test_weighted_f1_vs_counting_oracle_1000_random(rng):
 def test_weights_sum_and_relabeling_invariance(rng):
     labels = rng.integers(0, 5, size=40)
     preds = rng.integers(0, 5, size=40)
-    _, _, _, weights = per_class_metrics(preds, labels, 5)
+    _, _, _, weights = per_class_metrics(confusion_matrix(preds, labels, 5))
     assert abs(weights.sum() - 1.0) < 1e-12
     perm = rng.permutation(5)
     assert abs(
@@ -189,11 +190,28 @@ def test_per_class_conventions():
     # class 2 never occurs: weight 0; class 1 never predicted or present
     labels = np.array([0, 0, 1])
     preds = np.array([0, 0, 0])
-    precision, recall, f1, weights = per_class_metrics(preds, labels, 3)
+    precision, recall, f1, weights = per_class_metrics(confusion_matrix(preds, labels, 3))
     assert weights[2] == 0.0
     assert f1[1] == 0.0 and precision[1] == 0.0 and recall[1] == 0.0
     with pytest.raises(TrainingError, match="empty"):
-        per_class_metrics(np.array([]), np.array([]), 3)
+        per_class_metrics(np.zeros((3, 3)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    labels=st.lists(st.integers(0, 12), min_size=1, max_size=400),
+    guesses=st.lists(st.integers(0, 12), max_size=400),
+)
+# here the normalised class weights sum to 1 + 2**-52, so F1 weighted by them
+# would score this perfect prediction above 1
+@example(labels=np.repeat(np.arange(13), [0, 2, 5, 0, 3, 1, 2, 6, 7, 2, 5, 1, 3]).tolist(),
+         guesses=[])
+def test_weighted_f1_in_unit_interval_and_one_when_perfect(labels, guesses):
+    labels = np.array(labels)
+    assert weighted_f1(labels, labels, 13) == 1.0
+    preds = labels.copy()
+    preds[: len(guesses)] = guesses[: len(labels)]   # the first predictions replaced
+    assert 0.0 <= weighted_f1(preds, labels, 13) <= 1.0
 
 
 def test_confusion_matrix_hand_case():
