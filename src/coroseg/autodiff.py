@@ -1,9 +1,9 @@
 """Dense 2-D tensors with a reverse-mode differentiation tape.
 
-Just the operations the message-passing layers need, in float64. Any op
-producing a non-finite value raises immediately; gradients use fixed
-subgradient conventions (relu'(0) = 0, max-pool ties to the lowest index)
-so runs are bit-reproducible.
+Just the operations the message-passing layers need, in float64. No op
+checks its values: a NaN or an inf flows on, and `training` checks once per
+step. Gradients use fixed subgradient conventions (relu'(0) = 0, max-pool
+ties to the lowest index) so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 
 class AutodiffError(RuntimeError):
-    """Shape mismatch, non-finite value, or tape misuse."""
+    """Shape mismatch, bad edge or label index, or tape misuse."""
 
 
 class Tensor:
@@ -53,8 +53,6 @@ def _tracked(*tensors: Tensor) -> bool:
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    if not np.isfinite(data).all():
-        raise AutodiffError("non-finite result")
     out = Tensor(data)
     if _tracked(*parents):
         out._parents = parents

@@ -145,7 +145,7 @@ def parse_subject(raw: bytes | str) -> SubjectRecord:
     """
     try:
         doc = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, too many digits, too deep
         raise CenterlineError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CenterlineError("top-level value must be an object")

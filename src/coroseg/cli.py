@@ -264,7 +264,7 @@ def _read_config(path: str) -> dict:
     """A --config file: a JSON object whose values have their DEFAULTS type."""
     try:
         cfg = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"--config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError(f"--config {path}: must be a JSON object")

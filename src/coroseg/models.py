@@ -221,7 +221,7 @@ def sage_layer(h: Tensor, gs: GraphStructure, params, k: int, cfg: ModelConfig) 
 
 
 def model_forward(model: TrainedModel, features, gs: GraphStructure) -> Tensor:
-    """Two graph layers (ReLU between) then the FC head; returns raw logits."""
+    """Two graph layers (ReLU between) then the FC head; raw logits, not checked for NaN or inf."""
     cfg, p = model.config, model.params
     h = features if isinstance(features, Tensor) else Tensor(features)
     if h.shape[1] != cfg.in_dim:
@@ -250,7 +250,7 @@ def load_model(source: str | Path | bytes) -> TrainedModel:
     try:
         doc = json.loads(source.decode("utf-8") if isinstance(source, bytes)
                          else Path(source).read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, too many digits, too deep
         raise ModelError(f"malformed checkpoint: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelError("checkpoint must be a JSON object")

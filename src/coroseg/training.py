@@ -111,6 +111,8 @@ def train(
                 model.grads[:] = 0.0
                 backward(loss)
                 adam_step(model.values, model.grads, state)
+                if not (np.isfinite(loss.data).all() and np.isfinite(model.values).all()):
+                    raise FloatingPointError("loss or weights not finite")
             except (AutodiffError, FloatingPointError) as exc:
                 raise TrainingError(f"non-finite value at epoch {epoch}: {exc}") from exc
             losses.append(float(loss.data[0, 0]))
@@ -133,6 +135,8 @@ def predict(model: TrainedModel, dataset):
     frozen = replace(model, params={k: Tensor(p.data) for k, p in model.params.items()})
     try:
         logits = model_forward(frozen, feats, gs).data
+        if not np.isfinite(logits).all():
+            raise FloatingPointError("logits not finite")
     except (AutodiffError, FloatingPointError) as exc:
         raise TrainingError(f"non-finite value in the forward pass: {exc}") from exc
     mask = labels >= 0

@@ -157,15 +157,6 @@ def test_l2_normalize_zero_row():
     assert np.array_equal(x.grad[0], [0.0, 0.0])
 
 
-def test_nonfinite_raises():
-    big = Tensor([[1e200]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(AutodiffError, match="non-finite"):
-            ad.mul(big, big)
-        with pytest.raises(AutodiffError, match="non-finite"):
-            ad.add(ad.matmul(Tensor([[1e300, 1e300]]), Tensor([[1e300], [1e300]])), big)
-
-
 def test_backward_guards(rng):
     x = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
     with pytest.raises(AutodiffError, match="1x1"):

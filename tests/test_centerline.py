@@ -126,8 +126,10 @@ def test_parse_accepts_zeros_and_ones_that_are_numbers():
 
 
 def test_parse_malformed_json():
-    with pytest.raises(CenterlineError, match="malformed"):
-        parse_subject(b"{not json")
+    # not JSON, not UTF-8, an int past Python's digit limit, nesting past the recursion limit
+    for raw in (b"{not json", b"\xff\xfe", b"1" * 5000, b"[" * 100_000 + b"]" * 100_000):
+        with pytest.raises(CenterlineError, match="^malformed JSON: "):
+            parse_subject(raw)
 
 
 def test_duplicate_consecutive_points_rejected():

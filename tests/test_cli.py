@@ -455,6 +455,30 @@ def test_eval_bad_checkpoint_one_line_error(corpus, tmp_path, capsys, edit, mess
     assert message in _one_error_line(capsys)
 
 
+DEEP = "[" * 100_000 + "]" * 100_000   # nested past the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize(
+    "command, doc, code, message",
+    [
+        ("build", {**GOOD_SUBJECT, "branches": "DEEP"}, 1, "error: malformed JSON: "),
+        ("eval", {"format_version": 1, "config": "DEEP", "weights": {}}, 1,
+         "error: malformed checkpoint: "),
+        ("generate", "DEEP", 2, "error: --config "),
+    ],
+    ids=["subject-branches", "checkpoint-config", "config-file"],
+)
+def test_deeply_nested_json_ends_in_one_line(corpus, tmp_path, capsys, command, doc, code, message):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc).replace('"DEEP"', DEEP))
+    argv = {"build": [str(path)],
+            "eval": ["--checkpoint", str(path), "--corpus", str(corpus)],
+            "generate": ["--subjects", "1", "--config", str(path)]}[command]
+    assert run_cli(command, *argv, "--out", str(tmp_path), "--run-name", "d") == code
+    line = _one_error_line(capsys)
+    assert line.startswith(message) and "Traceback" not in line
+
+
 def test_eval_unlabeled_corpus_names_the_cause(corpus, tmp_path, capsys):
     subjects = tmp_path / "unlabeled"
     subjects.mkdir()

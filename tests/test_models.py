@@ -338,7 +338,8 @@ def test_checkpoint_version_and_weight_guards(tmp_path):
         **doc["weights"], "b1": {**doc["weights"]["b1"], "shape": [8, 1]}}}))
     with pytest.raises(ModelError, match="^shape mismatch for weight 'b1'$"):
         load_model(path)
-    with pytest.raises(ModelError, match="^malformed checkpoint: "):
-        load_model(b"not JSON")
+    for raw in (b"not JSON", b"\xff\xfe", b"1" * 5000, b"[" * 100_000 + b"]" * 100_000):
+        with pytest.raises(ModelError, match="^malformed checkpoint: "):
+            load_model(raw)
     with pytest.raises(ModelError, match="must be positive"):
         ModelConfig("gat", gat_heads=0)

@@ -264,6 +264,32 @@ def test_train_input_errors(rng):
         train(cfg, TrainConfig(epochs=3, lr=1e308), chain_dataset(2))
 
 
+def _with_nan_row(sg, labels=None):
+    """`sg` with a NaN first feature row, and `labels` in place of its own if given."""
+    features = sg.features.copy()
+    features[0] = np.nan
+    return replace(sg, features=features, labels=labels or sg.labels)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_nan_feature_ends_train_and_predict_in_one_line(variant):
+    # the tape does not check values: train checks the loss and the weights once
+    # per step, predict the logits once per forward
+    cfg, tc = ModelConfig(variant, hidden_dim=8), TrainConfig(epochs=2, batch=2)
+    (sid, sg), = chain_dataset(1)
+    bad = [(sid, _with_nan_row(sg))]
+    with pytest.raises(TrainingError, match=r"^non-finite value at epoch 0: [^\n]*\Z"):
+        train(cfg, tc, bad)
+    model, _ = train(cfg, tc, [(sid, sg)])
+    with pytest.raises(TrainingError, match=r"^non-finite value in the forward pass: [^\n]*\Z"):
+        predict(model, bad)
+    # a NaN in a graph with no labeled node leaves the loss finite, but its gradient
+    # reaches the weights through the batch it shares with a labeled graph
+    unlabeled = ("u", _with_nan_row(sg, (None,) * sg.n_nodes))
+    with pytest.raises(TrainingError, match=r"^non-finite value at epoch 0: [^\n]*\Z"):
+        train(cfg, tc, [(sid, sg), unlabeled])
+
+
 def test_train_skips_a_batch_with_no_labeled_node(rng):
     # at batch 1 each unlabeled graph is a batch of its own and takes no step,
     # so training matches the labeled graph alone bit for bit
