@@ -9,6 +9,7 @@ ties to the lowest index) so runs are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -165,7 +166,9 @@ class Edges:
     order, and ``by_src`` lists the edges out of each node the same way; an
     edge's row in a table is its slot (``dst_slot``, ``src_slot``). Empty
     slots hold -1, which picks the fill row a reduction appends after the E
-    edge rows.
+    edge rows. ``src_by_dst`` and ``dst_by_src`` are those tables composed
+    with the other end's node, so the pools read node rows directly; their
+    empty slots hold ``n_nodes``, the fill row appended after the node rows.
     """
 
     def __init__(self, src, dst, n_nodes: int, slots=None):
@@ -198,6 +201,16 @@ class Edges:
         return cls(joined("src") + shift, joined("dst") + shift, sum(sizes),
                    (joined("dst_slot"), joined("src_slot")))
 
+    @cached_property
+    def src_by_dst(self) -> np.ndarray:
+        """``by_dst`` with each edge replaced by its source node."""
+        return np.append(self.src, self.n_nodes)[self.by_dst]
+
+    @cached_property
+    def dst_by_src(self) -> np.ndarray:
+        """``by_src`` with each edge replaced by its destination node."""
+        return np.append(self.dst, self.n_nodes)[self.by_src]
+
 
 def _slots(end: np.ndarray) -> np.ndarray:
     """Each edge's rank among the edges at the same node of this end, by edge index."""
@@ -222,72 +235,107 @@ def _edge_rows(a, edges: Edges) -> Tensor:
     return a
 
 
+def _node_rows(a, edges: Edges) -> Tensor:
+    a = _as_tensor(a)
+    if a.shape[0] != edges.n_nodes:
+        raise AutodiffError(f"{a.shape[0]} rows for {edges.n_nodes} nodes")
+    return a
+
+
+def _padded(x: np.ndarray, fill: float) -> np.ndarray:
+    """x with one fill row appended, the row that a table's padding picks."""
+    return np.concatenate([x, np.full((1, x.shape[1]), fill)])
+
+
 def _reduce(ufunc, x: np.ndarray, table: np.ndarray, fill: float = 0.0) -> np.ndarray:
     """ufunc over the rows of x listed in each column of table, slot after slot.
 
     That is the order of ``ufunc.reduce`` over the slot axis, with (n, cols)
     temporaries only: a (width, n, cols) gather is slower here.
     """
-    rows = np.concatenate([x, np.full((1, x.shape[1]), fill)])
+    rows = _padded(x, fill)
     out = rows.take(table[0], axis=0)
     for slot in table[1:]:
         ufunc(out, rows.take(slot, axis=0), out=out)
     return out
 
 
-def gather_rows(a, edges: Edges, weight=None, end: str = "src") -> Tensor:
-    """Row k of the output is row src[k] of a (dst[k] for end="dst"), times weight[k].
+def _weighted_sum(x: np.ndarray, table: np.ndarray, w: np.ndarray | None,
+                  w_table: np.ndarray) -> np.ndarray:
+    """`_reduce` of np.add, each row taken from x first times the row of the
+    (E, 1) column w at the same place of w_table (the edge's weight)."""
+    if w is None:
+        return _reduce(np.add, x, table)
+    rows, w = _padded(x, 0.0), _padded(w, 0.0)
+    out = rows.take(table[0], axis=0) * w.take(w_table[0], axis=0)
+    for slot, w_slot in zip(table[1:], w_table[1:]):
+        out += rows.take(slot, axis=0) * w.take(w_slot, axis=0)
+    return out
 
-    weight is a constant (E, 1) array or None; only a gets a gradient, summed
-    over each node's edges through that end's slot table.
+
+def gather_rows(a, edges: Edges, end: str = "src") -> Tensor:
+    """Row k of the output is row src[k] of a (dst[k] for end="dst").
+
+    The gradient of a sums over each node's edges through that end's slot table.
     """
     if end not in ("src", "dst"):
         raise AutodiffError(f"end must be 'src' or 'dst', not {end!r}")
-    a = _as_tensor(a)
+    a = _node_rows(a, edges)
     index, table = (edges.src, edges.by_src) if end == "src" else (edges.dst, edges.by_dst)
-    if a.shape[0] != table.shape[1]:
-        raise AutodiffError(f"{a.shape[0]} rows for {table.shape[1]} nodes")
-    data = a.data[index]
-    if weight is not None:
-        data *= weight
-
-    def backward(g, table=table, weight=weight):
-        return (_reduce(np.add, g if weight is None else g * weight, table),)
-
-    return _result(data, (a,), backward)
+    return _result(a.data.take(index, axis=0), (a,), lambda g, t=table: (_reduce(np.add, g, t),))
 
 
-def row_sum_pool(a, edges: Edges) -> Tensor:
-    """Row i of the output is the sum of the edge rows into node i."""
-    a = _edge_rows(a, edges)
-    data = _reduce(np.add, a.data, edges.by_dst)
-    return _result(data, (a,), lambda g, d=edges.dst: (g[d],))
+def row_sum_pool(a, edges: Edges, weight=None) -> Tensor:
+    """Row i of the output sums row j of a over the edges j -> i, each times its weight.
+
+    a holds node rows, read slot after slot through ``edges.src_by_dst``, so
+    no row is copied out per edge and each sum runs in edge order. weight is
+    None, a constant (E, 1) array, or an (E, 1) tensor, which gets its
+    gradient too.
+    """
+    a = _node_rows(a, edges)
+    w = None if weight is None else _as_tensor(weight)
+    if w is not None and w.shape != (len(edges.dst), 1):
+        raise AutodiffError(f"weight shape {w.shape} is not ({len(edges.dst)}, 1)")
+    w_data = None if w is None else w.data
+    data = _weighted_sum(a.data, edges.src_by_dst, w_data, edges.by_dst)
+    parents = (a, w) if w is not None and _tracked(w) else (a,)
+
+    def backward(g, x=a.data, w=w_data, edges=edges, both=len(parents) == 2):
+        ga = _weighted_sum(g, edges.dst_by_src, w, edges.by_src)
+        if not both:
+            return (ga,)
+        messages = g.take(edges.dst, axis=0) * x.take(edges.src, axis=0)
+        return ga, messages.sum(axis=1, keepdims=True)
+
+    return _result(data, parents, backward)
 
 
 def row_max_pool(a, edges: Edges) -> Tensor:
-    """Row i is the elementwise max over the edge rows into node i; none -> 0.
+    """Row i is the elementwise max of row j of a over the edges j -> i; none -> 0.
 
-    Gradient routes to the contributing edge with the lowest index, so
-    tie-breaking is deterministic.
+    a holds node rows, read slot after slot through ``edges.src_by_dst``. On
+    the tape each maximum's source row is recorded, the first in slot order
+    winning, so ties route the gradient to the lowest edge index.
     """
-    a = _edge_rows(a, edges)
-    table = edges.by_dst
-    best = _reduce(np.maximum, a.data, table, -np.inf)
-    data = best.copy()
-    data[table[0] < 0] = 0.0
+    a = _node_rows(a, edges)
+    n, table = edges.n_nodes, edges.src_by_dst
+    rows = _padded(a.data, -np.inf)
+    best = rows.take(table[0], axis=0)
+    src = np.repeat(table[0][:, None], a.shape[1], axis=1) if _tracked(a) else None
+    for slot in table[1:]:
+        candidate = rows.take(slot, axis=0)
+        if src is not None:   # a new maximum takes this slot's source (faster than a masked copy)
+            src += (candidate > best) * (slot[:, None] - src)
+        np.maximum(best, candidate, out=best)
+    best[table[0] == n] = 0.0
 
-    def backward(g, x=a.data, best=best, table=table):
-        rows = np.concatenate([x, np.full((1, x.shape[1]), -np.inf)])
-        ga = np.empty_like(rows)      # row -1 takes the empty slots
-        taken = np.zeros(best.shape, dtype=bool)
-        for slot in table:            # slots ascend by edge index: the first max wins
-            win = rows.take(slot, axis=0) == best
-            win &= ~taken
-            taken |= win
-            ga[slot] = g * win
-        return (ga[:-1],)
+    def backward(g, src=src, n=n):
+        cols = g.shape[1]
+        ga = np.bincount((src * cols + np.arange(cols)).ravel(), g.ravel(), (n + 1) * cols)
+        return (ga.reshape(n + 1, cols)[:n],)
 
-    return _result(data, (a,), backward)
+    return _result(best, (a,), backward)
 
 
 def row_softmax(a, edges: Edges) -> Tensor:

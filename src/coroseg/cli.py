@@ -25,7 +25,7 @@ import time
 from functools import partial
 from pathlib import Path
 
-from .centerline import CenterlineError, parse_subject, prepare_subject, serialize_subject
+from .centerline import CenterlineError, clipped, parse_subject, prepare_subject, serialize_subject
 from .graph import GraphBuildError, build_segment_graph, segment_graph_to_json
 from .models import VARIANTS, ModelConfig, load_model, save_model
 from .pool import WorkerDied, ordered_map
@@ -109,7 +109,7 @@ def _in_order(files, outcomes):
         if sid is None:
             raise error
         if sid in seen:
-            raise CenterlineError(f"{f}: duplicate subject_id {sid!r}")
+            raise CenterlineError(f"{f}: duplicate subject_id {clipped(repr(sid))}")
         seen.add(sid)
         if error is not None:
             raise error
@@ -164,7 +164,7 @@ def cmd_build(args, run: Path):
                      BUILD_FILE_LOADS * len(files)) as outcomes:
         for f, digest, sid, text in _in_order(files, outcomes):
             if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
-                raise CenterlineError(f"{f}: subject_id {sid!r} cannot name a file")
+                raise CenterlineError(f"{f}: subject_id {clipped(repr(sid))} cannot name a file")
             hashes[str(f)] = digest
             artifacts.append(run / f"{sid}.graph.json")
             artifacts[-1].write_text(text)
@@ -270,10 +270,11 @@ def _read_config(path: str) -> dict:
         raise UsageError(f"--config {path}: must be a JSON object")
     for key, value in cfg.items():
         if key not in DEFAULTS:
-            raise UsageError(f"--config {path}: unknown key {key!r}")
+            raise UsageError(f"--config {path}: unknown key {clipped(repr(key))}")
         kind = type(DEFAULTS[key])
         if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-            raise UsageError(f"--config {path}: {key} must be {kind.__name__}, not {value!r}")
+            raise UsageError(f"--config {path}: {key} must be {kind.__name__}, "
+                             f"not {clipped(repr(value))}")
     return cfg
 
 
@@ -286,7 +287,7 @@ def _resolve(args):
         if key in file_cfg and value not in choices:
             allowed = ", ".join(str(c) for c in choices if type(c) is type(value))
             raise UsageError(f"--config {args.config}: {key} must be one of {allowed}, "
-                             f"not {value!r}")
+                             f"not {clipped(repr(value))}")
     for key, default in DEFAULTS.items():
         if getattr(args, key, None) is None and hasattr(args, key):
             setattr(args, key, file_cfg.get(key, default))

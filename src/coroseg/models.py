@@ -2,9 +2,11 @@
 
 All four variants share one architecture: two graph layers with a ReLU
 between them, then a fully-connected head producing per-node class logits.
-Graph layers pass messages along edges: rows are gathered per edge, then
-summed, max-pooled or softmax-weighted per destination node through the
-padded slot tables of `autodiff.Edges`. Each variant is one pair:
+Graph layers pass messages along edges: each pool reads its source node
+rows through the slot tables of `autodiff.Edges` composed into node
+indices, and sums or max-pools them per destination node, so no layer copies
+node rows out to one row per edge. GAT scores each node once per side and
+gathers only those (E, 1) scores to the edges. Each variant is one pair:
 ``_<variant>_params`` and ``<variant>_layer`` for layer k.
 """
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Edges, Tensor
-from .centerline import CLASSES_11, CLASSES_13, _numbers
+from .centerline import CLASSES_11, CLASSES_13, _numbers, clipped
 
 VARIANTS = ("gcn", "gat", "gin", "sage")
 
@@ -53,13 +55,14 @@ class ModelConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
-                raise ModelError(f"config field {f.name!r} must be {f.type}, not {value!r}")
+                raise ModelError(f"config field {f.name!r} must be {f.type}, "
+                                 f"not {clipped(repr(value))}")
             if f.type == "float" and not math.isfinite(value):
                 raise ModelError(f"config field {f.name!r} must be finite, not {value!r}")
         if self.seed < 0:
             raise ModelError(f"seed must be >= 0, not {self.seed}")
         if self.variant not in VARIANTS:
-            raise ModelError(f"unknown variant {self.variant!r}")
+            raise ModelError(f"unknown variant {clipped(repr(self.variant))}")
         if min(self.in_dim, self.hidden_dim, self.gat_heads) <= 0:
             raise ModelError("dims and gat_heads must be positive")
         for name in ("in_dim", "hidden_dim"):
@@ -145,8 +148,8 @@ def _gcn_params(rng, cfg, d_in, d_out, k):
 
 def gcn_layer(h: Tensor, gs: GraphStructure, params, k: int, cfg: ModelConfig) -> Tensor:
     """Symmetric-normalized propagation: D^-1/2 (A+I) D^-1/2 H W + b."""
-    messages = ad.gather_rows(ad.matmul(h, params[f"w{k}"]), gs, gs.gcn_weight)
-    return ad.add(ad.row_sum_pool(messages, gs), params[f"b{k}"])
+    pooled = ad.row_sum_pool(ad.matmul(h, params[f"w{k}"]), gs, gs.gcn_weight)
+    return ad.add(pooled, params[f"b{k}"])
 
 
 def _gat_suffixes(cfg: ModelConfig, k: int) -> list[str]:
@@ -167,13 +170,15 @@ def _gat_params(rng, cfg, d_in, d_out, k):
 
 
 def gat_head(h: Tensor, gs: GraphStructure, w, a_src, a_dst, slope: float) -> Tensor:
-    """One attention head: softmax over N(i) u {i} of leaky-relu logits."""
+    """One attention head: softmax over N(i) u {i} of leaky-relu logits.
+
+    The logit of edge j -> i is a_src . hw_i + a_dst . hw_j, two scores per
+    node gathered to the edges as (E, 1) columns.
+    """
     hw = ad.matmul(h, w)
-    hw_src = ad.gather_rows(hw, gs)                               # (E, d) per edge j -> i
-    # the logit of edge j -> i is a_src . hw_i + a_dst . hw_j
-    f_src = ad.gather_rows(ad.matmul(hw, a_src), gs, end="dst")
-    alpha = ad.row_softmax(ad.leaky_relu(ad.add(f_src, ad.matmul(hw_src, a_dst)), slope), gs)
-    return ad.row_sum_pool(ad.mul(hw_src, alpha), gs)
+    logits = ad.add(ad.gather_rows(ad.matmul(hw, a_src), gs, end="dst"),
+                    ad.gather_rows(ad.matmul(hw, a_dst), gs))
+    return ad.row_sum_pool(hw, gs, ad.row_softmax(ad.leaky_relu(logits, slope), gs))
 
 
 def gat_layer(h: Tensor, gs: GraphStructure, params, k: int, cfg: ModelConfig) -> Tensor:
@@ -197,7 +202,7 @@ def _gin_params(rng, cfg, d_in, d_out, k):
 def gin_layer(h: Tensor, gs: GraphStructure, params, k: int, cfg: ModelConfig) -> Tensor:
     """MLP((1 + eps) h + sum of neighbor rows), eps learnable."""
     scaled = ad.mul(h, ad.add(params[f"eps{k}"], Tensor([[1.0]])))
-    agg = ad.add(scaled, ad.row_sum_pool(ad.gather_rows(h, gs.neighbors), gs.neighbors))
+    agg = ad.add(scaled, ad.row_sum_pool(h, gs.neighbors))
     hidden = ad.relu(ad.add(ad.matmul(agg, params[f"mlp{k}_w1"]), params[f"mlp{k}_b1"]))
     return ad.add(ad.matmul(hidden, params[f"mlp{k}_w2"]), params[f"mlp{k}_b2"])
 
@@ -215,7 +220,7 @@ def sage_layer(h: Tensor, gs: GraphStructure, params, k: int, cfg: ModelConfig) 
     Empty neighborhoods aggregate to the zero vector.
     """
     pooled_src = ad.relu(ad.add(ad.matmul(h, params[f"pool{k}"]), params[f"pool{k}_b"]))
-    agg = ad.row_max_pool(ad.gather_rows(pooled_src, gs.neighbors), gs.neighbors)
+    agg = ad.row_max_pool(pooled_src, gs.neighbors)
     out = ad.add(ad.matmul(ad.concat_cols([h, agg]), params[f"out{k}"]), params[f"out{k}_b"])
     return ad.l2_normalize_rows(out)
 
@@ -256,20 +261,20 @@ def load_model(source: str | Path | bytes) -> TrainedModel:
         raise ModelError("checkpoint must be a JSON object")
     version = doc.get("format_version")
     if type(version) is not int or version != CHECKPOINT_VERSION:
-        raise ModelError(f"unsupported checkpoint version {version!r}")
+        raise ModelError(f"unsupported checkpoint version {clipped(repr(version))}")
     config, weights = doc.get("config"), doc.get("weights")
     if not isinstance(config, dict) or not isinstance(weights, dict):
         raise ModelError("checkpoint needs a 'config' object and a 'weights' object")
     try:
         model = init_model(ModelConfig(**config))
     except TypeError as exc:
-        raise ModelError(f"bad checkpoint config: {exc}") from exc
+        raise ModelError(f"bad checkpoint config: {clipped(str(exc))}") from exc
     missing = sorted(set(model.params) - set(weights))
     if missing:
         raise ModelError(f"missing weights {missing}")
     for name, w in weights.items():
         if name not in model.params:
-            raise ModelError(f"unexpected weight {name!r}")
+            raise ModelError(f"unexpected weight {clipped(repr(name))}")
         try:  # _numbers gives None for values that are not all numbers
             arr = _numbers(w["values"]).reshape(w["shape"])
         except (AttributeError, TypeError, KeyError, ValueError) as exc:

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from coroseg import autodiff as ad
 from coroseg.autodiff import Edges
 from coroseg.centerline import LEFT, RIGHT, SubjectRecord
 from coroseg.graph import GraphBuildError, Segment
@@ -406,6 +407,58 @@ def adam_oracle(params: dict, grads: dict, state: dict, lr: float = 1e-3,
         m_hat = m / (1 - beta1**t)
         v_hat = v / (1 - beta2**t)
         p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def _slot_reduce(ufunc, x: np.ndarray, table: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    """ufunc over the rows of x listed in each column of table, slot after slot; -1 picks fill."""
+    rows = np.concatenate([x, np.full((1, x.shape[1]), fill)])
+    out = rows.take(table[0], axis=0)
+    for slot in table[1:]:
+        ufunc(out, rows.take(slot, axis=0), out=out)
+    return out
+
+
+def gather_oracle(a, edges: Edges, weight=None):
+    """Edge-row pools, step 1: one copy of row src[k] per edge, times a constant weight[k]."""
+    a = ad._as_tensor(a)
+    data = a.data[edges.src]
+    if weight is not None:
+        data *= weight
+
+    def backward(g):
+        return (_slot_reduce(np.add, g if weight is None else g * weight, edges.by_src),)
+
+    return ad._result(data, (a,), backward)
+
+
+def sum_pool_oracle(a, edges: Edges):
+    """Edge-row pools, step 2: row i sums the edge rows into node i."""
+    a = ad._as_tensor(a)
+    return ad._result(_slot_reduce(np.add, a.data, edges.by_dst), (a,),
+                      lambda g: (g[edges.dst],))
+
+
+def max_pool_oracle(a, edges: Edges):
+    """Edge-row pools, step 2: row i is the max over the edge rows into node i, 0 if none;
+    the gradient goes to the first edge in slot order that holds the max."""
+    a = ad._as_tensor(a)
+    table = edges.by_dst
+    best = _slot_reduce(np.maximum, a.data, table, -np.inf)
+    data = best.copy()
+    data[table[0] < 0] = 0.0
+
+    def backward(g):
+        rows = np.concatenate([a.data, np.full((1, a.shape[1]), -np.inf)])
+        ga = np.empty_like(rows)
+        taken = np.zeros(best.shape, dtype=bool)
+        for slot in table:
+            win = rows.take(slot, axis=0) == best
+            win &= ~taken
+            taken |= win
+            ga[slot] = g * win
+        return (ga[:-1],)
+
+    return ad._result(data, (a,), backward)
 
 
 def backward_oracle(loss):

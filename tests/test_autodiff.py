@@ -11,7 +11,7 @@ from coroseg.autodiff import (
     backward,
     softmax_cross_entropy,
 )
-from conftest import backward_oracle
+from conftest import backward_oracle, gather_oracle, max_pool_oracle, sum_pool_oracle
 
 
 def sum_all(a) -> Tensor:
@@ -117,7 +117,10 @@ def test_row_softmax_gradient(rng):
         [rng.normal(size=(5, 4)), w],
     )
     y = ad.row_softmax(Tensor(rng.normal(size=(5, 4)) * 30), edges).data
-    assert np.allclose(ad.row_sum_pool(Tensor(y), edges).data, [[1.0] * 4, [0.0] * 4, [1.0] * 4])
+    # the softmax weights of each column, summed per node: row_sum_pool of ones weighted by them
+    sums = np.hstack([ad.row_sum_pool(Tensor(np.ones((3, 1))), edges, y[:, [c]]).data
+                      for c in range(4)])
+    assert np.allclose(sums, [[1.0] * 4, [0.0] * 4, [1.0] * 4])
 
 
 def test_row_softmax_vs_loop_oracle(rng):
@@ -225,8 +228,11 @@ def test_edges_from_adjacency():
     assert edges.by_src.tolist() == [[2, 0, 1], [3, -1, -1]]
     with pytest.raises(AutodiffError, match="sorted by destination"):
         Edges([0, 1], [1, 0], 2)
-    with pytest.raises(AutodiffError, match="3 rows for 4 edges"):
-        ad.row_sum_pool(Tensor(np.zeros((3, 2))), edges)
+    # the composed tables name source and destination nodes; n_nodes pads
+    assert edges.src_by_dst.tolist() == [[1, 0, 0], [2, 3, 3]]
+    assert edges.dst_by_src.tolist() == [[1, 0, 0], [2, 3, 3]]
+    with pytest.raises(AutodiffError, match="4 rows for 3 nodes"):
+        ad.row_sum_pool(Tensor(np.zeros((4, 2))), edges)
 
 
 def test_row_sum_pool_vs_loop_oracle(rng):
@@ -235,7 +241,7 @@ def test_row_sum_pool_vs_loop_oracle(rng):
         adj = random_adjacency(rng, n, 0.4)
         edges = edges_of(adj)
         x = rng.normal(size=(n, d))
-        out = ad.row_sum_pool(ad.gather_rows(Tensor(x), edges), edges).data
+        out = ad.row_sum_pool(Tensor(x), edges).data
         expected = np.array([x[np.flatnonzero(adj[i])].sum(axis=0) for i in range(n)])
         assert np.allclose(out, expected, atol=1e-12)
 
@@ -246,7 +252,7 @@ def test_row_max_pool_vs_loop_oracle(rng):
         adj = random_adjacency(rng, n, 0.4)
         edges = edges_of(adj)
         x = rng.normal(size=(n, d))
-        out = ad.row_max_pool(ad.gather_rows(Tensor(x), edges), edges).data
+        out = ad.row_max_pool(Tensor(x), edges).data
         for i in range(n):
             nbrs = np.flatnonzero(adj[i])
             expected = x[nbrs].max(axis=0) if len(nbrs) else np.zeros(d)
@@ -257,19 +263,22 @@ def test_pool_gradients(rng):
     edges = edges_of(random_adjacency(rng, 6, 0.5))
     w = rng.normal(size=(6, 4))
     check_gradients(
-        lambda a: sum_all(ad.mul(ad.row_sum_pool(ad.gather_rows(a, edges), edges), w)),
+        lambda a: sum_all(ad.mul(ad.row_sum_pool(a, edges), w)),
         [rng.normal(size=(6, 4))],
     )
     check_gradients(
-        lambda a: sum_all(ad.mul(ad.row_max_pool(ad.gather_rows(a, edges), edges), w)),
+        lambda a: sum_all(ad.mul(ad.row_max_pool(a, edges), w)),
         [rng.normal(size=(6, 4))],
     )
     weight = rng.uniform(0.1, 1.0, size=(len(edges.src), 1))
     check_gradients(
-        lambda a: sum_all(
-            ad.mul(ad.row_sum_pool(ad.gather_rows(a, edges, weight), edges), w)
-        ),
+        lambda a: sum_all(ad.mul(ad.row_sum_pool(a, edges, weight), w)),
         [rng.normal(size=(6, 4))],
+    )
+    # a weight tensor gets its gradient too
+    check_gradients(
+        lambda a, wt: sum_all(ad.mul(ad.row_sum_pool(a, edges, wt), w)),
+        [rng.normal(size=(6, 4)), rng.uniform(-1.0, 1.0, size=(len(edges.src), 1))],
     )
 
 
@@ -277,9 +286,9 @@ def test_max_pool_tie_routes_to_lowest_index():
     # rows 1 and 2 tie; the gradient must go entirely to row 1
     x = Tensor(np.array([[9.0], [5.0], [5.0]]), requires_grad=True)
     edges = Edges([1, 2], [0, 0], 3)
-    backward(sum_all(ad.row_max_pool(ad.gather_rows(x, edges), edges)))
+    backward(sum_all(ad.row_max_pool(x, edges)))
     assert np.array_equal(x.grad, [[0.0], [1.0], [0.0]])
-    # the same on edge rows: of two tied edges into node 0, the first wins
+    # per column: of two tied edges into node 0, the first (from node 0) wins
     e = Tensor(np.array([[5.0, 1.0], [5.0, 2.0]]), requires_grad=True)
     backward(sum_all(ad.row_max_pool(e, Edges([0, 1], [0, 0], 2))))
     assert np.array_equal(e.grad, [[1.0, 0.0], [0.0, 1.0]])
@@ -379,7 +388,7 @@ def test_backward_deterministic_bit_identical(rng):
     def run():
         xt = Tensor(x, requires_grad=True)
         wt = Tensor(w, requires_grad=True)
-        h = ad.relu(ad.matmul(ad.row_sum_pool(ad.gather_rows(xt, edges), edges), wt))
+        h = ad.relu(ad.matmul(ad.row_sum_pool(xt, edges), wt))
         backward(softmax_cross_entropy(h, labels))
         return xt.grad.copy(), wt.grad.copy()
 
@@ -418,19 +427,19 @@ def _star(n_leaves: int) -> np.ndarray:
 
 
 def _table_cases():
-    """(name, edges, rows of the gathered tensor) for the slot-table oracles."""
+    """(name, edges) for the slot-table oracles."""
     isolated = np.zeros((5, 5))
     isolated[0, 1] = isolated[1, 0] = isolated[1, 2] = isolated[2, 1] = 1.0  # 3, 4 alone
     return [
-        ("isolated nodes", edges_of(isolated), 5),
-        ("star of degree 7", edges_of(_star(7)), 8),
-        ("empty edge set", Edges([], [], 4), 4),
-        ("two edges into one of two nodes", PAIR, 2),
+        ("isolated nodes", edges_of(isolated)),
+        ("star of degree 7", edges_of(_star(7))),
+        ("empty edge set", Edges([], [], 4)),
+        ("two edges into one of two nodes", PAIR),
     ]
 
 
 def _pool_oracle(x, edges):
-    """Per-node loops: sum, max (0 if no edges) and the lowest-index max edge."""
+    """Per-node loops over edge rows x: sum, max (0 if no edges) and the lowest-index max edge."""
     n, d = edges.n_nodes, x.shape[1]
     total, best, winner = np.zeros((n, d)), np.zeros((n, d)), np.full((n, d), -1)
     for i in range(n):
@@ -446,16 +455,20 @@ def _pool_oracle(x, edges):
 
 @pytest.mark.parametrize("case", range(4))
 def test_table_pools_and_softmax_vs_loop_oracle(case, rng):
-    name, edges, _ = _table_cases()[case]
+    name, edges = _table_cases()[case]
     # small integers make max ties common
-    x = rng.integers(-2, 3, size=(len(edges.dst), 3)).astype(float)
+    x = rng.integers(-2, 3, size=(edges.n_nodes, 3)).astype(float)
     g = rng.normal(size=(edges.n_nodes, 3))
-    total, best, winner = _pool_oracle(x, edges)
+    total, best, winner = _pool_oracle(x[edges.src], edges)
 
+    # each edge's gradient g[dst] lands on its source row, in edge order
     a = Tensor(x, requires_grad=True)
     backward(sum_all(ad.mul(ad.row_sum_pool(a, edges), Tensor(g))))
     assert np.array_equal(ad.row_sum_pool(Tensor(x), edges).data, total), name
-    assert np.array_equal(a.grad, g[edges.dst].reshape(x.shape)), name
+    expected = np.zeros_like(x)
+    for k in range(len(edges.dst)):
+        expected[edges.src[k]] += g[edges.dst[k]]
+    assert np.array_equal(a.grad, expected), name
 
     a = Tensor(x, requires_grad=True)
     out = ad.row_max_pool(a, edges)
@@ -463,11 +476,11 @@ def test_table_pools_and_softmax_vs_loop_oracle(case, rng):
     assert np.array_equal(out.data, best), name
     expected = np.zeros_like(x)
     for i, c in zip(*np.nonzero(winner >= 0)):
-        expected[winner[i, c], c] = g[i, c]
+        expected[edges.src[winner[i, c]], c] += g[i, c]
     assert np.array_equal(a.grad, expected), name
 
-    z = rng.normal(size=x.shape)
-    w = rng.normal(size=x.shape)
+    z = rng.normal(size=(len(edges.dst), 3))
+    w = rng.normal(size=z.shape)
     a = Tensor(z, requires_grad=True)
     y = ad.row_softmax(a, edges)
     backward(sum_all(ad.mul(y, Tensor(w))))
@@ -485,24 +498,82 @@ def test_table_pools_and_softmax_vs_loop_oracle(case, rng):
 @pytest.mark.parametrize("case", range(4))
 @pytest.mark.parametrize("end", ["src", "dst"])
 def test_gather_rows_backward_vs_loop_oracle(case, end, rng):
-    name, edges, rows = _table_cases()[case]
+    name, edges = _table_cases()[case]
     index = edges.src if end == "src" else edges.dst
-    if end == "dst":
-        rows = edges.n_nodes
-    x = rng.normal(size=(rows, 3))
+    x = rng.normal(size=(edges.n_nodes, 3))
     g = rng.normal(size=(len(index), 3))
-    weight = rng.uniform(0.1, 1.0, size=(len(index), 1))
-    for wt in (None, weight):
-        a = Tensor(x, requires_grad=True)
-        out = ad.gather_rows(a, edges, wt, end=end)
-        backward(sum_all(ad.mul(out, Tensor(g))))
-        assert np.array_equal(out.data, x[index] * (1.0 if wt is None else wt)), name
-        expected = np.zeros_like(x)
-        for k, j in enumerate(index):
-            expected[j] += g[k] * (1.0 if wt is None else wt[k])
-        assert np.allclose(a.grad, expected, rtol=0, atol=1e-12), name
+    a = Tensor(x, requires_grad=True)
+    out = ad.gather_rows(a, edges, end=end)
+    backward(sum_all(ad.mul(out, Tensor(g))))
+    assert np.array_equal(out.data, x[index]), name
+    expected = np.zeros_like(x)
+    for k, j in enumerate(index):
+        expected[j] += g[k]
+    assert np.allclose(a.grad, expected, rtol=0, atol=1e-12), name
     with pytest.raises(AutodiffError, match="rows for"):
-        ad.gather_rows(Tensor(np.zeros((rows + 1, 3))), edges, end=end)
+        ad.gather_rows(Tensor(np.zeros((edges.n_nodes + 1, 3))), edges, end=end)
+
+
+def _oracle_cases(rng):
+    """The slot-table cases, then random block-diagonal batches with loops."""
+    cases = [edges for _, edges in _table_cases()]
+    for _ in range(6):
+        parts = [edges_of(random_adjacency(rng, n, 0.4) + np.eye(n))
+                 for n in rng.integers(1, 9, size=rng.integers(1, 5))]
+        cases.append(Edges.disjoint_union(parts))
+    return cases
+
+
+def _grads(out: Tensor, leaves, g: np.ndarray) -> list[np.ndarray]:
+    backward(sum_all(ad.mul(out, Tensor(g))))
+    return [t.grad for t in leaves]
+
+
+def test_node_row_pools_bit_identical_to_edge_row_oracle(rng):
+    for edges in _oracle_cases(rng):
+        n, e = edges.n_nodes, len(edges.dst)
+        # small integers make max ties common
+        x = rng.integers(-2, 3, size=(n, 3)).astype(float) + rng.normal(size=(n, 3)) * 0.5
+        x[rng.uniform(size=x.shape) < 0.3] = 1.0
+        g = rng.normal(size=(n, 3))
+        weight = rng.uniform(-1.0, 1.0, size=(e, 1))
+        pairs = [
+            (lambda a, w: ad.row_sum_pool(a, edges),
+             lambda a, w: sum_pool_oracle(gather_oracle(a, edges), edges)),
+            (lambda a, w: ad.row_sum_pool(a, edges, weight),
+             lambda a, w: sum_pool_oracle(gather_oracle(a, edges, weight), edges)),
+            (lambda a, w: ad.row_sum_pool(a, edges, w),
+             lambda a, w: sum_pool_oracle(ad.mul(gather_oracle(a, edges), w), edges)),
+            (lambda a, w: ad.row_max_pool(a, edges),
+             lambda a, w: max_pool_oracle(gather_oracle(a, edges), edges)),
+        ]
+        for new, old in pairs:
+            results = []
+            for pool in (new, old):
+                a, w = Tensor(x.copy(), requires_grad=True), Tensor(weight, requires_grad=True)
+                out = pool(a, w)
+                results.append([out.data, *_grads(out, (a, w), g)])
+            for got, want in zip(*results):
+                assert np.array_equal(got, want)
+
+
+def test_pool_weight_must_be_one_column_per_edge(rng):
+    edges = edges_of(random_adjacency(rng, 5, 0.5) + np.eye(5))
+    e = len(edges.dst)
+    for shape in ((e, 2), (e - 1, 1), (1, e)):
+        with pytest.raises(AutodiffError, match=rf"^weight shape \({shape[0]}, {shape[1]}\) "
+                                                rf"is not \({e}, 1\)$"):
+            ad.row_sum_pool(Tensor(np.zeros((5, 3))), edges, np.ones(shape))
+
+
+def test_max_pool_same_on_and_off_the_tape(rng):
+    """Off the tape the pool records no source rows; its output is the same."""
+    for edges in _oracle_cases(rng):
+        x = rng.integers(-2, 3, size=(edges.n_nodes, 3)).astype(float)
+        off = ad.row_max_pool(Tensor(x), edges)
+        on = ad.row_max_pool(Tensor(x, requires_grad=True), edges)
+        assert off._backward is None and on._backward is not None
+        assert np.array_equal(off.data, on.data)
 
 
 def test_disjoint_union_matches_tables_built_from_scratch(rng):

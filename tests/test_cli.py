@@ -479,6 +479,72 @@ def test_deeply_nested_json_ends_in_one_line(corpus, tmp_path, capsys, command, 
     assert line.startswith(message) and "Traceback" not in line
 
 
+LONG = "x" * 1_000_000   # an input value a one-line error must not echo whole
+
+
+def _long_checkpoint(edit):
+    def write(corpus):
+        save_model(init_model(ModelConfig("gcn")), "c.json")
+        Path("c.json").write_text(json.dumps(edit(json.loads(Path("c.json").read_text()))))
+        return ["eval", "--checkpoint", "c.json", "--corpus", str(corpus)]
+    return write
+
+
+def _long_config(doc):
+    def write(corpus):
+        Path("c.json").write_text(json.dumps(doc))
+        return ["generate", "--subjects", "1", "--config", "c.json"]
+    return write
+
+
+def _long_subjects(command, *docs):
+    """Subject files s0.json, ... in a directory, built or read as an eval corpus."""
+    def write(corpus):
+        Path("s").mkdir()
+        for i, doc in enumerate(docs):
+            Path(f"s/s{i}.json").write_text(json.dumps(doc))
+        if command == "build":
+            return ["build", *sorted(str(f) for f in Path("s").iterdir())]
+        save_model(init_model(ModelConfig("gcn")), "c.json")
+        return ["eval", "--checkpoint", "c.json", "--corpus", "s"]
+    return write
+
+
+def _branch(**edits):
+    return {**GOOD_SUBJECT, "branches": [{**GOOD_SUBJECT["branches"][0], **edits},
+                                         GOOD_SUBJECT["branches"][1]]}
+
+
+LONG_INPUTS = {
+    "checkpoint-variant": (_long_checkpoint(lambda d: {**d, "config": {**d["config"], "variant": LONG}}), 1),
+    "checkpoint-field-type": (
+        _long_checkpoint(lambda d: {**d, "config": {**d["config"], "hidden_dim": LONG}}), 1),
+    "checkpoint-config-key": (_long_checkpoint(lambda d: {**d, "config": {**d["config"], LONG: 1}}), 1),
+    "checkpoint-version": (_long_checkpoint(lambda d: {**d, "format_version": LONG}), 1),
+    "checkpoint-weight-name": (
+        _long_checkpoint(lambda d: {**d, "weights": {**d["weights"], LONG: d["weights"]["b1"]}}), 1),
+    "config-value": (_long_config({"epochs": LONG}), 2),
+    "config-key": (_long_config({LONG: 5}), 2),
+    "config-choice": (_long_config({"preset": LONG}), 2),
+    "branch-id": (_long_subjects("build", _branch(id=LONG, side="middle")), 1),
+    "branch-id-shape": (_long_subjects("build", _branch(id=LONG, points=[[0, 0], [0, 5]])), 1),
+    "side": (_long_subjects("build", _branch(side=LONG)), 1),
+    "label": (_long_subjects("build", _branch(label=LONG)), 1),
+    "subject-id-file-name": (_long_subjects("build", {**GOOD_SUBJECT, "subject_id": LONG + "/"}), 1),
+    "duplicate-subject-id": (_long_subjects("eval", *[{**GOOD_SUBJECT, "subject_id": LONG}] * 2), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_INPUTS))
+def test_long_input_value_is_clipped_in_the_one_line_error(corpus, tmp_path, monkeypatch,
+                                                           capsys, case):
+    write, code = LONG_INPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*write(corpus), "--out", str(tmp_path), "--run-name", "r") == code
+    line = _one_error_line(capsys)
+    assert len(line.encode()) <= 200 and "xxx..." in line and "Traceback" not in line, line
+
+
 def test_eval_unlabeled_corpus_names_the_cause(corpus, tmp_path, capsys):
     subjects = tmp_path / "unlabeled"
     subjects.mkdir()
