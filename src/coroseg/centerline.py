@@ -29,15 +29,6 @@ CLASSES_13 = [
 #: The two rare left posterior classes that the 11-class ablation removes.
 DROPPED_IN_11 = ("L-PLB", "L-PDA")
 
-#: Longest echo of an input value in a one-line error message.
-ECHO_CHARS = 80
-
-
-def clipped(text: str) -> str:
-    """text, an input value's repr in a one-line error, cut to ECHO_CHARS
-    characters and '...' when longer, so the line stays short whatever the
-    file or the config holds."""
-    return text if len(text) <= ECHO_CHARS else f"{text[:ECHO_CHARS]}..."
 CLASSES_11 = [c for c in CLASSES_13 if c not in DROPPED_IN_11]
 
 #: Resample spacing in voxels; the merge tolerance is 3 voxels at a 0.5 mm voxel
@@ -49,6 +40,18 @@ DEFAULT_MERGE_TOL_MM = 1.5
 #: A subject resamples to a few hundred; the cap bounds the call's peak
 #: memory near 20 MB (about 190 bytes per point).
 MAX_RESAMPLED_POINTS = 100_000
+
+
+#: Longest echo of an input value in a one-line error message.
+ECHO_CHARS = 80
+
+
+def clipped(value, show=repr) -> str:
+    """An input value as a one-line error echoes it: show(value), its repr
+    unless told otherwise, cut to ECHO_CHARS characters and '...' when
+    longer, so the line stays short whatever the file or the config holds."""
+    text = show(value)
+    return text if len(text) <= ECHO_CHARS else f"{text[:ECHO_CHARS]}..."
 
 
 class CenterlineError(ValueError):
@@ -131,7 +134,7 @@ def _check_branches(subject: SubjectRecord, problems) -> None:
     for problem, (branch_id, side, pts, _) in zip(problems, subject._branches()):
         if problem:
             raise CenterlineError(problem)
-        name = f"branch {clipped(repr(branch_id))}"
+        name = f"branch {clipped(branch_id)}"
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise CenterlineError(f"{name}: points must be (n, 3)")
         if len(pts) < 2:
@@ -141,7 +144,7 @@ def _check_branches(subject: SubjectRecord, problems) -> None:
         if (pts[1:] == pts[:-1]).all(axis=1).any():
             raise CenterlineError(f"{name}: consecutive duplicate points")
         if side not in (LEFT, RIGHT):
-            raise CenterlineError(f"{name}: bad side {clipped(repr(side))}")
+            raise CenterlineError(f"{name}: bad side {clipped(side)}")
         with np.errstate(over="ignore"):
             if not np.isfinite(np.linalg.norm(np.diff(pts, axis=0), axis=1).cumsum()[-1]):
                 raise CenterlineError(f"{name}: arc length overflows")
@@ -214,9 +217,9 @@ def _stop(i: int, b, shape, branch_id: str) -> str | None:
     if len(shape) != 2 or shape[0] < 2:
         return f"branch {i}: centerline too short"
     if b.get("label") is not None and b["label"] not in CLASSES_13:
-        return f"branch {i}: unknown label {clipped(repr(b['label']))}"
+        return f"branch {i}: unknown label {clipped(b['label'])}"
     if shape[1] != 3:
-        return f"branch {clipped(repr(branch_id))}: points must be (n, 3)"
+        return f"branch {clipped(branch_id)}: points must be (n, 3)"
 
 
 def serialize_subject(subject: SubjectRecord) -> str:
@@ -293,7 +296,7 @@ def resample_points(points: np.ndarray, first: np.ndarray, spacing_mm: float, br
     out[out_first[t_owner] + k] = points[j] + alpha[:, None] * (points[j + 1] - points[j])
     out[out_first + counts + 1] = points[last]
     ids = range(n_branches) if branch_ids is None else branch_ids
-    return out, out_first, [None if p is None else f"branch {clipped(repr(bid))}: {p}"
+    return out, out_first, [None if p is None else f"branch {clipped(bid)}: {p}"
                             for bid, p in zip(ids, problems)]
 
 

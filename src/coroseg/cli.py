@@ -51,6 +51,9 @@ EXIT_USAGE = 2
 #: `coroseg build` of 13-16 files at 0.5 mm. At 5, 13 files start a pool.
 BUILD_FILE_LOADS = 5
 
+#: Longest file name, in bytes, that common file systems accept (NAME_MAX).
+NAME_BYTES = 255
+
 
 class UsageError(Exception):
     """A bad --config file: exit 2, like a bad flag."""
@@ -109,7 +112,7 @@ def _in_order(files, outcomes):
         if sid is None:
             raise error
         if sid in seen:
-            raise CenterlineError(f"{f}: duplicate subject_id {clipped(repr(sid))}")
+            raise CenterlineError(f"{f}: duplicate subject_id {clipped(sid)}")
         seen.add(sid)
         if error is not None:
             raise error
@@ -163,10 +166,12 @@ def cmd_build(args, run: Path):
     with ordered_map(partial(_subject_graph, to_json=True), files,
                      BUILD_FILE_LOADS * len(files)) as outcomes:
         for f, digest, sid, text in _in_order(files, outcomes):
-            if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
-                raise CenterlineError(f"{f}: subject_id {clipped(repr(sid))} cannot name a file")
+            name = f"{sid}.graph.json"
+            if (sid in ("", ".", "..") or any(c in sid for c in "/\\\0")
+                    or len(name.encode(errors="surrogatepass")) > NAME_BYTES):
+                raise CenterlineError(f"{f}: subject_id {clipped(sid)} cannot name a file")
             hashes[str(f)] = digest
-            artifacts.append(run / f"{sid}.graph.json")
+            artifacts.append(run / name)
             artifacts[-1].write_text(text)
     print(f"wrote {len(artifacts)} segment graphs to {run}")
     return {"seed": None}, hashes, artifacts
@@ -270,11 +275,11 @@ def _read_config(path: str) -> dict:
         raise UsageError(f"--config {path}: must be a JSON object")
     for key, value in cfg.items():
         if key not in DEFAULTS:
-            raise UsageError(f"--config {path}: unknown key {clipped(repr(key))}")
+            raise UsageError(f"--config {path}: unknown key {clipped(key)}")
         kind = type(DEFAULTS[key])
         if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
             raise UsageError(f"--config {path}: {key} must be {kind.__name__}, "
-                             f"not {clipped(repr(value))}")
+                             f"not {clipped(value)}")
     return cfg
 
 
@@ -287,7 +292,7 @@ def _resolve(args):
         if key in file_cfg and value not in choices:
             allowed = ", ".join(str(c) for c in choices if type(c) is type(value))
             raise UsageError(f"--config {args.config}: {key} must be one of {allowed}, "
-                             f"not {clipped(repr(value))}")
+                             f"not {clipped(value)}")
     for key, default in DEFAULTS.items():
         if getattr(args, key, None) is None and hasattr(args, key):
             setattr(args, key, file_cfg.get(key, default))

@@ -56,13 +56,13 @@ class ModelConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ModelError(f"config field {f.name!r} must be {f.type}, "
-                                 f"not {clipped(repr(value))}")
+                                 f"not {clipped(value)}")
             if f.type == "float" and not math.isfinite(value):
                 raise ModelError(f"config field {f.name!r} must be finite, not {value!r}")
         if self.seed < 0:
             raise ModelError(f"seed must be >= 0, not {self.seed}")
         if self.variant not in VARIANTS:
-            raise ModelError(f"unknown variant {clipped(repr(self.variant))}")
+            raise ModelError(f"unknown variant {clipped(self.variant)}")
         if min(self.in_dim, self.hidden_dim, self.gat_heads) <= 0:
             raise ModelError("dims and gat_heads must be positive")
         for name in ("in_dim", "hidden_dim"):
@@ -261,20 +261,20 @@ def load_model(source: str | Path | bytes) -> TrainedModel:
         raise ModelError("checkpoint must be a JSON object")
     version = doc.get("format_version")
     if type(version) is not int or version != CHECKPOINT_VERSION:
-        raise ModelError(f"unsupported checkpoint version {clipped(repr(version))}")
+        raise ModelError(f"unsupported checkpoint version {clipped(version)}")
     config, weights = doc.get("config"), doc.get("weights")
     if not isinstance(config, dict) or not isinstance(weights, dict):
         raise ModelError("checkpoint needs a 'config' object and a 'weights' object")
     try:
         model = init_model(ModelConfig(**config))
     except TypeError as exc:
-        raise ModelError(f"bad checkpoint config: {clipped(str(exc))}") from exc
+        raise ModelError(f"bad checkpoint config: {clipped(exc, str)}") from exc
     missing = sorted(set(model.params) - set(weights))
     if missing:
         raise ModelError(f"missing weights {missing}")
     for name, w in weights.items():
         if name not in model.params:
-            raise ModelError(f"unexpected weight {clipped(repr(name))}")
+            raise ModelError(f"unexpected weight {clipped(name)}")
         try:  # _numbers gives None for values that are not all numbers
             arr = _numbers(w["values"]).reshape(w["shape"])
         except (AttributeError, TypeError, KeyError, ValueError) as exc:

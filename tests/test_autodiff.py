@@ -233,6 +233,8 @@ def test_edges_from_adjacency():
     assert edges.dst_by_src.tolist() == [[1, 0, 0], [2, 3, 3]]
     with pytest.raises(AutodiffError, match="4 rows for 3 nodes"):
         ad.row_sum_pool(Tensor(np.zeros((4, 2))), edges)
+    with pytest.raises(AutodiffError, match="3 rows for 4 edges"):
+        ad.row_softmax(Tensor(np.zeros((3, 2))), edges)
 
 
 def test_row_sum_pool_vs_loop_oracle(rng):

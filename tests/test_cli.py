@@ -531,6 +531,7 @@ LONG_INPUTS = {
     "side": (_long_subjects("build", _branch(side=LONG)), 1),
     "label": (_long_subjects("build", _branch(label=LONG)), 1),
     "subject-id-file-name": (_long_subjects("build", {**GOOD_SUBJECT, "subject_id": LONG + "/"}), 1),
+    "subject-id-name-too-long": (_long_subjects("build", {**GOOD_SUBJECT, "subject_id": LONG}), 1),
     "duplicate-subject-id": (_long_subjects("eval", *[{**GOOD_SUBJECT, "subject_id": LONG}] * 2), 1),
 }
 
