@@ -169,6 +169,7 @@ class Edges:
     edge rows. ``src_by_dst`` and ``dst_by_src`` are those tables composed
     with the other end's node, so the pools read node rows directly; their
     empty slots hold ``n_nodes``, the fill row appended after the node rows.
+    An edge end below 0 or at or past ``n_nodes`` raises AutodiffError.
     """
 
     def __init__(self, src, dst, n_nodes: int, slots=None):
@@ -410,7 +411,7 @@ def backward(loss: Tensor):
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if id(parent) in grads:
-                grads[id(parent)] = grads[id(parent)] + pg
+                grads[id(parent)] = grads[id(parent)] + pg  # out of place: pg may be a view
             else:
                 grads[id(parent)] = pg
 

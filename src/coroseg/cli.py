@@ -26,7 +26,7 @@ from functools import partial
 from pathlib import Path
 
 from .centerline import CenterlineError, clipped, parse_subject, prepare_subject, serialize_subject
-from .graph import GraphBuildError, build_segment_graph, segment_graph_to_json
+from .graph import build_segment_graph, segment_graph_to_json
 from .models import VARIANTS, ModelConfig, load_model, save_model
 from .pool import WorkerDied, ordered_map
 from .synth import GenParams, generate_corpus
@@ -238,11 +238,10 @@ def cmd_cv(args, run: Path):
         row = {"model": variant, "f1_11": None, "f1_13": None}
         for mode in modes:
             model_cfg = ModelConfig(variant=variant, num_classes=mode, seed=args.seed)
-            report = run_cv(model_cfg, train_cfg, datasets[mode])
-            reports[f"{variant}_{mode}"] = report.to_dict()
-            row[f"f1_{mode}"] = report.weighted_f1_mean
+            report = reports[f"{variant}_{mode}"] = run_cv(model_cfg, train_cfg, datasets[mode])
+            row[f"f1_{mode}"] = report["weighted_f1_mean"]
             csv_path = run / f"confusion_{variant}_{mode}.csv"
-            _write_csv(csv_path, report.classes, report.confusion_normalized)
+            _write_csv(csv_path, report["classes"], report["confusion_normalized"])
             artifacts.append(csv_path)
         rows.append(row)
     table = render_comparison_table(rows)
@@ -367,7 +366,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CenterlineError, GraphBuildError, TrainingError, WorkerDied, OSError, ValueError) as exc:
+    except (TrainingError, WorkerDied, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

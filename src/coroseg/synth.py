@@ -15,15 +15,17 @@ per-branch loop over its own rng makes it. generate_corpus hands whole
 groups to `coroseg.pool` workers, so a corpus is bit-identical whatever the
 grouping and the worker count. An axis drawn along its branch's
 direction, which no real seed draws, raises one ValueError line naming the
-subject and the branch.
+subject and the branch, and GenParams one naming a field out of range:
+n_subjects outside 1 to MAX_SUBJECTS, a negative seed or noise scale, a
+non-finite noise scale, or count_probs not finite, non-negative and of
+positive sum.
 
 Emitted centerlines are pre-resampled so every child start coincides
 bit-exactly with a vertex of its resampled parent. The ingestion pipeline's
 resample + merge is not a no-op on them: resampling an already-resampled
 curved branch shifts its interior vertices, and merge then snaps each child
 start onto the shifted vertex (0.009-0.063 mm in the seed-8 default subject
-synthetic-0002). ROADMAP item 3 plans to resample between attachment
-vertices instead.
+synthetic-0002).
 """
 
 from __future__ import annotations

@@ -2,7 +2,11 @@
 
 Subjects are split into folds; each fold's model trains on the remaining
 subjects with block-diagonal graph batching and is evaluated strictly
-out-of-fold. The headline metric is support-weighted F1.
+out-of-fold. The headline metric is support-weighted F1. `train` and
+`predict` keep the nodes of `ModelConfig.classes` (`select_classes`) and
+index labels by it. Overflow, invalid and divide faults, a non-finite loss
+or weight after a `train` step and a non-finite `predict` logit end as a
+TrainingError; a direct `model_forward` caller gets no check.
 """
 
 from __future__ import annotations
@@ -190,79 +194,43 @@ def weighted_f1(preds, labels, num_classes: int) -> float:
     return weighted_f1_from_confusion(confusion_matrix(preds, labels, num_classes))
 
 
-@dataclass
-class MetricsReport:
-    classes: list[str]
-    fold_f1: list[float]
-    fold_test_ids: list[list[str]]
-    weighted_f1_mean: float
-    weighted_f1_pooled: float
-    precision: np.ndarray
-    recall: np.ndarray
-    f1: np.ndarray
-    class_weights: np.ndarray
-    confusion: np.ndarray
-    confusion_normalized: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "classes": self.classes,
-            "fold_weighted_f1": self.fold_f1,
-            "fold_test_subjects": self.fold_test_ids,
-            "weighted_f1_mean": self.weighted_f1_mean,
-            "weighted_f1_pooled": self.weighted_f1_pooled,
-            "per_class": {
-                c: {
-                    "precision": float(self.precision[i]),
-                    "recall": float(self.recall[i]),
-                    "f1": float(self.f1[i]),
-                    "weight": float(self.class_weights[i]),
-                }
-                for i, c in enumerate(self.classes)
-            },
-            "confusion": self.confusion.tolist(),
-            "confusion_normalized": self.confusion_normalized.tolist(),
-        }
-
-
 def run_cv(
     model_cfg: ModelConfig, train_cfg: TrainConfig, dataset: list[tuple[str, SegmentGraph]]
-) -> MetricsReport:
-    """k-fold cross-validation with strict out-of-fold evaluation."""
+) -> dict:
+    """k-fold cross-validation with strict out-of-fold evaluation; returns this
+    config's entry in the `details` of `coroseg cv`'s report.json."""
     classes = model_cfg.classes
     by_id = dict(dataset)
     if len(by_id) != len(dataset):
         raise TrainingError("duplicate subject ids")
     folds = kfold_split([sid for sid, _ in dataset], train_cfg.folds, train_cfg.seed)
-    fold_f1, all_preds, all_labels = [], [], []
+    for k, test_ids in enumerate(folds, 1):
+        if not any((by_id[sid].label_indices(classes) >= 0).any() for sid in test_ids):
+            raise TrainingError(f"fold {k} of {len(folds)} has no labeled nodes to evaluate")
+    fold_f1, confusion = [], np.zeros((len(classes), len(classes)))
     for test_ids in folds:
         test_set = set(test_ids)
         train_data = [(sid, g) for sid, g in dataset if sid not in test_set]
-        test_data = [(sid, by_id[sid]) for sid in test_ids]
         model, _ = train(model_cfg, train_cfg, train_data)
-        preds, labels = predict(model, test_data)
-        fold_f1.append(weighted_f1(preds, labels, len(classes)))
-        all_preds.append(preds)
-        all_labels.append(labels)
-    preds = np.concatenate(all_preds)
-    labels = np.concatenate(all_labels)
-    confusion = confusion_matrix(preds, labels, len(classes))
-    precision, recall, f1, weights = per_class_metrics(confusion)
+        preds, labels = predict(model, [(sid, by_id[sid]) for sid in test_ids])
+        fold = confusion_matrix(preds, labels, len(classes))
+        fold_f1.append(weighted_f1_from_confusion(fold))
+        confusion += fold  # counts, so the pooled sum is exact
     support = confusion.sum(axis=1, keepdims=True)
-    return MetricsReport(
-        classes=classes,
-        fold_f1=fold_f1,
-        fold_test_ids=folds,
-        weighted_f1_mean=float(np.mean(fold_f1)),
-        weighted_f1_pooled=weighted_f1_from_confusion(confusion),
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        class_weights=weights,
-        confusion=confusion,
-        confusion_normalized=np.divide(confusion, support, out=np.zeros_like(confusion),
-                                       where=support > 0),
-    )
+    normalized = np.divide(confusion, support, out=np.zeros_like(confusion), where=support > 0)
+    return {
+        "classes": list(classes),
+        "fold_weighted_f1": fold_f1,
+        "fold_test_subjects": folds,
+        "weighted_f1_mean": float(np.mean(fold_f1)),
+        "weighted_f1_pooled": weighted_f1_from_confusion(confusion),
+        "per_class": {
+            c: {"precision": float(p), "recall": float(r), "f1": float(f), "weight": float(w)}
+            for c, p, r, f, w in zip(classes, *per_class_metrics(confusion))
+        },
+        "confusion": confusion.tolist(),
+        "confusion_normalized": normalized.tolist(),
+    }
 
 
 def render_comparison_table(rows: list[dict]) -> str:

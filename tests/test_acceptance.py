@@ -208,7 +208,7 @@ def test_criterion_6_end_to_end_learnability(tmp_path, report):
     sage_report = run_cv(
         ModelConfig("sage", num_classes=13, seed=0), TrainConfig(seed=0), dataset
     )
-    cv_ok = sage_report.weighted_f1_mean >= 0.85
+    cv_ok = sage_report["weighted_f1_mean"] >= 0.85
 
     # single-subject overfit: a chain-shaped subject whose line graph has no
     # structurally identical node pairs, so every variant can reach 1.0
@@ -251,7 +251,7 @@ def test_criterion_6_end_to_end_learnability(tmp_path, report):
     ok = cv_ok and overfit_ok and table_ok and elapsed < 900
     scores = ", ".join(f"{v}={s:.6f}" for v, s in overfit_scores.items())
     report(ok, f"criterion 6: 5-fold GraphSAGE F1 "
-               f"{sage_report.weighted_f1_mean:.3f} >= 0.85, overfit {scores}, "
+               f"{sage_report['weighted_f1_mean']:.3f} >= 0.85, overfit {scores}, "
                f"comparative report emitted ({elapsed:.0f}s)")
 
 
@@ -272,7 +272,7 @@ def test_criterion_7_protocol_fidelity(report):
         TrainConfig(epochs=2, folds=5, seed=0),
         dataset,
     )
-    audit_flat = [sid for f in rep.fold_test_ids for sid in f]
+    audit_flat = [sid for f in rep["fold_test_subjects"] for sid in f]
     audit_ok = sorted(audit_flat) == sorted(sid for sid, _ in dataset) and len(
         set(audit_flat)
     ) == len(audit_flat)

@@ -13,6 +13,7 @@ from coroseg.cli import main
 from coroseg.graph import EMBED_DIM, build_segment_graph
 from coroseg.models import ModelConfig, init_model, save_model
 from coroseg.pool import workers
+from coroseg.training import TrainConfig, run_cv
 
 
 def run_cli(*argv):
@@ -179,6 +180,50 @@ def test_cv_reruns_byte_identical(corpus, tmp_path):
     a = (tmp_path / "r1" / "report.json").read_bytes()
     b = (tmp_path / "r2" / "report.json").read_bytes()
     assert a == b
+
+
+#: The keys of a report.json `details` entry, and of each of its `per_class`
+#: entries, as README.md documents them.
+REPORT_KEYS = {"classes", "fold_weighted_f1", "fold_test_subjects", "weighted_f1_mean",
+               "weighted_f1_pooled", "per_class", "confusion", "confusion_normalized"}
+PER_CLASS_KEYS = {"precision", "recall", "f1", "weight"}
+
+
+def test_cv_report_entry_is_what_run_cv_returns(corpus, tmp_path):
+    assert run_cli(
+        "cv", "--corpus", str(corpus), "--model", "gcn", "--classes", "both",
+        "--epochs", "2", "--folds", "3", "--out", str(tmp_path), "--run-name", "cv",
+    ) == 0
+    details = json.loads((tmp_path / "cv" / "report.json").read_text())["details"]
+    records = [parse_subject(f.read_bytes()) for f in sorted((corpus / "subjects").glob("*.json"))]
+    dataset = [(rec.subject_id, build_segment_graph(prepare_subject(rec))) for rec in records]
+    assert set(details) == {"gcn_11", "gcn_13"}
+    for mode in (11, 13):
+        entry = details[f"gcn_{mode}"]
+        assert set(entry) == REPORT_KEYS
+        assert all(set(c) == PER_CLASS_KEYS for c in entry["per_class"].values())
+        returned = run_cv(ModelConfig("gcn", num_classes=mode, seed=0),
+                          TrainConfig(epochs=2, folds=3, seed=0), dataset)
+        assert json.loads(json.dumps(returned)) == entry
+
+
+def test_cv_fold_without_labeled_nodes_names_the_fold(tmp_path, capsys):
+    assert run_cli("generate", "--subjects", "10", "--seed", "4",
+                   "--out", str(tmp_path), "--run-name", "g") == 0
+    # folds at seed 0: 0004 0006 | 0002 0007 | 0003 0005 | 0009 0000 | 0008 0001,
+    # so keeping the labels of 0002, 0003 and 0004 leaves fold 4 the first with none
+    for f in (tmp_path / "g" / "subjects").glob("*.json"):
+        if f.stem not in ("synthetic-0002", "synthetic-0003", "synthetic-0004"):
+            doc = json.loads(f.read_text())
+            for b in doc["branches"]:
+                b.pop("label", None)
+            f.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run_cli("cv", "--corpus", str(tmp_path / "g"), "--model", "gcn", "--classes", "13",
+                   "--epochs", "1", "--out", str(tmp_path), "--run-name", "cv")
+    assert code == 1
+    assert _one_error_line(capsys) == "error: fold 4 of 5 has no labeled nodes to evaluate"
+    assert not (tmp_path / "cv" / "manifest.json").exists()
 
 
 def test_config_file_and_flag_precedence(corpus, tmp_path):
