@@ -36,7 +36,6 @@ from .training import (
     predict,
     render_comparison_table,
     run_cv,
-    select_classes,
     train,
     weighted_f1,
 )
@@ -67,8 +66,11 @@ def _execute(args) -> int:
     """Run one command in its run directory, then write the manifest."""
     started = time.time()
     name = args.run_name or f"run-{time.strftime('%Y%m%d-%H%M%S')}-s{args.seed}"
-    run = Path(args.out) / name
-    run.mkdir(parents=True, exist_ok=True)
+    run, n = Path(args.out) / name, 1
+    while not args.run_name and run.exists():  # a default name never reuses a directory
+        n += 1
+        run = run.with_name(f"{name}-{n}")
+    run.mkdir(parents=True, exist_ok=bool(args.run_name))
     config, input_hashes, artifacts = args.func(args, run)
     manifest = {
         "command": args.command,
@@ -224,11 +226,8 @@ def _write_csv(path: Path, classes, matrix):
 
 
 def cmd_cv(args, run: Path):
-    dataset13, hashes = _load_corpus(args.corpus)
+    dataset, hashes = _load_corpus(args.corpus)
     modes = [11, 13] if args.classes == "both" else [args.classes]
-    # train and predict select classes themselves; selecting once per mode here lets
-    # the variants share each induced 11-class graph and the structure it keeps
-    datasets = {mode: select_classes(dataset13, mode) for mode in modes}
     train_cfg = _train_config(args)
     variants = VARIANTS if args.model == "all" else [args.model]
     rows = []
@@ -238,7 +237,7 @@ def cmd_cv(args, run: Path):
         row = {"model": variant, "f1_11": None, "f1_13": None}
         for mode in modes:
             model_cfg = ModelConfig(variant=variant, num_classes=mode, seed=args.seed)
-            report = reports[f"{variant}_{mode}"] = run_cv(model_cfg, train_cfg, datasets[mode])
+            report = reports[f"{variant}_{mode}"] = run_cv(model_cfg, train_cfg, dataset)
             row[f"f1_{mode}"] = report["weighted_f1_mean"]
             csv_path = run / f"confusion_{variant}_{mode}.csv"
             _write_csv(csv_path, report["classes"], report["confusion_normalized"])

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .centerline import LEFT, RIGHT, SubjectRecord
+from .centerline import DROPPED_IN_11, LEFT, RIGHT, SubjectRecord
 from .models import GraphStructure
 
 EMBED_DIM = 48
@@ -85,6 +85,20 @@ class SegmentGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)
+
+    @cached_property
+    def without_dropped(self) -> SegmentGraph:
+        """The 11-class view: the graph itself if no node is labelled in `DROPPED_IN_11`, else
+        the induced subgraph without those nodes, kept with its own structure and label indices."""
+        keep = [i for i, lb in enumerate(self.labels) if lb not in DROPPED_IN_11]
+        if len(keep) == len(self.labels):
+            return self
+        return SegmentGraph(
+            node_ids=tuple(self.node_ids[i] for i in keep),
+            features=self.features[keep],
+            adjacency=self.adjacency[np.ix_(keep, keep)],
+            labels=tuple(self.labels[i] for i in keep),
+        )
 
     @cached_property
     def structure(self) -> GraphStructure:

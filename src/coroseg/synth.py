@@ -90,11 +90,11 @@ DEFAULT_COUNT_PROBS: dict[str, tuple[float, ...]] = {
     "R-PDA": (0.33, 0.62, 0.05),
 }
 
-#: Subjects that generate_corpus grows together. A group's arrays grow with
-#: it (its tangents are longest branch x branches x 3): they peak near 1.5 MB
-#: for 16 subjects and 13.5 MB for 141. One corpus-wide group of 141 runs
-#: about 16% faster, but adds about 12 MB to the ~54 MB peak of a 141-subject
-#: cv run, so groups stay at 16.
+#: Subjects that generate_corpus grows together. Against groups of 16, one
+#: group of all 141 default subjects ran 8% faster on one CPU and 12% pooled
+#: (best of 22, 2-CPU VM), but raised the one-CPU peak from 39.4 to 50.9 MB,
+#: above the 47.4 MB of a cv run that follows, and pooled a worker's peak from
+#: 31.5 to 43.6 MB while the parent's stayed near 39 MB.
 GROUP_SIZE = 16
 
 #: Most subjects one corpus may hold. 100,000 default subjects take about 6

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import AdamState, AutodiffError, Tensor, adam_step, backward, softmax_cross_entropy
-from .centerline import DROPPED_IN_11
 from .graph import SegmentGraph
 from .models import GraphStructure, ModelConfig, TrainedModel, init_model, model_forward
 
@@ -54,23 +53,10 @@ def kfold_split(subject_ids: list[str], k: int, seed: int) -> list[list[str]]:
 def select_classes(
     dataset: list[tuple[str, SegmentGraph]], mode: int
 ) -> list[tuple[str, SegmentGraph]]:
-    """Mode 11 drops the nodes labelled in `DROPPED_IN_11` (induced subgraph); 13 is identity."""
+    """Mode 11 gives each graph's `without_dropped` view, the same on every call; 13 is identity."""
     if mode == 13:
         return dataset
-    return [(sid, _without_dropped(sg)) for sid, sg in dataset]
-
-
-def _without_dropped(sg: SegmentGraph) -> SegmentGraph:
-    """`sg` itself when it has no node to drop, else its induced subgraph."""
-    keep = [i for i, lb in enumerate(sg.labels) if lb not in DROPPED_IN_11]
-    if len(keep) == len(sg.labels):
-        return sg
-    return SegmentGraph(
-        node_ids=tuple(sg.node_ids[i] for i in keep),
-        features=sg.features[keep],
-        adjacency=sg.adjacency[np.ix_(keep, keep)],
-        labels=tuple(sg.labels[i] for i in keep),
-    )
+    return [(sid, sg.without_dropped) for sid, sg in dataset]
 
 
 #: In train and predict, overflow, invalid and divide raise FloatingPointError, not a warning.

@@ -45,6 +45,25 @@ def test_generate_outputs(corpus):
     assert {"subject_id", "voxel_spacing_mm", "branches"} <= set(doc)
 
 
+def test_default_run_names_never_share_a_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.time, "strftime", lambda *args: "20260101-000000")
+    for subjects in ("5", "3"):
+        assert run_cli("generate", "--subjects", subjects, "--seed", "0", "--out", str(tmp_path)) == 0
+    runs = sorted(tmp_path.iterdir())
+    assert [r.name for r in runs] == ["run-20260101-000000-s0", "run-20260101-000000-s0-2"]
+    for run, n in zip(runs, (5, 3)):
+        manifest = json.loads((run / "manifest.json").read_text())
+        files = sorted(str(p.relative_to(run)) for p in run.rglob("*") if p.is_file())
+        assert files == sorted([*manifest["artifacts"], "manifest.json"])
+        assert len(manifest["artifacts"]) == n + 1  # subjects + corpus manifest
+    # an explicit --run-name reruns in place and keeps the earlier run's extra files
+    for subjects in ("5", "3"):
+        assert run_cli("generate", "--subjects", subjects, "--seed", "0", "--out", str(tmp_path),
+                       "--run-name", "fixed") == 0
+    assert len(list(tmp_path.iterdir())) == 3
+    assert len(list((tmp_path / "fixed" / "subjects").iterdir())) == 5
+
+
 def test_build_graph_schema(corpus, tmp_path):
     subject = sorted((corpus / "subjects").glob("*.json"))[0]
     code = run_cli("build", str(subject), "--out", str(tmp_path), "--run-name", "b")
@@ -436,6 +455,9 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         run_cli("nonsense")
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli("cv", "--corpus", "c", "--check")  # a flag that was removed
     assert exc.value.code == 2
     capsys.readouterr()
 

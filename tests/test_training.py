@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from coroseg.centerline import CLASSES_11, CLASSES_13, DROPPED_IN_11, prepare_subject
 from coroseg.graph import SegmentGraph, build_segment_graph
-from coroseg.models import VARIANTS, ModelConfig
+from coroseg.models import VARIANTS, GraphStructure, ModelConfig
 from coroseg.synth import GenParams, generate_corpus
 from coroseg.training import (
     TrainConfig,
@@ -139,6 +139,27 @@ def test_select_classes_drops_left_pda_plb_nodes(rng):
     assert np.array_equal(kept.adjacency, sg.adjacency[np.ix_(idx, idx)])
     # mode 13 is the identity
     assert select_classes([("s", sg)], 13)[0][1] is sg
+
+
+def test_select_classes_keeps_one_view_per_graph(monkeypatch):
+    dataset = generated_dataset()
+    assert select_classes(dataset, 13) is dataset
+    selected = select_classes(dataset, 11)
+    assert all(a is b for (_, a), (_, b) in zip(selected, select_classes(dataset, 11)))
+    assert any(kept is not sg for (_, kept), (_, sg) in zip(selected, dataset))
+    built = []
+    from_adjacency = GraphStructure.from_adjacency.__func__
+
+    def counting(cls, adj):
+        built.append(len(adj))
+        return from_adjacency(cls, adj)
+
+    monkeypatch.setattr(GraphStructure, "from_adjacency", classmethod(counting))
+    for variant in ("gcn", "sage"):
+        run_cv(ModelConfig(variant, hidden_dim=8, num_classes=11, seed=1),
+               TrainConfig(epochs=1, folds=2), dataset)
+    # every fold's train and predict reuse the induced graphs and their structures
+    assert sorted(built) == sorted(sg.n_nodes for _, sg in selected)
 
 
 def test_weighted_f1_hand_case():
