@@ -2,8 +2,10 @@
 
 Just the operations the message-passing layers need, in float64. No op
 checks its values: a NaN or an inf flows on, and `training` checks once per
-step. Gradients use fixed subgradient conventions (relu'(0) = 0, max-pool
-ties to the lowest index) so runs are bit-reproducible.
+step. Runs are bit-reproducible: every sum over a node's edges, in the pools,
+the softmax and the gradient of a gather, runs in edge order through one
+slot walk, `_reduce`, and gradients use fixed subgradient conventions
+(relu'(0) = 0, max-pool ties to the lowest index).
 """
 
 from __future__ import annotations
@@ -229,48 +231,31 @@ def _table(slot: np.ndarray, end: np.ndarray, n_nodes: int) -> np.ndarray:
     return table
 
 
-def _edge_rows(a, edges: Edges) -> Tensor:
+def _rows(a, n: int, what: str) -> Tensor:
     a = _as_tensor(a)
-    if a.shape[0] != len(edges.dst):
-        raise AutodiffError(f"{a.shape[0]} rows for {len(edges.dst)} edges")
+    if a.shape[0] != n:
+        raise AutodiffError(f"{a.shape[0]} rows for {n} {what}")
     return a
 
 
-def _node_rows(a, edges: Edges) -> Tensor:
-    a = _as_tensor(a)
-    if a.shape[0] != edges.n_nodes:
-        raise AutodiffError(f"{a.shape[0]} rows for {edges.n_nodes} nodes")
-    return a
-
-
-def _padded(x: np.ndarray, fill: float) -> np.ndarray:
-    """x with one fill row appended, the row that a table's padding picks."""
-    return np.concatenate([x, np.full((1, x.shape[1]), fill)])
-
-
-def _reduce(ufunc, x: np.ndarray, table: np.ndarray, fill: float = 0.0) -> np.ndarray:
+def _reduce(ufunc, x: np.ndarray, table: np.ndarray, fill: float = 0.0,
+            w: np.ndarray | None = None, w_table: np.ndarray | None = None) -> np.ndarray:
     """ufunc over the rows of x listed in each column of table, slot after slot.
 
-    That is the order of ``ufunc.reduce`` over the slot axis, with (n, cols)
-    temporaries only: a (width, n, cols) gather is slower here.
+    Slot after slot is edge order, the order of ``ufunc.reduce`` over the
+    slot axis, with (n, cols) temporaries only: a (width, n, cols) gather is
+    slower here. Empty slots pick a fill row appended after x's rows. With
+    w, an (E, 1) column, each row taken is first multiplied by the row of w
+    at the same place of w_table, its edge's weight (0 for an empty slot).
     """
-    rows = _padded(x, fill)
-    out = rows.take(table[0], axis=0)
-    for slot in table[1:]:
-        ufunc(out, rows.take(slot, axis=0), out=out)
-    return out
-
-
-def _weighted_sum(x: np.ndarray, table: np.ndarray, w: np.ndarray | None,
-                  w_table: np.ndarray) -> np.ndarray:
-    """`_reduce` of np.add, each row taken from x first times the row of the
-    (E, 1) column w at the same place of w_table (the edge's weight)."""
-    if w is None:
-        return _reduce(np.add, x, table)
-    rows, w = _padded(x, 0.0), _padded(w, 0.0)
-    out = rows.take(table[0], axis=0) * w.take(w_table[0], axis=0)
-    for slot, w_slot in zip(table[1:], w_table[1:]):
-        out += rows.take(slot, axis=0) * w.take(w_slot, axis=0)
+    rows = np.concatenate([x, np.full((1, x.shape[1]), fill)])
+    w = None if w is None else np.concatenate([w, np.zeros((1, 1))])
+    out = None
+    for k, slot in enumerate(table):
+        term = rows.take(slot, axis=0)
+        if w is not None:
+            term *= w.take(w_table[k], axis=0)
+        out = term if out is None else ufunc(out, term, out=out)
     return out
 
 
@@ -281,7 +266,7 @@ def gather_rows(a, edges: Edges, end: str = "src") -> Tensor:
     """
     if end not in ("src", "dst"):
         raise AutodiffError(f"end must be 'src' or 'dst', not {end!r}")
-    a = _node_rows(a, edges)
+    a = _rows(a, edges.n_nodes, "nodes")
     index, table = (edges.src, edges.by_src) if end == "src" else (edges.dst, edges.by_dst)
     return _result(a.data.take(index, axis=0), (a,), lambda g, t=table: (_reduce(np.add, g, t),))
 
@@ -290,20 +275,19 @@ def row_sum_pool(a, edges: Edges, weight=None) -> Tensor:
     """Row i of the output sums row j of a over the edges j -> i, each times its weight.
 
     a holds node rows, read slot after slot through ``edges.src_by_dst``, so
-    no row is copied out per edge and each sum runs in edge order. weight is
-    None, a constant (E, 1) array, or an (E, 1) tensor, which gets its
-    gradient too.
+    no row is copied out per edge. weight is None, a constant (E, 1) array,
+    or an (E, 1) tensor, which gets its gradient too.
     """
-    a = _node_rows(a, edges)
+    a = _rows(a, edges.n_nodes, "nodes")
     w = None if weight is None else _as_tensor(weight)
     if w is not None and w.shape != (len(edges.dst), 1):
         raise AutodiffError(f"weight shape {w.shape} is not ({len(edges.dst)}, 1)")
     w_data = None if w is None else w.data
-    data = _weighted_sum(a.data, edges.src_by_dst, w_data, edges.by_dst)
+    data = _reduce(np.add, a.data, edges.src_by_dst, w=w_data, w_table=edges.by_dst)
     parents = (a, w) if w is not None and _tracked(w) else (a,)
 
     def backward(g, x=a.data, w=w_data, edges=edges, both=len(parents) == 2):
-        ga = _weighted_sum(g, edges.dst_by_src, w, edges.by_src)
+        ga = _reduce(np.add, g, edges.dst_by_src, w=w, w_table=edges.by_src)
         if not both:
             return (ga,)
         messages = g.take(edges.dst, axis=0) * x.take(edges.src, axis=0)
@@ -319,9 +303,9 @@ def row_max_pool(a, edges: Edges) -> Tensor:
     the tape each maximum's source row is recorded, the first in slot order
     winning, so ties route the gradient to the lowest edge index.
     """
-    a = _node_rows(a, edges)
+    a = _rows(a, edges.n_nodes, "nodes")
     n, table = edges.n_nodes, edges.src_by_dst
-    rows = _padded(a.data, -np.inf)
+    rows = np.concatenate([a.data, np.full((1, a.shape[1]), -np.inf)])
     best = rows.take(table[0], axis=0)
     src = np.repeat(table[0][:, None], a.shape[1], axis=1) if _tracked(a) else None
     for slot in table[1:]:
@@ -341,7 +325,7 @@ def row_max_pool(a, edges: Edges) -> Tensor:
 
 def row_softmax(a, edges: Edges) -> Tensor:
     """Softmax per column over the edge rows into each node, max-stabilized."""
-    a = _edge_rows(a, edges)
+    a = _rows(a, len(edges.dst), "edges")
     table, dst = edges.by_dst, edges.dst
     e = np.exp(a.data - _reduce(np.maximum, a.data, table, -np.inf)[dst])
     y = e / _reduce(np.add, e, table)[dst]
@@ -352,15 +336,15 @@ def row_softmax(a, edges: Edges) -> Tensor:
     return _result(y, (a,), backward)
 
 
-def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, mask=None) -> Tensor:
-    """Mean -log softmax(logits)[label] over selected rows (fused op)."""
+def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean -log softmax(logits)[label] over the labelled rows (fused op); -1 is unlabelled."""
     logits = _as_tensor(logits)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (logits.shape[0],):
         raise AutodiffError("labels must be one class index per row")
-    if np.any((labels < 0) | (labels >= logits.shape[1])):
+    if np.any((labels < -1) | (labels >= logits.shape[1])):
         raise AutodiffError("label out of range")
-    sel = np.ones(len(labels), dtype=bool) if mask is None else np.asarray(mask, bool)
+    sel = labels >= 0
     if not sel.any():
         raise AutodiffError("empty selection")
     z = logits.data
@@ -370,9 +354,9 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, mask=None) -> Tens
     n_sel = int(sel.sum())
     loss = -logp[sel, labels[sel]].mean()
 
-    def backward(g, logits=logits, labels=labels, sel=sel, logp=logp, n_sel=n_sel):
+    def backward(g, labels=labels, sel=sel, logp=logp, n_sel=n_sel):
         p = np.exp(logp)
-        p[np.arange(len(labels)), labels] -= 1.0
+        p[sel, labels[sel]] -= 1.0
         p[~sel] = 0.0
         return (g[0, 0] * p / n_sel,)
 

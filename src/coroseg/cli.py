@@ -3,7 +3,8 @@
 Every command writes its outputs under a run directory along with a
 manifest (command, config snapshot, seeds, input hashes, artifact list),
 written last so its presence marks a completed run. Reruns from the same
-configuration produce byte-identical metrics files.
+configuration produce byte-identical metrics files at the same BLAS thread
+count.
 
 Each ``cmd_*`` function takes the parsed arguments and its run directory and
 returns what the manifest records: ``(config, input_hashes, artifacts)``, the
@@ -29,7 +30,7 @@ from .centerline import CenterlineError, clipped, parse_subject, prepare_subject
 from .graph import build_segment_graph, segment_graph_to_json
 from .models import VARIANTS, ModelConfig, load_model, save_model
 from .pool import WorkerDied, ordered_map
-from .synth import GenParams, generate_corpus
+from .synth import SUBJECT_ID, GenParams, generate_corpus
 from .training import (
     TrainConfig,
     TrainingError,
@@ -144,8 +145,13 @@ def cmd_generate(args, run: Path):
         params = GenParams.low_noise(n_subjects=args.subjects, seed=args.seed)
     else:
         params = GenParams(n_subjects=args.subjects, seed=args.seed)
-    records, census = generate_corpus(params)
     subj_dir = run / "subjects"
+    names = {f"{SUBJECT_ID.format(i)}.json" for i in range(params.n_subjects)}
+    stale = sorted(p.name for p in subj_dir.glob("*.json") if p.name not in names)
+    if stale:   # checked before any subject is made: one corpus never mixes two runs
+        raise FileExistsError(f"{subj_dir} already holds {clipped(stale[0])}, which this run "
+                              "would not write; choose another --run-name")
+    records, census = generate_corpus(params)
     subj_dir.mkdir(exist_ok=True)
     artifacts = []
     for rec in records:

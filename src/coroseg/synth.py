@@ -102,6 +102,9 @@ GROUP_SIZE = 16
 #: files, and about 0.7 GB of memory for their records until they are written.
 MAX_SUBJECTS = 100_000
 
+#: The subject_id of a corpus's subject i, which also names its file.
+SUBJECT_ID = "synthetic-{:04d}"
+
 #: GenParams fields that scale a noise draw: each must be finite and >= 0.
 _NOISE_SCALES = ("direction_jitter_rad", "length_jitter_frac", "attach_jitter_frac",
                  "bend_jitter_frac", "wobble_rad", "junction_jitter_mm", "translation_range_mm")
@@ -403,7 +406,7 @@ def _generate_group(params: GenParams, seeds: list) -> list[SubjectRecord]:
                        key=lambda b: (sides[b] == RIGHT, subject[b].cls == "RCA"))
         sizes = [len(grown[lo + b]) for b in order]
         records.append(SubjectRecord(
-            f"synthetic-{seed[-1]:04d}",
+            SUBJECT_ID.format(seed[-1]),
             params.voxel_spacing_mm,
             points=np.concatenate([grown[lo + b] for b in order]) @ motion_r.T + motion_t,
             first=np.cumsum(sizes) - sizes,

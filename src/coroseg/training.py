@@ -92,12 +92,11 @@ def train(
         for start in range(0, len(graphs), train_cfg.batch):
             chunk = [graphs[i] for i in order[start : start + train_cfg.batch]]
             feats, labels, gs = _batch(chunk, classes)
-            mask = labels >= 0
-            if not mask.any():
+            if not (labels >= 0).any():
                 continue
             try:
                 logits = model_forward(model, feats, gs)
-                loss = softmax_cross_entropy(logits, np.where(mask, labels, 0), mask)
+                loss = softmax_cross_entropy(logits, labels)
                 model.grads[:] = 0.0
                 backward(loss)
                 adam_step(model.values, model.grads, state)

@@ -307,7 +307,7 @@ def test_cross_entropy_gradient_closed_form(rng):
     labels = rng.integers(0, 4, size=5)
     mask = np.array([True, False, True, True, False])
     logits = Tensor(z, requires_grad=True)
-    backward(softmax_cross_entropy(logits, labels, mask))
+    backward(softmax_cross_entropy(logits, np.where(mask, labels, -1)))
     e = np.exp(z - z.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
     p[np.arange(5), labels] -= 1.0
@@ -326,9 +326,11 @@ def test_cross_entropy_finite_difference(rng):
 def test_cross_entropy_errors():
     logits = Tensor(np.zeros((2, 3)))
     with pytest.raises(AutodiffError, match="empty selection"):
-        softmax_cross_entropy(logits, np.zeros(2, dtype=int), np.zeros(2, bool))
+        softmax_cross_entropy(logits, np.full(2, -1))
     with pytest.raises(AutodiffError, match="out of range"):
         softmax_cross_entropy(logits, np.array([0, 3]))
+    with pytest.raises(AutodiffError, match="out of range"):
+        softmax_cross_entropy(logits, np.array([0, -2]))
     with pytest.raises(AutodiffError, match="one class index"):
         softmax_cross_entropy(logits, np.zeros(3, dtype=int))
 

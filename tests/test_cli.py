@@ -56,12 +56,37 @@ def test_default_run_names_never_share_a_directory(tmp_path, monkeypatch):
         files = sorted(str(p.relative_to(run)) for p in run.rglob("*") if p.is_file())
         assert files == sorted([*manifest["artifacts"], "manifest.json"])
         assert len(manifest["artifacts"]) == n + 1  # subjects + corpus manifest
-    # an explicit --run-name reruns in place and keeps the earlier run's extra files
-    for subjects in ("5", "3"):
+    # an explicit --run-name reruns in place, here over every file of the earlier run
+    for subjects in ("3", "5"):
         assert run_cli("generate", "--subjects", subjects, "--seed", "0", "--out", str(tmp_path),
                        "--run-name", "fixed") == 0
     assert len(list(tmp_path.iterdir())) == 3
     assert len(list((tmp_path / "fixed" / "subjects").iterdir())) == 5
+
+
+def test_generate_refuses_to_mix_two_corpora_in_one_run(tmp_path, capsys):
+    def generate(subjects, seed):
+        return run_cli("generate", "--subjects", subjects, "--seed", seed, "--out", str(tmp_path),
+                       "--run-name", "c")
+
+    def tree():
+        return {p: p.read_bytes() for p in sorted((tmp_path / "c").rglob("*")) if p.is_file()}
+
+    assert generate("5", "0") == 0
+    before = tree()
+    # a smaller corpus would leave two of seed 0's subjects beside seed 1's
+    capsys.readouterr()
+    assert generate("3", "1") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "synthetic-0003.json" in err and "--run-name" in err
+    assert tree() == before
+    # the same configuration reruns in place, byte for byte but the manifest's duration
+    assert generate("5", "0") == 0
+    after = tree()
+    manifest = tmp_path / "c" / "manifest.json"
+    assert {p: b for p, b in after.items() if p != manifest} == {
+        p: b for p, b in before.items() if p != manifest}
+    assert len(list((tmp_path / "c" / "subjects").iterdir())) == 5
 
 
 def test_build_graph_schema(corpus, tmp_path):

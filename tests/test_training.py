@@ -141,6 +141,27 @@ def test_select_classes_drops_left_pda_plb_nodes(rng):
     assert select_classes([("s", sg)], 13)[0][1] is sg
 
 
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(preset=st.sampled_from(["default", "low-noise"]), seed=st.integers(0, 2**16))
+def test_select_classes_gives_the_induced_subgraph(preset, seed):
+    make = GenParams.low_noise if preset == "low-noise" else GenParams
+    records, _ = generate_corpus(make(n_subjects=8, seed=seed))
+    dataset = [(rec.subject_id, build_segment_graph(prepare_subject(rec))) for rec in records]
+    for (_, sg), (_, sub) in zip(dataset, select_classes(dataset, 11)):
+        keep = np.array([i for i, lb in enumerate(sg.labels) if lb not in DROPPED_IN_11])
+        if len(keep) == sg.n_nodes:
+            assert sub is sg
+            continue
+        assert sub.node_ids == tuple(sg.node_ids[i] for i in keep)
+        assert np.array_equal(sub.features, sg.features[keep])
+        adj = sg.adjacency[np.ix_(keep, keep)]
+        assert np.array_equal(sub.adjacency, adj)
+        assert sub.labels == tuple(sg.labels[i] for i in keep)
+        induced = GraphStructure.from_adjacency(adj)
+        for name in ("src", "dst", "dst_slot", "src_slot", "by_dst", "by_src"):
+            assert np.array_equal(getattr(sub.structure, name), getattr(induced, name)), name
+
+
 def test_select_classes_keeps_one_view_per_graph(monkeypatch):
     dataset = generated_dataset()
     assert select_classes(dataset, 13) is dataset
