@@ -10,8 +10,10 @@ slot walk, `_reduce`, and gradients use fixed subgradient conventions
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,10 +23,14 @@ class AutodiffError(RuntimeError):
     """Shape mismatch, bad edge or label index, or tape misuse."""
 
 
+#: Numbers each Tensor as it is made: a tape op's result is newer than its parents.
+_created = count()
+
+
 class Tensor:
     """A rows x cols float64 array, optionally recorded on the tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_done")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_done", "_index")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -38,6 +44,7 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
         self._done = False
+        self._index = next(_created)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -364,30 +371,21 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def backward(loss: Tensor):
-    """Reverse pass from a scalar loss; populates .grad on parameter tensors."""
+    """Reverse pass from a scalar loss; populates .grad on parameter tensors.
+
+    Reachable nodes are taken newest first, so each node is done after every
+    op that used it, and its gradient terms add in the order those ops ran
+    backward."""
     if loss.shape != (1, 1):
         raise AutodiffError("loss must be a 1x1 tensor")
     if loss._done:
         raise AutodiffError("backward already run for this tape; re-record first")
     loss._done = True
 
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            stack.append((p, False))
-
     grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
-    for node in reversed(topo):
+    pending = [(-loss._index, loss)]   # a max-heap of creation indices, which are unique
+    while pending:
+        node = heapq.heappop(pending)[1]
         g = grads.pop(id(node))
         if node.requires_grad:
             node.grad += g
@@ -398,6 +396,7 @@ def backward(loss: Tensor):
                 grads[id(parent)] = grads[id(parent)] + pg  # out of place: pg may be a view
             else:
                 grads[id(parent)] = pg
+                heapq.heappush(pending, (-parent._index, parent))
 
 
 def parameters(arrays: dict[str, np.ndarray]) -> tuple[dict[str, Tensor], np.ndarray, np.ndarray]:

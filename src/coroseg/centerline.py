@@ -244,7 +244,8 @@ def resample_points(points: np.ndarray, first: np.ndarray, spacing_mm: float, br
     with one array operation per step whatever their count. First and last
     points are kept exactly; interpolated points lie on the piecewise-linear
     input curve. Returns the new points and first rows and, per branch, why it
-    cannot be resampled or None; such a branch keeps just its end points.
+    cannot be resampled or None. Such a branch keeps just its end points,
+    unless it folds back: two of its resampled points coincide.
     Messages name branches by branch_ids, or by index. The output is checked
     against MAX_RESAMPLED_POINTS before it is made, and temporaries are
     O(points + targets), but for a branches x longest table."""
@@ -295,6 +296,12 @@ def resample_points(points: np.ndarray, first: np.ndarray, spacing_mm: float, br
     out[out_first] = points[first]
     out[out_first[t_owner] + k] = points[j] + alpha[:, None] * (points[j + 1] - points[j])
     out[out_first + counts + 1] = points[last]
+    # a curve that returns to a point it passed can put two targets, or a
+    # target and its end, on that point
+    same = (out[1:] == out[:-1]).all(axis=1)
+    same[out_first[1:] - 1] = False
+    for b in set(np.searchsorted(out_first, np.flatnonzero(same), side="right").tolist()):
+        problems[b - 1] = problems[b - 1] or "curve folds back: resampled points coincide"
     ids = range(n_branches) if branch_ids is None else branch_ids
     return out, out_first, [None if p is None else f"branch {clipped(bid)}: {p}"
                             for bid, p in zip(ids, problems)]

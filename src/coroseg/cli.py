@@ -30,7 +30,7 @@ from .centerline import CenterlineError, clipped, parse_subject, prepare_subject
 from .graph import build_segment_graph, segment_graph_to_json
 from .models import VARIANTS, ModelConfig, load_model, save_model
 from .pool import WorkerDied, ordered_map
-from .synth import SUBJECT_ID, GenParams, generate_corpus
+from .synth import PRESETS, SUBJECT_ID, GenParams, generate_corpus
 from .training import (
     TrainConfig,
     TrainingError,
@@ -141,10 +141,7 @@ def _load_corpus(corpus_dir: str):
 
 
 def cmd_generate(args, run: Path):
-    if args.preset == "low-noise":
-        params = GenParams.low_noise(n_subjects=args.subjects, seed=args.seed)
-    else:
-        params = GenParams(n_subjects=args.subjects, seed=args.seed)
+    params = GenParams(n_subjects=args.subjects, seed=args.seed, preset=args.preset)
     subj_dir = run / "subjects"
     names = {f"{SUBJECT_ID.format(i)}.json" for i in range(params.n_subjects)}
     stale = sorted(p.name for p in subj_dir.glob("*.json") if p.name not in names)
@@ -265,7 +262,7 @@ def cmd_cv(args, run: Path):
 DEFAULTS = {
     "seed": TrainConfig.seed, "epochs": TrainConfig.epochs, "batch": TrainConfig.batch,
     "lr": TrainConfig.lr, "folds": TrainConfig.folds, "subjects": GenParams.n_subjects,
-    "classes": ModelConfig.num_classes, "out": "runs", "preset": "default", "model": "sage",
+    "classes": ModelConfig.num_classes, "out": "runs", "preset": GenParams.preset, "model": "sage",
 }
 
 
@@ -330,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="emit a synthetic labeled corpus")
     g.add_argument("--subjects", type=int)
-    preset = g.add_argument("--preset", choices=["default", "low-noise"])
+    preset = g.add_argument("--preset", choices=list(PRESETS))
     common(g, preset)
     g.set_defaults(func=cmd_generate)
 

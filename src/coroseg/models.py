@@ -176,8 +176,10 @@ def gat_head(h: Tensor, gs: GraphStructure, w, a_src, a_dst, slope: float) -> Te
     node gathered to the edges as (E, 1) columns.
     """
     hw = ad.matmul(h, w)
-    logits = ad.add(ad.gather_rows(ad.matmul(hw, a_src), gs, end="dst"),
-                    ad.gather_rows(ad.matmul(hw, a_dst), gs))
+    # a_dst . hw_j first: backward takes the newest op first, so hw's gradient
+    # adds the pool, a_src and a_dst terms, the order trained weights are pinned in
+    source = ad.gather_rows(ad.matmul(hw, a_dst), gs)
+    logits = ad.add(ad.gather_rows(ad.matmul(hw, a_src), gs, end="dst"), source)
     return ad.row_sum_pool(hw, gs, ad.row_softmax(ad.leaky_relu(logits, slope), gs))
 
 

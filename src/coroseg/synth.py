@@ -16,9 +16,8 @@ groups to `coroseg.pool` workers, so a corpus is bit-identical whatever the
 grouping and the worker count. An axis drawn along its branch's
 direction, which no real seed draws, raises one ValueError line naming the
 subject and the branch, and GenParams one naming a field out of range:
-n_subjects outside 1 to MAX_SUBJECTS, a negative seed or noise scale, a
-non-finite noise scale, or count_probs not finite, non-negative and of
-positive sum.
+n_subjects outside 1 to MAX_SUBJECTS, a negative seed or a preset not in
+PRESETS.
 
 Emitted centerlines are pre-resampled so every child start coincides
 bit-exactly with a vertex of its resampled parent. The ingestion pipeline's
@@ -30,13 +29,14 @@ synthetic-0002).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 from functools import partial
 from itertools import chain
 
 import numpy as np
 
-from .centerline import LEFT, RESAMPLE_VOXELS, RIGHT, SubjectRecord, merge_branch_origins, resample_points
+from .centerline import (LEFT, RESAMPLE_VOXELS, RIGHT, SubjectRecord, clipped, merge_branch_origins,
+                         resample_points)
 from .graph import split_into_segments
 from .pool import ordered_map
 
@@ -73,7 +73,9 @@ TEMPLATES: dict[str, BranchTemplate] = {
 }
 
 #: Probability of drawing 0, 1, 2, ... instances per subject; means match
-#: the published per-class branch counts over 141 subjects.
+#: the published per-class branch counts over 141 subjects. Read each time
+#: a group is generated, so a test can replace it; a class may draw a
+#: branch only where its parent class always draws one.
 DEFAULT_COUNT_PROBS: dict[str, tuple[float, ...]] = {
     "LM": (0.0, 1.0),
     "LAD": (0.0, 1.0),
@@ -105,27 +107,30 @@ MAX_SUBJECTS = 100_000
 #: The subject_id of a corpus's subject i, which also names its file.
 SUBJECT_ID = "synthetic-{:04d}"
 
-#: GenParams fields that scale a noise draw: each must be finite and >= 0.
-_NOISE_SCALES = ("direction_jitter_rad", "length_jitter_frac", "attach_jitter_frac",
-                 "bend_jitter_frac", "wobble_rad", "junction_jitter_mm", "translation_range_mm")
+#: Each preset's noise scales. The CLI's --preset choices are its keys.
+PRESETS: dict[str, dict[str, float]] = {
+    "default": dict(direction_jitter_rad=0.15, length_jitter_frac=0.12, attach_jitter_frac=0.05,
+                    bend_jitter_frac=0.3, wobble_rad=0.04, junction_jitter_mm=1.0),
+    # tight geometric noise: classes cleanly separable
+    "low-noise": dict(direction_jitter_rad=0.05, length_jitter_frac=0.05, attach_jitter_frac=0.02,
+                      bend_jitter_frac=0.1, wobble_rad=0.015, junction_jitter_mm=0.3),
+}
+
+#: Voxel spacing every subject is written with; resampling steps RESAMPLE_VOXELS of it.
+VOXEL_SPACING_MM = 0.5
+RESAMPLE_SPACING_MM = RESAMPLE_VOXELS * VOXEL_SPACING_MM
+#: Each subject is turned by a uniform random rotation, then moved by a
+#: translation uniform in +-TRANSLATION_RANGE_MM per axis.
+TRANSLATION_RANGE_MM = 40.0
 
 
 @dataclass(frozen=True)
 class GenParams:
+    """A corpus: n_subjects subjects of one preset, deterministic in seed."""
+
     n_subjects: int = 141
     seed: int = 0
-    voxel_spacing_mm: float = 0.5
-    direction_jitter_rad: float = 0.15
-    length_jitter_frac: float = 0.12
-    attach_jitter_frac: float = 0.05
-    bend_jitter_frac: float = 0.3
-    wobble_rad: float = 0.04      # per-step random curl of the tangent
-    junction_jitter_mm: float = 1.0
-    translation_range_mm: float = 40.0
-    rotate: bool = True
-    count_probs: dict[str, tuple[float, ...]] = field(
-        default_factory=lambda: dict(DEFAULT_COUNT_PROBS)
-    )
+    preset: str = "default"
 
     def __post_init__(self):
         if self.n_subjects < 1:
@@ -134,41 +139,8 @@ class GenParams:
             raise ValueError(f"n_subjects must be <= {MAX_SUBJECTS}, not {self.n_subjects}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, not {self.seed}")
-        for name in _NOISE_SCALES:
-            value = getattr(self, name)
-            if not 0 <= value < np.inf:
-                raise ValueError(f"{name} must be finite and >= 0, not {value!r}")
-        probs = {}
-        for cls, tpl in TEMPLATES.items():
-            if cls not in self.count_probs:
-                raise ValueError(f"count_probs has no entry for class {cls!r}")
-            probs[cls] = np.asarray(self.count_probs[cls], dtype=float).ravel()
-            if not (np.isfinite(probs[cls]).all() and (probs[cls] >= 0).all()
-                    and 0 < sum(probs[cls].tolist()) < np.inf):
-                raise ValueError(f"count_probs[{cls!r}] must be finite and >= 0 with a "
-                                 f"positive sum, not {self.count_probs[cls]!r}")
-            # a child attaches to its parent's first branch, so it needs one
-            if tpl.parent and probs[tpl.parent][0] > 0 and (probs[cls][1:] > 0).any():
-                raise ValueError(f"count_probs[{cls!r}] can draw a branch where its parent "
-                                 f"{tpl.parent!r} draws none")
-
-    @property
-    def resample_spacing_mm(self) -> float:
-        return RESAMPLE_VOXELS * self.voxel_spacing_mm
-
-    @classmethod
-    def low_noise(cls, **overrides) -> "GenParams":
-        """Preset with tight geometric noise: classes cleanly separable."""
-        defaults = dict(
-            direction_jitter_rad=0.05,
-            length_jitter_frac=0.05,
-            attach_jitter_frac=0.02,
-            bend_jitter_frac=0.1,
-            wobble_rad=0.015,
-            junction_jitter_mm=0.3,
-        )
-        defaults.update(overrides)
-        return cls(**defaults)
+        if self.preset not in PRESETS:
+            raise ValueError(f"preset must be one of {', '.join(PRESETS)}, not {clipped(self.preset)}")
 
 
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -207,12 +179,6 @@ def _perpendiculars(v: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarra
         return v / norm[:, None], norm > 1e-9
 
 
-def _jitter(params: GenParams, axes: np.ndarray, angles: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Directions d (B, 3) turned about their jitter axes by the drawn angles."""
-    turn = _rodrigues(axes, 0.0 + params.direction_jitter_rad * angles)
-    return np.matmul(turn, d[:, :, None])[:, :, 0]
-
-
 #: Each class's template direction as a unit vector.
 _DIRECTIONS = {cls: np.asarray(tpl.direction) / np.linalg.norm(tpl.direction)
                for cls, tpl in TEMPLATES.items()}
@@ -238,10 +204,10 @@ class _Draw:
     cls: str
     branch_id: str
     anchor: np.ndarray | float  # root start, or attach fraction along the parent
-    #: standard normals: the jitter axis (3) and angle when direction_jitter_rad
-    #: > 0, then length, bend, bend axis (3) and curl axis (3)
+    #: standard normals: the jitter axis (3) and angle, length, bend, bend
+    #: axis (3) and curl axis (3)
     normals: np.ndarray
-    wobble: np.ndarray  # one standard normal per 1 mm step; zeros when wobble_rad is 0
+    wobble: np.ndarray  # one standard normal per 1 mm step
 
 
 def _depth(cls: str) -> int:
@@ -250,25 +216,25 @@ def _depth(cls: str) -> int:
     return 0 if parent is None else 1 + _depth(parent)
 
 
-def _count_cdfs(params: GenParams) -> dict[str, np.ndarray]:
+def _count_cdfs() -> dict[str, np.ndarray]:
     """Per class, the cdf that rng.choice(len(p), p=p / p.sum()) searches, so
-    one rng.random() and a searchsorted pick the count choice would."""
+    one rng.random() and a searchsorted pick the count choice would. Reads
+    DEFAULT_COUNT_PROBS when called."""
     cdfs = {}
     for cls in TEMPLATES:
-        probs = np.asarray(params.count_probs[cls])
+        probs = np.asarray(DEFAULT_COUNT_PROBS[cls])
         cdf = (probs / probs.sum()).cumsum()
         cdfs[cls] = cdf / cdf[-1]
     return cdfs
 
 
-def _draw_branches(rng: np.random.Generator, params: GenParams, cdfs: dict[str, np.ndarray]) -> list[_Draw]:
+def _draw_branches(rng: np.random.Generator, noise: dict[str, float],
+                   cdfs: dict[str, np.ndarray]) -> list[_Draw]:
     """Every branch's random draws, in template order, with one rng call for
     its fixed normals and one for its wobble. rng.normal(0, s, k) is
     0.0 + s * rng.standard_normal(k) and one call of k draws is k calls of
     one, so the stream is the per-branch loop's; _finish makes the geometry
     from the normals."""
-    n_fixed = 12 if params.direction_jitter_rad > 0 else 8
-    spacing = params.resample_spacing_mm
     draws = []
     for cls, tpl in TEMPLATES.items():
         count = int(cdfs[cls].searchsorted(rng.random(), side="right"))
@@ -276,48 +242,47 @@ def _draw_branches(rng: np.random.Generator, params: GenParams, cdfs: dict[str, 
             if tpl.parent is None:
                 anchor = np.asarray(tpl.start, dtype=float)
                 if cls != "LM":
-                    anchor = anchor + (0.0 + params.junction_jitter_mm * rng.standard_normal(3))
+                    anchor = anchor + (0.0 + noise["junction_jitter_mm"] * rng.standard_normal(3))
             else:
                 lo, hi = tpl.attach
                 frac = lo + (i + 0.5) * (hi - lo) / count
-                frac += 0.0 + params.attach_jitter_frac * max(hi - lo, 0.05) * rng.standard_normal()
+                frac += 0.0 + noise["attach_jitter_frac"] * max(hi - lo, 0.05) * rng.standard_normal()
                 anchor = min(max(frac, 0.02), 0.98)
-            normals = rng.standard_normal(n_fixed)
-            jitter = 0.0 + params.length_jitter_frac * float(normals[-8])
-            length = max(tpl.length_mm * (1 + jitter), 2.5 * spacing)
+            normals = rng.standard_normal(12)
+            jitter = 0.0 + noise["length_jitter_frac"] * float(normals[4])
+            length = max(tpl.length_mm * (1 + jitter), 2.5 * RESAMPLE_SPACING_MM)
             n = max(3, int(round(length)))  # 1 mm steps
-            wobble = rng.standard_normal(n) if params.wobble_rad > 0 else np.zeros(n)
-            draws.append(_Draw(cls, cls if count == 1 else f"{cls}{i + 1}", anchor, normals, wobble))
+            draws.append(_Draw(cls, cls if count == 1 else f"{cls}{i + 1}", anchor, normals,
+                               rng.standard_normal(n)))
     return draws
 
 
-def _finish(params: GenParams, draws: list[_Draw]):
+def _finish(noise: dict[str, float], draws: list[_Draw]):
     """Each branch's direction, bend angle, bend axis and curl axis from its
     normals, in array passes over all branches; and which branches drew an
     axis along their direction, which has no perpendicular part to turn about."""
     z = np.stack([dr.normals for dr in draws])
     d = np.stack([_DIRECTIONS[dr.cls] for dr in draws])
-    kept = np.ones(len(draws), bool)
-    if params.direction_jitter_rad > 0:
-        axes, kept = _perpendiculars(z[:, :3], d)
-        d = _jitter(params, axes, z[:, 3], d)
+    axes, kept = _perpendiculars(z[:, :3], d)
+    turn = _rodrigues(axes, 0.0 + noise["direction_jitter_rad"] * z[:, 3])
+    d = np.matmul(turn, d[:, :, None])[:, :, 0]
     bend = np.array([TEMPLATES[dr.cls].bend_rad for dr in draws]) * (
-        1 + (0.0 + params.bend_jitter_frac * z[:, -7]))
-    bend_axes, bend_kept = _perpendiculars(z[:, -6:-3], d)
-    curl_axes, curl_kept = _perpendiculars(z[:, -3:], d)
+        1 + (0.0 + noise["bend_jitter_frac"] * z[:, 5]))
+    bend_axes, bend_kept = _perpendiculars(z[:, 6:9], d)
+    curl_axes, curl_kept = _perpendiculars(z[:, 9:], d)
     return (d, bend, bend_axes, curl_axes), ~(kept & bend_kept & curl_kept)
 
 
-def _grow_directions(params: GenParams, draws: list[_Draw], geometry) -> np.ndarray:
+def _grow_directions(noise: dict[str, float], draws: list[_Draw], geometry) -> np.ndarray:
     """Unit tangent after each 1 mm step, (longest branch, branches, 3).
 
     All branches step in lockstep, whichever subject they belong to. Each
     step rotates the tangent about the bend axis by bend / n, then about the
-    curl axis by that step's wobble angle, then renormalises. A zero angle
-    (zero wobble, and the padding steps past a branch's end) builds the
-    identity bit for bit. Each step's curl matrices are built when it runs, so
-    memory is the returned tangents plus a sine and a cosine per step and
-    branch, never a steps x branches x 3 x 3 stack.
+    curl axis by that step's wobble angle, then renormalises. The zero angle
+    of a padding step past a branch's end builds the identity bit for bit.
+    Each step's curl matrices are built when it runs, so memory is the
+    returned tangents plus a sine and a cosine per step and branch, never a
+    steps x branches x 3 x 3 stack.
     """
     d, bend_angles, bend_axes, curl_axes = geometry
     lengths = np.array([len(dr.wobble) for dr in draws])
@@ -325,7 +290,7 @@ def _grow_directions(params: GenParams, draws: list[_Draw], geometry) -> np.ndar
     eye, bend = np.eye(3), _rodrigues(bend_axes, bend_angles / lengths)
     angles = np.zeros((len(draws), n_max))
     angles[np.arange(n_max) < lengths[:, None]] = np.concatenate([dr.wobble for dr in draws])
-    angles = (0.0 + params.wobble_rad * angles).T[:, :, None, None]
+    angles = (0.0 + noise["wobble_rad"] * angles).T[:, :, None, None]
     sin, one_minus_cos = np.sin(angles), 1 - np.cos(angles)
     k = _skew(curl_axes)
     kk = k @ k
@@ -338,12 +303,12 @@ def _grow_directions(params: GenParams, draws: list[_Draw], geometry) -> np.ndar
     return dirs
 
 
-def _draw_subject(params: GenParams, cdfs: dict[str, np.ndarray], seed):
+def _draw_subject(noise: dict[str, float], cdfs: dict[str, np.ndarray], seed):
     """A subject's branch draws and then its rigid motion, from its own rng."""
     rng = np.random.default_rng(seed)
-    draws = _draw_branches(rng, params, cdfs)
-    motion_t = rng.uniform(-params.translation_range_mm, params.translation_range_mm, 3)
-    return draws, (_random_rotation(rng) if params.rotate else np.eye(3), motion_t)
+    draws = _draw_branches(rng, noise, cdfs)
+    motion_t = rng.uniform(-TRANSLATION_RANGE_MM, TRANSLATION_RANGE_MM, 3)
+    return draws, (_random_rotation(rng), motion_t)
 
 
 def _generate_group(params: GenParams, seeds: list) -> list[SubjectRecord]:
@@ -356,16 +321,16 @@ def _generate_group(params: GenParams, seeds: list) -> list[SubjectRecord]:
     template depth at a time, with one resample_points call per depth for
     the whole group, so each child starts on a vertex of its resampled parent.
     """
-    cdfs = _count_cdfs(params)
-    subjects = [_draw_subject(params, cdfs, seed) for seed in seeds]
+    noise, cdfs = PRESETS[params.preset], _count_cdfs()
+    subjects = [_draw_subject(noise, cdfs, seed) for seed in seeds]
     flat = [dr for draws, _ in subjects for dr in draws]
     subject_of = [s for s, (draws, _) in enumerate(subjects) for _ in draws]
-    geometry, along = _finish(params, flat)
+    geometry, along = _finish(noise, flat)
     if along.any():  # never drawn on a real seed: about 5e-19 per axis
         b = int(np.flatnonzero(along)[0])
         raise ValueError(f"synthetic-{seeds[subject_of[b]][-1]:04d}: branch {flat[b].branch_id!r} "
                          "drew an axis along its direction")
-    dirs = _grow_directions(params, flat, geometry)
+    dirs = _grow_directions(noise, flat, geometry)
 
     first = [{} for _ in seeds]  # children attach to their class's first instance
     used_vertices = [{} for _ in seeds]
@@ -391,7 +356,7 @@ def _generate_group(params: GenParams, seeds: list) -> list[SubjectRecord]:
         # resampling preserves each first point, so attachment vertices stay
         # bit-exact on the parent
         points, rows, _ = resample_points(walks, np.cumsum(steps + 1) - (steps + 1),
-                                          params.resample_spacing_mm)
+                                          RESAMPLE_SPACING_MM)
         bounds = np.append(rows, len(points)).tolist()
         for n, b in enumerate(level):
             grown[b] = points[bounds[n] : bounds[n + 1]]
@@ -407,7 +372,7 @@ def _generate_group(params: GenParams, seeds: list) -> list[SubjectRecord]:
         sizes = [len(grown[lo + b]) for b in order]
         records.append(SubjectRecord(
             SUBJECT_ID.format(seed[-1]),
-            params.voxel_spacing_mm,
+            VOXEL_SPACING_MM,
             points=np.concatenate([grown[lo + b] for b in order]) @ motion_r.T + motion_t,
             first=np.cumsum(sizes) - sizes,
             branch_ids=[subject[b].branch_id for b in order],
@@ -418,12 +383,12 @@ def _generate_group(params: GenParams, seeds: list) -> list[SubjectRecord]:
     return records
 
 
-def _prepared(records: list[SubjectRecord], spacing_mm: float) -> list[SubjectRecord]:
+def _prepared(records: list[SubjectRecord]) -> list[SubjectRecord]:
     """prepare_subject of each record, with one resample_points call for all."""
     sizes = np.array([len(rec.points) for rec in records])
     first = np.concatenate([rec.first + lo for rec, lo in zip(records, np.cumsum(sizes) - sizes)])
     points, rows, problems = resample_points(
-        np.concatenate([rec.points for rec in records]), first, spacing_mm,
+        np.concatenate([rec.points for rec in records]), first, RESAMPLE_SPACING_MM,
         [bid for rec in records for bid in rec.branch_ids])
     bounds = np.append(rows, len(points))
     out, b = [], 0
@@ -447,7 +412,7 @@ def _grown_group(params: GenParams, seeds: list) -> list[tuple[SubjectRecord, tu
     labels after prepare_subject, which the census counts."""
     group = _generate_group(params, seeds)
     return [(rec, split_into_segments(ready).labels)
-            for rec, ready in zip(group, _prepared(group, params.resample_spacing_mm))]
+            for rec, ready in zip(group, _prepared(group))]
 
 
 def generate_corpus(params: GenParams) -> tuple[list[SubjectRecord], dict]:
@@ -484,7 +449,7 @@ def generate_corpus(params: GenParams) -> tuple[list[SubjectRecord], dict]:
             )
     n = len(records)
     manifest = {
-        "params": asdict(replace(params, count_probs=dict(params.count_probs))),
+        "params": asdict(params),
         "n_subjects": n,
         "per_class_branches": per_class_branches,
         "per_class_segments": per_class_segments,

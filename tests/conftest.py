@@ -11,6 +11,7 @@ from coroseg import autodiff as ad
 from coroseg.autodiff import Edges
 from coroseg.centerline import LEFT, RIGHT, SubjectRecord
 from coroseg.graph import GraphBuildError, Segment
+from coroseg import synth
 from coroseg.synth import TEMPLATES, _random_rotation
 
 
@@ -236,8 +237,6 @@ def _perpendicular(rng: np.random.Generator, d: np.ndarray) -> np.ndarray:
 
 
 def _jitter_direction(rng, d: np.ndarray, angle_scale: float) -> np.ndarray:
-    if angle_scale <= 0:
-        return d
     axis = _perpendicular(rng, d)
     return _rotation(axis, rng.normal(0.0, angle_scale)) @ d
 
@@ -273,8 +272,7 @@ def _grow_curve(
     d = direction.copy()
     for _ in range(n):
         d = _rotation(bend_axis, per_step) @ d
-        if wobble > 0:
-            d = _rotation(curl_axis, rng.normal(0.0, wobble)) @ d
+        d = _rotation(curl_axis, rng.normal(0.0, wobble)) @ d
         d = _unit(d)
         pts.append(pts[-1] + step * d)
     return np.asarray(pts)
@@ -283,39 +281,41 @@ def _grow_curve(
 def generate_subject_oracle(params, subject_seed) -> SubjectRecord:
     """The generator as a per-branch, per-step loop: one rng call per draw,
     each perpendicular checked as it is drawn, one Rodrigues matrix per
-    bend and curl step, one resample per branch. Same rng stream and bits."""
+    bend and curl step, one resample per branch. Same rng stream and bits.
+    Reads synth.DEFAULT_COUNT_PROBS when called, as the generator does."""
     rng = np.random.default_rng(subject_seed)
-    spacing = params.resample_spacing_mm
+    noise = SimpleNamespace(**synth.PRESETS[params.preset])
+    spacing = synth.RESAMPLE_SPACING_MM
     branches: dict[str, list[tuple]] = {}  # (id, side, points, label) per branch
     used_vertices: dict[str, set[int]] = {}
     order: dict[str, list[tuple]] = {LEFT: [], RIGHT: []}
 
     for cls, tpl in TEMPLATES.items():
-        probs = np.asarray(params.count_probs[cls])
+        probs = np.asarray(synth.DEFAULT_COUNT_PROBS[cls])
         count = int(rng.choice(len(probs), p=probs / probs.sum()))
         instances = []
         for i in range(count):
             if tpl.parent is None:
                 start = np.asarray(tpl.start, dtype=float)
                 if cls != "LM":
-                    start = start + rng.normal(0, params.junction_jitter_mm, 3)
+                    start = start + rng.normal(0, noise.junction_jitter_mm, 3)
             else:
                 parent = branches[tpl.parent][0][2]
                 lo, hi = tpl.attach
                 frac = lo + (i + 0.5) * (hi - lo) / count
-                frac += rng.normal(0, params.attach_jitter_frac * max(hi - lo, 0.05))
+                frac += rng.normal(0, noise.attach_jitter_frac * max(hi - lo, 0.05))
                 idx = _attach_index(
                     parent, float(np.clip(frac, 0.02, 0.98)),
                     used_vertices.setdefault(tpl.parent, set()),
                 )
                 start = parent[idx].copy()
             direction = _jitter_direction(
-                rng, _unit(np.asarray(tpl.direction)), params.direction_jitter_rad
+                rng, _unit(np.asarray(tpl.direction)), noise.direction_jitter_rad
             )
-            length = tpl.length_mm * (1 + rng.normal(0, params.length_jitter_frac))
+            length = tpl.length_mm * (1 + rng.normal(0, noise.length_jitter_frac))
             length = max(length, 2.5 * spacing)
-            bend = tpl.bend_rad * (1 + rng.normal(0, params.bend_jitter_frac))
-            raw = _grow_curve(rng, start, direction, length, bend, params.wobble_rad)
+            bend = tpl.bend_rad * (1 + rng.normal(0, noise.bend_jitter_frac))
+            raw = _grow_curve(rng, start, direction, length, bend, noise.wobble_rad)
             # resampling preserves the first point, so the attachment vertex
             # stays bit-exact on the parent
             branch_id = cls if count == 1 else f"{cls}{i + 1}"
@@ -327,12 +327,12 @@ def generate_subject_oracle(params, subject_seed) -> SubjectRecord:
     # RCA the last right one (frame control point).
     right = [b for b in order[RIGHT] if b[3] != "RCA"] + branches["RCA"]
 
-    motion_t = rng.uniform(-params.translation_range_mm, params.translation_range_mm, 3)
-    motion_r = _random_rotation(rng) if params.rotate else np.eye(3)
+    motion_t = rng.uniform(-synth.TRANSLATION_RANGE_MM, synth.TRANSLATION_RANGE_MM, 3)
+    motion_r = _random_rotation(rng)
     sid = subject_seed[-1] if isinstance(subject_seed, (list, tuple)) else subject_seed
     return make_subject(
         [(bid, side, pts @ motion_r.T + motion_t, label) for bid, side, pts, label in order[LEFT] + right],
-        f"synthetic-{sid:04d}", params.voxel_spacing_mm,
+        f"synthetic-{sid:04d}", synth.VOXEL_SPACING_MM,
     )
 
 
@@ -462,22 +462,18 @@ def max_pool_oracle(a, edges: Edges):
 
 
 def backward_oracle(loss):
-    """Reverse pass that copies the first gradient reaching every tape node."""
+    """Reverse pass that copies the first gradient reaching every tape node:
+    all nodes reachable from loss are collected, then taken in one sort,
+    newest first by creation index."""
     loss._done = True
-    topo, seen, stack = [], set(), [(loss, False)]
+    reachable, stack = {}, [loss]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            stack.append((p, False))
+        node = stack.pop()
+        if id(node) not in reachable:
+            reachable[id(node)] = node
+            stack.extend(node._parents)
     grads = {id(loss): np.ones((1, 1))}
-    for node in reversed(topo):
+    for node in sorted(reachable.values(), key=lambda t: t._index, reverse=True):
         g = grads.pop(id(node), None)
         if g is None:
             continue

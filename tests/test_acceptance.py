@@ -201,7 +201,7 @@ def test_criterion_5_permutation_equivariance(report):
 
 def test_criterion_6_end_to_end_learnability(tmp_path, report):
     started = time.time()
-    records, _ = generate_corpus(GenParams.low_noise(n_subjects=141, seed=0))
+    records, _ = generate_corpus(GenParams(n_subjects=141, seed=0, preset="low-noise"))
     dataset = [
         (rec.subject_id, build_segment_graph(prepare_subject(rec))) for rec in records
     ]
@@ -263,7 +263,7 @@ def test_criterion_7_protocol_fidelity(report):
     partition_ok = sorted(flat) == ids and len(set(flat)) == 141
 
     # out-of-fold audit on a real CV run
-    records, _ = generate_corpus(GenParams.low_noise(n_subjects=10, seed=2))
+    records, _ = generate_corpus(GenParams(n_subjects=10, seed=2, preset="low-noise"))
     dataset = [
         (rec.subject_id, build_segment_graph(prepare_subject(rec))) for rec in records
     ]

@@ -469,11 +469,20 @@ def _branch_oracle(branch_id: str, side: str, points) -> np.ndarray:
     return pts
 
 
-def _oracle_outcome(subject: SubjectRecord, arrays: list[np.ndarray]):
+def _fold_oracle(branch_id: str, points: np.ndarray) -> np.ndarray:
+    """Resampled points, or the fold-back error when two in a row are equal."""
+    if any(np.array_equal(p, q) for p, q in zip(points[:-1], points[1:])):
+        raise CenterlineError(f"branch {branch_id!r}: curve folds back: resampled points coincide")
+    return points
+
+
+def _oracle_outcome(subject: SubjectRecord, arrays: list[np.ndarray], resampled: bool = False):
     """The oracle's (id, side, points, label) branches, or the error the
-    first invalid branch raises."""
+    first invalid branch raises; resampled arrays are checked for a fold-back first."""
     try:
-        return [(cl.branch_id, cl.side, _branch_oracle(cl.branch_id, cl.side, a), cl.label)
+        return [(cl.branch_id, cl.side,
+                 _branch_oracle(cl.branch_id, cl.side, _fold_oracle(cl.branch_id, a) if resampled else a),
+                 cl.label)
                 for cl, a in zip(subject.centerlines, arrays)]
     except CenterlineError as exc:
         return str(exc)
@@ -503,7 +512,7 @@ def test_whole_subject_kernel_matches_loop_oracles(data, spacing, tol):
     subject = _grid_subject(data.draw)
     resampled = _outcome(resample_subject, subject, spacing)
     expected = _oracle_outcome(
-        subject, [resample_oracle(cl.points, spacing) for cl in subject.centerlines]
+        subject, [resample_oracle(cl.points, spacing) for cl in subject.centerlines], resampled=True
     )
     assert _same(resampled, expected)
     if isinstance(resampled, str):
@@ -533,18 +542,18 @@ def _subject(*branches) -> SubjectRecord:
 
 
 def test_fold_back_resamples_onto_equal_consecutive_points():
-    with pytest.raises(CenterlineError, match=r"^branch 'a': consecutive duplicate points$"):
+    with pytest.raises(CenterlineError, match=r"^branch 'a': curve folds back: resampled points coincide$"):
         prepare_subject(_subject(FOLD_BACK))
 
 
 @pytest.mark.parametrize(
     "branches, message",
     [
-        ((FOLD_BACK, UNDERFLOW), "branch 'a': consecutive duplicate points"),
+        ((FOLD_BACK, UNDERFLOW), "branch 'a': curve folds back: resampled points coincide"),
         ((UNDERFLOW, FOLD_BACK), "branch 'z': zero-length curve"),
         ((UNDERFLOW, FAR), "branch 'z': zero-length curve"),
         ((FAR, UNDERFLOW), f"branch 'f': resampling makes more than {MAX_RESAMPLED_POINTS} points"),
-        ((FOLD_BACK, FAR), "branch 'a': consecutive duplicate points"),
+        ((FOLD_BACK, FAR), "branch 'a': curve folds back: resampled points coincide"),
     ],
 )
 def test_resample_names_first_bad_branch(branches, message):
@@ -687,7 +696,7 @@ def _prepare_oracle(branches: list[tuple], voxel: float) -> list[tuple]:
         if made > MAX_RESAMPLED_POINTS:
             raise CenterlineError(
                 f"branch {bid!r}: resampling makes more than {MAX_RESAMPLED_POINTS} points")
-        points = _branch_oracle(bid, side, resample_oracle(pts, 10 * voxel))
+        points = _branch_oracle(bid, side, _fold_oracle(bid, resample_oracle(pts, 10 * voxel)))
         resampled.append((bid, side, points, label))
     merged = merge_oracle(make_subject(resampled, "s", voxel), DEFAULT_MERGE_TOL_MM)
     return [(bid, side, _branch_oracle(bid, side, p), label)

@@ -463,7 +463,7 @@ def test_build_bad_subject_one_line_error(tmp_path, capsys, field, value, messag
 
 def test_build_fold_back_one_line_error(tmp_path, capsys):
     # valid input, but at 0.2 mm voxels resampling puts two equal points
-    # in a row
+    # in a row, where the branch folds back
     fold_back = {"id": "a", "side": "left", "points": [[0, 0, 0], [5, 0, 0], [0, 0, 0]]}
     subject = tmp_path / "fold.json"
     subject.write_text(json.dumps(
@@ -471,7 +471,7 @@ def test_build_fold_back_one_line_error(tmp_path, capsys):
          "branches": [fold_back, GOOD_SUBJECT["branches"][1]]}
     ))
     assert run_cli("build", str(subject), "--out", str(tmp_path), "--run-name", "x") == 1
-    assert _one_error_line(capsys) == "error: branch 'a': consecutive duplicate points"
+    assert _one_error_line(capsys) == "error: branch 'a': curve folds back: resampled points coincide"
 
 
 def test_usage_error_exit_code(capsys):

@@ -40,7 +40,7 @@ def chain_dataset(n_subjects=10, seed=0):
 
 def generated_dataset(n_subjects=6, seed=0):
     """Low-noise generator subjects with all 13 classes' labels, unselected."""
-    records, _ = generate_corpus(GenParams.low_noise(n_subjects=n_subjects, seed=seed))
+    records, _ = generate_corpus(GenParams(n_subjects=n_subjects, seed=seed, preset="low-noise"))
     return [(rec.subject_id, build_segment_graph(prepare_subject(rec))) for rec in records]
 
 
@@ -144,8 +144,7 @@ def test_select_classes_drops_left_pda_plb_nodes(rng):
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 @given(preset=st.sampled_from(["default", "low-noise"]), seed=st.integers(0, 2**16))
 def test_select_classes_gives_the_induced_subgraph(preset, seed):
-    make = GenParams.low_noise if preset == "low-noise" else GenParams
-    records, _ = generate_corpus(make(n_subjects=8, seed=seed))
+    records, _ = generate_corpus(GenParams(n_subjects=8, seed=seed, preset=preset))
     dataset = [(rec.subject_id, build_segment_graph(prepare_subject(rec))) for rec in records]
     for (_, sg), (_, sub) in zip(dataset, select_classes(dataset, 11)):
         keep = np.array([i for i, lb in enumerate(sg.labels) if lb not in DROPPED_IN_11])
