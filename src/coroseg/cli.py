@@ -3,8 +3,8 @@
 Every command writes its outputs under a run directory along with a
 manifest (command, config snapshot, seeds, input hashes, artifact list),
 written last so its presence marks a completed run. Reruns from the same
-configuration produce byte-identical metrics files at the same BLAS thread
-count.
+configuration produce byte-identical outputs at the same BLAS thread count,
+OpenBLAS kernel and numpy SIMD level.
 
 Each ``cmd_*`` function takes the parsed arguments and its run directory and
 returns what the manifest records: ``(config, input_hashes, artifacts)``, the
@@ -26,7 +26,8 @@ import time
 from functools import partial
 from pathlib import Path
 
-from .centerline import CenterlineError, clipped, parse_subject, prepare_subject, serialize_subject
+from .centerline import (ECHO_CHARS, CenterlineError, clipped, parse_subject, prepare_subject,
+                         serialize_subject)
 from .graph import build_segment_graph, segment_graph_to_json
 from .models import VARIANTS, ModelConfig, load_model, save_model
 from .pool import WorkerDied, ordered_map
@@ -56,7 +57,17 @@ NAME_BYTES = 255
 
 
 class UsageError(Exception):
-    """A bad --config file: exit 2, like a bad flag."""
+    """A bad flag or --config file: exit 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print its usage and exit, so a
+    bad flag ends in one line; the message, which can echo a value of any
+    length, is cut to 2 * ECHO_CHARS characters. Subparsers are of this class too."""
+
+    def error(self, message):
+        cut = 2 * ECHO_CHARS
+        raise UsageError(message if len(message) <= cut else f"{message[:cut]}...")
 
 
 def _sha256(raw: bytes) -> str:
@@ -306,7 +317,7 @@ def _class_mode(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coroseg",
         description="Coronary segment labeling: synthetic data, graphs, GNN training.",
     )
@@ -361,10 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        _resolve(args)
-        return _execute(args)
+        return _execute(_resolve(build_parser().parse_args(argv)))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,7 +3,7 @@
 One rule sets the worker count from the work the jobs hold, counted in
 subject loads: one load is reading one default-preset subject file into a
 segment graph (about 1.3-1.7 ms), and growing one generated subject with its
-census costs about as much (20-30 ms a group of 16). The rule gives one
+census costs about as much (22-25 ms a group of 16). The rule gives one
 worker per LOADS_PER_WORKER loads, at most one per usable CPU. On a 2-CPU VM
 a fork pool of two costs about 11 ms to start and stop (30-40 ms the first
 time in a process), so work under twice LOADS_PER_WORKER loads stays

@@ -9,15 +9,15 @@ imbalance (rare left posterior branches included).
 A group of subjects is made in array passes: each subject only draws in its
 draw loop (one rng call per branch for its fixed normals, one for its
 wobble, plus the root or attach draw), the group's branch geometry is then
-finished at once, its tangents grow in lockstep, and the manifest census
-resamples the whole group with one call. Every subject is bit for bit as a
-per-branch loop over its own rng makes it. generate_corpus hands whole
-groups to `coroseg.pool` workers, so a corpus is bit-identical whatever the
-grouping and the worker count. An axis drawn along its branch's
-direction, which no real seed draws, raises one ValueError line naming the
-subject and the branch, and GenParams one naming a field out of range:
-n_subjects outside 1 to MAX_SUBJECTS, a negative seed or a preset not in
-PRESETS.
+finished at once, and its tangents grow in lockstep. Every subject is bit
+for bit as a per-branch loop over its own rng makes it. generate_corpus hands
+whole groups to `coroseg.pool` workers, so a corpus is bit-identical whatever
+the grouping and the worker count. The manifest census counts each subject's
+segments after prepare_subject, the preprocessing `build` runs. An axis
+drawn along its branch's direction, which no real seed draws, raises one
+ValueError line naming the subject and the branch, and GenParams one naming
+a field out of range: n_subjects outside 1 to MAX_SUBJECTS, a negative seed
+or a preset not in PRESETS.
 
 Emitted centerlines are pre-resampled so every child start coincides
 bit-exactly with a vertex of its resampled parent. The ingestion pipeline's
@@ -29,13 +29,13 @@ synthetic-0002).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from functools import partial
 from itertools import chain
 
 import numpy as np
 
-from .centerline import (LEFT, RESAMPLE_VOXELS, RIGHT, SubjectRecord, clipped, merge_branch_origins,
+from .centerline import (LEFT, RESAMPLE_VOXELS, RIGHT, SubjectRecord, clipped, prepare_subject,
                          resample_points)
 from .graph import split_into_segments
 from .pool import ordered_map
@@ -383,46 +383,20 @@ def _generate_group(params: GenParams, seeds: list) -> list[SubjectRecord]:
     return records
 
 
-def _prepared(records: list[SubjectRecord]) -> list[SubjectRecord]:
-    """prepare_subject of each record, with one resample_points call for all."""
-    sizes = np.array([len(rec.points) for rec in records])
-    first = np.concatenate([rec.first + lo for rec, lo in zip(records, np.cumsum(sizes) - sizes)])
-    points, rows, problems = resample_points(
-        np.concatenate([rec.points for rec in records]), first, RESAMPLE_SPACING_MM,
-        [bid for rec in records for bid in rec.branch_ids])
-    bounds = np.append(rows, len(points))
-    out, b = [], 0
-    for rec in records:
-        n = len(rec.first)
-        lo, hi = bounds[b], bounds[b + n]
-        out.append(merge_branch_origins(replace(
-            rec, points=points[lo:hi], first=rows[b : b + n] - lo, problems=problems[b : b + n])))
-        b += n
-    return out
-
-
-def generate_subject(params: GenParams, subject_seed: list[int]) -> SubjectRecord:
-    """One labeled subject, deterministic in (params, subject_seed); subject_seed
-    is [corpus seed, index], and the index names it."""
-    return _generate_group(params, [subject_seed])[0]
-
-
 def _grown_group(params: GenParams, seeds: list) -> list[tuple[SubjectRecord, tuple]]:
     """One generate_corpus job: a group's records, each with its segments'
     labels after prepare_subject, which the census counts."""
-    group = _generate_group(params, seeds)
-    return [(rec, split_into_segments(ready).labels)
-            for rec, ready in zip(group, _prepared(group))]
+    return [(rec, split_into_segments(prepare_subject(rec)).labels)
+            for rec in _generate_group(params, seeds)]
 
 
 def generate_corpus(params: GenParams) -> tuple[list[SubjectRecord], dict]:
     """n_subjects independent subjects plus a per-class census manifest.
 
     Subjects are grown GROUP_SIZE at a time, whole groups in a
-    `pool.ordered_map`; each is the same as generate_subject makes it, so the
+    `pool.ordered_map`; each is bit for bit as it is grown alone, so the
     corpus is bit-identical whatever the grouping and the worker count. The
-    census counts each subject's segments after prepare_subject, with one
-    resample_points call per group.
+    census counts each subject's segments after prepare_subject.
     """
     # numpy loads numpy.random on first use: load it here, once per process,
     # not again in the pool workers of every call (12-20 ms each)

@@ -19,7 +19,7 @@ from coroseg.centerline import (
     serialize_subject,
 )
 from coroseg.graph import build_segment_graph
-from coroseg.synth import GenParams, generate_corpus, generate_subject
+from coroseg.synth import GenParams, generate_corpus
 from conftest import (
     make_subject,
     merge_oracle,
@@ -334,7 +334,7 @@ def test_merge_never_joins_sides():
 def test_merge_keeps_synthetic_right_root_off_left_tree():
     # this subject's RCA root starts 1.44 mm from LCX vertex 7; snapping it
     # there joined the trees into 19 nodes and 27 edges
-    rec = generate_subject(GenParams(n_subjects=60, seed=8), [8, 2])
+    rec = generate_corpus(GenParams(n_subjects=3, seed=8))[0][2]
     merged = merge_branch_origins(resample_subject(rec))
     rca = [cl.label for cl in rec.centerlines].index("RCA")
     assert np.array_equal(merged.centerlines[rca].points[0], rec.centerlines[rca].points[0])
@@ -721,7 +721,7 @@ MUTATIONS = {
     "boolean": lambda b, k: b["points"][k].__setitem__(k % 3, k % 2 == 0),
     "far": lambda b, k: b["points"][-1].__setitem__(k % 3, 1e12),
 }
-_VALID = [json.loads(serialize_subject(generate_subject(GenParams(), [11, i]))) for i in range(3)]
+_VALID = [json.loads(serialize_subject(rec)) for rec in generate_corpus(GenParams(n_subjects=3, seed=11))[0]]
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)

@@ -347,11 +347,10 @@ def test_build_rejects_duplicate_subject_ids(corpus, tmp_path, capsys):
 
 def test_train_has_no_folds_flag(corpus, tmp_path, capsys):
     # train never reads the folds; only cv splits the corpus
-    with pytest.raises(SystemExit) as exc:
-        run_cli("train", "--corpus", str(corpus), "--folds", "2",
-                "--out", str(tmp_path), "--run-name", "t")
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --folds 2" in capsys.readouterr().err
+    code = run_cli("train", "--corpus", str(corpus), "--folds", "2",
+                   "--out", str(tmp_path), "--run-name", "t")
+    assert code == 2
+    assert _one_error_line(capsys) == "error: unrecognized arguments: --folds 2"
     assert not (tmp_path / "t").exists()
 
 
@@ -475,16 +474,38 @@ def test_build_fold_back_one_line_error(tmp_path, capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("cv")  # missing required --corpus
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run_cli("nonsense")
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run_cli("cv", "--corpus", "c", "--check")  # a flag that was removed
-    assert exc.value.code == 2
+    assert run_cli("cv") == 2  # missing required --corpus
+    assert run_cli("nonsense") == 2
+    assert run_cli("cv", "--corpus", "c", "--check") == 2  # a flag that was removed
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--corpus", "x", "--epochs", "abc"], "argument --epochs: invalid int value: 'abc'"),
+    (["generate", "--preset", "nope"], "argument --preset: invalid choice: 'nope'"),
+    (["cv", "--corpus", "c", "--check"], "unrecognized arguments: --check"),
+    (["cv", "--epochs", "1"], "the following arguments are required: --corpus"),
+    (["nonsense"], "argument command: invalid choice: 'nonsense'"),
+], ids=["bad value", "bad choice", "unknown flag", "missing corpus", "unknown command"])
+def test_usage_error_is_one_line(tmp_path, capsys, argv, message):
+    # argparse printed its usage before the error; the line alone is the contract
+    assert run_cli(*argv, "--out", str(tmp_path), "--run-name", "u") == 2
+    assert _one_error_line(capsys).startswith(f"error: {message}")
+    assert not (tmp_path / "u").exists()
+
+
+def test_usage_error_clips_a_long_value(capsys):
+    assert run_cli("train", "--corpus", "x", "--epochs", "9" * 100_000 + "x") == 2
+    line = _one_error_line(capsys)
+    assert line.startswith("error: argument --epochs: invalid int value: '999")
+    assert line.endswith("...") and len(line.encode()) < 300
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train", "--help")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: coroseg train")
 
 
 def _one_error_line(capsys) -> str:

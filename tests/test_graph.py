@@ -325,8 +325,9 @@ def test_labelling_reaches_each_stage_through_its_module_binding(monkeypatch):
     # stage reached any other way would read zero in its per-layer metric
     from coroseg import centerline, graph
     from coroseg.centerline import parse_subject, serialize_subject
-    from coroseg.synth import generate_subject
+    from coroseg.synth import generate_corpus
 
+    raw = serialize_subject(generate_corpus(GenParams(n_subjects=1, seed=5))[0][0])
     stages = [
         (centerline, "resample_subject"), (centerline, "merge_branch_origins"),
         (graph, "split_into_segments"), (graph, "line_graph_adjacency"),
@@ -338,6 +339,5 @@ def test_labelling_reaches_each_stage_through_its_module_binding(monkeypatch):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counting)
-    raw = serialize_subject(generate_subject(GenParams(), [5, 0]))
     graph.build_segment_graph(centerline.prepare_subject(parse_subject(raw)))
     assert calls == {name: 1 for _, name in stages}
